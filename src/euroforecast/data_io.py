@@ -16,6 +16,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -153,11 +154,14 @@ def _parse_int(value: str, name: str, path: str, line: int) -> int:
 
 def _parse_float(value: str, name: str, path: str, line: int) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise DataError(
             f"malformed number {value!r} for {name}", path=path, line=line
         ) from None
+    if not math.isfinite(number):
+        raise DataError(f"non-finite number {value!r} for {name}", path=path, line=line)
+    return number
 
 
 def _write_csv(

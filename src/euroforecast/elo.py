@@ -19,6 +19,8 @@ import datetime as dt
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+import numpy as np
+
 from .errors import DataError, ParameterError
 
 if TYPE_CHECKING:
@@ -85,6 +87,34 @@ def update_pair(
     new_a = update(EloUpdateInputs(elo_a, elo_b, k_weight, goals_a, goals_b))
     new_b = update(EloUpdateInputs(elo_b, elo_a, k_weight, goals_b, goals_a))
     return new_a, new_b
+
+
+def expected_scores(elo_a: np.ndarray, elo_b: np.ndarray) -> np.ndarray:
+    """:func:`expected_score` over arrays, bit for bit.
+
+    The power is taken by Python's float ``**`` per element, because
+    numpy's vector ``power`` can differ from it in the last bit.
+    """
+    x = -(elo_a - elo_b) / 400.0
+    return 1.0 / (np.fromiter(map((10.0).__pow__, x.tolist()), float, len(x)) + 1.0)
+
+
+def update_pairs(
+    elo_a: np.ndarray,
+    elo_b: np.ndarray,
+    goals_a: np.ndarray,
+    goals_b: np.ndarray,
+    k_weight: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`update_pair` over arrays of matches, bit for bit."""
+    diff = np.abs(goals_a - goals_b)
+    g = np.where(diff <= 1, 1.0, np.where(diff == 2, 1.5, (11.0 + diff) / 8.0))
+    w_a = np.where(goals_a > goals_b, 1.0, np.where(goals_a < goals_b, 0.0, 0.5))
+    kg = k_weight * g
+    return (
+        elo_a + kg * (w_a - expected_scores(elo_a, elo_b)),
+        elo_b + kg * ((1.0 - w_a) - expected_scores(elo_b, elo_a)),
+    )
 
 
 def replay_history(

@@ -11,12 +11,13 @@ scores conditionally on the stronger side's goals through its nested
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .zigp import ZigpParams, pmf_values, sample
+from .zigp import ZigpParams, pmf_values, sample, sample_block
 
 if TYPE_CHECKING:
     from .regression import TeamModel
@@ -194,3 +195,92 @@ def sample_match(
     if swapped:
         return goals_weak, goals_strong
     return goals_strong, goals_weak
+
+
+# ---------------------------------------------------------------------------
+# block form: many matches at once, one row per simulated tournament
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ModelArrays:
+    """The coefficients of a sequence of team models; row ``i`` is team ``i``."""
+
+    attack_alpha: np.ndarray
+    attack_phi: np.ndarray
+    attack_omega: np.ndarray
+    defense_alpha: np.ndarray
+    defense_phi: np.ndarray
+    defense_omega: np.ndarray
+    nested_alpha: np.ndarray
+    nested_phi: np.ndarray
+    nested_omega: np.ndarray
+
+    @classmethod
+    def from_models(cls, models: Sequence["TeamModel"]) -> "ModelArrays":
+        columns = {}
+        for kind in ("attack", "defense", "nested"):
+            coefficients = [getattr(m, kind) for m in models]
+            columns[f"{kind}_alpha"] = np.array([c.alpha for c in coefficients], dtype=float)
+            columns[f"{kind}_phi"] = np.array([c.phi for c in coefficients])
+            columns[f"{kind}_omega"] = np.array([c.omega for c in coefficients])
+        return cls(**columns)
+
+
+def _predict_mu(alpha: np.ndarray, *covariates: np.ndarray) -> np.ndarray:
+    """``RegressionCoefficients.predict_mu`` per row, bit for bit.
+
+    ``np.vecdot`` runs the dot kernel of ``np.dot`` on each row, and the
+    exponential is ``math.exp`` per element, because numpy's vector
+    ``exp`` can differ from it in the last bit.
+    """
+    x = np.stack([np.ones(len(alpha)), *covariates], axis=1)
+    eta = np.vecdot(alpha, x)
+    return np.fromiter(map(math.exp, eta.tolist()), float, len(eta))
+
+
+def sample_match_block(
+    models: ModelArrays,
+    team_a: np.ndarray,
+    team_b: np.ndarray,
+    elo_a: np.ndarray,
+    elo_b: np.ndarray,
+    loc_a: np.ndarray,
+    loc_b: np.ndarray,
+    u: np.ndarray,
+    mu_factor: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sample_match` for a block of matches, one per row.
+
+    ``team_a`` and ``team_b`` index ``models``, whose rows must be in
+    team-code order so that an Elo tie still goes to the smaller code.
+    ``loc_a`` and ``loc_b`` are each side's :func:`location_indicator`.
+    ``u`` holds two uniforms per row, for the stronger side's draw and
+    then the weaker side's, as :func:`sample_match` takes them.
+    """
+    swapped = ~((elo_a > elo_b) | ((elo_a == elo_b) & (team_a < team_b)))
+    strong = np.where(swapped, team_b, team_a)
+    weak = np.where(swapped, team_a, team_b)
+    elo_strong = np.where(swapped, elo_b, elo_a)
+    elo_weak = np.where(swapped, elo_a, elo_b)
+    loc_strong = np.where(swapped, loc_b, loc_a)
+    loc_weak = np.where(swapped, loc_a, loc_b)
+
+    mu_att = _predict_mu(models.attack_alpha[strong], elo_weak, loc_strong)
+    mu_def = _predict_mu(models.defense_alpha[weak], elo_strong, loc_weak)
+    goals_strong = sample_block(
+        0.5 * (mu_att + mu_def) * mu_factor,
+        0.5 * (models.attack_phi[strong] + models.defense_phi[weak]),
+        0.5 * (models.attack_omega[strong] + models.defense_omega[weak]),
+        u[:, 0],
+    )
+    mu_cond = _predict_mu(
+        models.nested_alpha[weak], elo_strong, loc_weak, goals_strong.astype(float)
+    )
+    goals_weak = sample_block(
+        mu_cond * mu_factor, models.nested_phi[weak], models.nested_omega[weak], u[:, 1]
+    )
+    return (
+        np.where(swapped, goals_weak, goals_strong),
+        np.where(swapped, goals_strong, goals_weak),
+    )

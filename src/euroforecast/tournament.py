@@ -10,6 +10,11 @@ back into the score model, so early upsets propagate.
 Runs are independent and deterministic: run ``i`` under master seed
 ``s`` always uses ``SeedSequence(s, spawn_key=(i,))``, which makes the
 aggregate counts bit-identical for any worker count.
+
+``run_tournament`` plays one run with scalar calls and is the reference.
+``monte_carlo`` compiles the bracket once and plays blocks of runs
+together on per-run arrays; every run takes its uniforms in the
+reference's order, so the counts are equal.
 """
 
 from __future__ import annotations
@@ -18,14 +23,15 @@ import datetime as dt
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import elo
-from .errors import ConfigError, DataError
-from .forecast import sample_match
 from .elo import DEFAULT_K_FACTORS
+from .errors import ConfigError, DataError
+from .forecast import ModelArrays, location_indicator, sample_match, sample_match_block
 
 if TYPE_CHECKING:
     from .regression import TeamModel
@@ -170,8 +176,6 @@ def validate_allocation(
     allocation: Mapping[str, Mapping[str, str]], groups: Sequence[str] = "ABCDEF"
 ) -> None:
     """The third-place table must cover all 4-subsets bijectively."""
-    from itertools import combinations
-
     expected = {"".join(c) for c in combinations(sorted(groups), 4)}
     if set(allocation) != expected:
         raise DataError(
@@ -191,35 +195,68 @@ def validate_allocation(
 
 
 # ---------------------------------------------------------------------------
-# group ranking
+# group ranking: one tiebreak chain, in array form
 # ---------------------------------------------------------------------------
 
 
-def _points(gf: int, ga: int) -> int:
-    if gf > ga:
-        return 3
-    if gf == ga:
-        return 1
-    return 0
+def _standings(
+    side_a: np.ndarray,
+    side_b: np.ndarray,
+    goals_a: np.ndarray,
+    goals_b: np.ndarray,
+    n_teams: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Overall and head-to-head (points, goal difference, goals) per team.
+
+    ``side_a`` and ``side_b`` give each match's teams as indices into the
+    table, -1 for a team outside it; ``goals_a`` and ``goals_b`` are
+    (rows, matches).  The head-to-head sums count only the matches
+    between two teams of the table that are level on points.  Both
+    results are (rows, n_teams, 3).
+    """
+    on_a = (side_a[:, None] == np.arange(n_teams)).astype(float)
+    on_b = (side_b[:, None] == np.arange(n_teams)).astype(float)
+    ga, gb = goals_a.astype(float), goals_b.astype(float)
+    stats = (
+        (3.0 * (ga > gb) + (ga == gb), 3.0 * (gb > ga) + (ga == gb)),
+        (ga - gb, gb - ga),
+        (ga, gb),
+    )
+
+    def tally(weight):
+        return np.stack([(a * weight) @ on_a + (b * weight) @ on_b for a, b in stats], axis=-1)
+
+    overall = tally(1.0)
+    points = overall[..., 0]
+    inside = (side_a >= 0) & (side_b >= 0)
+    return overall, tally(inside & (points[:, side_a] == points[:, side_b]))
 
 
-def _table(
+def _tiebreak_order(
+    overall: np.ndarray, h2h: np.ndarray | None, elo: np.ndarray, lot: np.ndarray
+) -> np.ndarray:
+    """Team indices best-first along the last axis.
+
+    The chain: points; then head-to-head points, goal difference and
+    goals among the teams level on points (skipped when ``h2h`` is
+    None); then overall goal difference and goals; then live Elo; then
+    the lot.  Teams level on every criterion keep their order.
+    """
+    keys = [lot, elo, overall[..., 2], overall[..., 1]]
+    if h2h is not None:
+        keys += [h2h[..., 2], h2h[..., 1], h2h[..., 0]]
+    keys.append(overall[..., 0])
+    return np.lexsort([-np.asarray(k, dtype=float) for k in keys], axis=-1)
+
+
+def _one_row_standings(
     teams: Sequence[str], results: Sequence[tuple[str, str, int, int]]
-) -> dict[str, tuple[int, int, int]]:
-    """(points, goal difference, goals scored) per team."""
-    pts = {t: 0 for t in teams}
-    gf = {t: 0 for t in teams}
-    ga = {t: 0 for t in teams}
-    for a, b, x, y in results:
-        if a in pts:
-            pts[a] += _points(x, y)
-            gf[a] += x
-            ga[a] += y
-        if b in pts:
-            pts[b] += _points(y, x)
-            gf[b] += y
-            ga[b] += x
-    return {t: (pts[t], gf[t] - ga[t], gf[t]) for t in teams}
+) -> tuple[np.ndarray, np.ndarray]:
+    index = {t: i for i, t in enumerate(teams)}
+    side_a = np.array([index.get(r[0], -1) for r in results], dtype=int)
+    side_b = np.array([index.get(r[1], -1) for r in results], dtype=int)
+    goals = np.array([r[2:] for r in results], dtype=int).reshape(len(results), 2)
+    return _standings(side_a, side_b, goals[None, :, 0], goals[None, :, 1], len(teams))
 
 
 def rank_group(
@@ -228,32 +265,17 @@ def rank_group(
     live_elo: Mapping[str, float],
     rng: np.random.Generator,
 ) -> tuple[str, ...]:
-    """Order a group best-first.
+    """Order a group best-first by the tiebreak chain of :func:`_tiebreak_order`.
 
-    Tiebreak chain: points, then head-to-head points / goal difference
-    / goals among the teams level on points, then overall goal
-    difference and goals, then current Elo, then a seeded lot.  Lot
-    values are drawn once per ranking (in sorted team order) so the
+    Lot values are drawn once per ranking (in sorted team order) so the
     random stream does not depend on whether ties occur.
     """
     teams = sorted(teams)
-    lots = {t: rng.random() for t in teams}
-    overall = _table(teams, results)
-
-    by_points: dict[int, list[str]] = {}
-    for t in teams:
-        by_points.setdefault(overall[t][0], []).append(t)
-    h2h: dict[str, tuple[int, int, int]] = {}
-    for tied in by_points.values():
-        sub = [r for r in results if r[0] in tied and r[1] in tied]
-        h2h.update(_table(tied, sub))
-
-    def key(t: str):
-        pts, gd, goals = overall[t]
-        hp, hgd, hg = h2h[t]
-        return (pts, hp, hgd, hg, gd, goals, live_elo[t], lots[t])
-
-    return tuple(sorted(teams, key=key, reverse=True))
+    lots = rng.random(len(teams))
+    overall, h2h = _one_row_standings(teams, results)
+    elo_now = np.array([live_elo[t] for t in teams])
+    order = _tiebreak_order(overall, h2h, elo_now[None], lots[None])[0]
+    return tuple(teams[i] for i in order)
 
 
 def select_best_thirds(
@@ -264,19 +286,17 @@ def select_best_thirds(
 ) -> tuple[str, ...]:
     """Top four third-placed teams; returns their group letters.
 
-    Ranked by points, goal difference, goals scored, current Elo, then
-    a seeded lot (drawn once, in group order).
+    Ranked by the tiebreak chain without its head-to-head step: points,
+    goal difference, goals scored, current Elo, then a seeded lot
+    (drawn once, in group order).
     """
     groups = sorted(thirds)
-    lots = {g: rng.random() for g in groups}
-    table = _table(list(thirds.values()), results)
-
-    def key(g: str):
-        t = thirds[g]
-        return (*table[t], live_elo[t], lots[g])
-
-    ranked = sorted(groups, key=key, reverse=True)
-    return tuple(sorted(ranked[:4]))
+    lots = rng.random(len(groups))
+    teams = [thirds[g] for g in groups]
+    overall, _ = _one_row_standings(teams, results)
+    elo_now = np.array([live_elo[t] for t in teams])
+    order = _tiebreak_order(overall, None, elo_now[None], lots[None])[0]
+    return tuple(sorted(groups[i] for i in order[:4]))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +316,7 @@ def simulate_knockout_match(
 
     Drawn matches continue into extra time sampled from the same model
     with both means scaled by 1/3; a still-level tie goes to a shootout
-    won by the higher-rated side with its Elo expected score.
+    that side A wins with its Elo expected score.
     """
     ga, gb = sample_match(model_a, model_b, elo_a, elo_b, rng, venue_country)
     if ga == gb:
@@ -307,10 +327,7 @@ def simulate_knockout_match(
         ga, gb = ga + ea, gb + eb
     shootout = ga == gb
     if shootout:
-        if elo_a >= elo_b:
-            p_a = elo.expected_score(elo_a, elo_b)
-        else:
-            p_a = 1.0 - elo.expected_score(elo_b, elo_a)
+        p_a = elo.expected_score(elo_a, elo_b)
         winner = model_a.team if rng.random() < p_a else model_b.team
     else:
         winner = model_a.team if ga > gb else model_b.team
@@ -318,8 +335,35 @@ def simulate_knockout_match(
 
 
 # ---------------------------------------------------------------------------
-# one full tournament
+# one full tournament: the scalar reference engine
 # ---------------------------------------------------------------------------
+
+
+def _check_teams(
+    models: Mapping[str, "TeamModel"],
+    ratings: Mapping[str, float],
+    teams: Mapping[str, tuple[str, ...]],
+) -> None:
+    for g, ts in teams.items():
+        for t in ts:
+            if t not in models:
+                raise ConfigError(f"no fitted model for team {t} (group {g})")
+            if t not in ratings:
+                raise ConfigError(f"no Elo rating for team {t} (group {g})")
+
+
+def _k_factor(k_table: Mapping[str, float], fixture: Fixture) -> float:
+    k = k_table.get(fixture.match_type)
+    if k is None:
+        raise ConfigError(f"no K factor for match type {fixture.match_type!r}")
+    return k
+
+
+def _k_table(k_factors: Mapping[str, float] | None) -> dict[str, float]:
+    k_table = dict(DEFAULT_K_FACTORS)
+    if k_factors:
+        k_table.update(k_factors)
+    return k_table
 
 
 def _resolve_slot(
@@ -338,11 +382,15 @@ def _resolve_slot(
     # best third: the allocation row keyed by the opposing winner slot
     group = third_assignment[paired_slot]
     if group not in slot[1:]:
-        raise DataError(
-            f"allocation sends group {group} third into slot {slot}, "
-            "which is outside its candidate pool"
-        )
+        raise DataError(_outside_pool(group, slot))
     return positions[group][2]
+
+
+def _outside_pool(group: str, slot: str) -> str:
+    return (
+        f"allocation sends group {group} third into slot {slot}, "
+        "which is outside its candidate pool"
+    )
 
 
 def run_tournament(
@@ -353,17 +401,15 @@ def run_tournament(
     rng: np.random.Generator,
     k_factors: Mapping[str, float] | None = None,
 ) -> TournamentResult:
-    """Simulate one complete tournament with in-run Elo updates."""
-    k_table = dict(DEFAULT_K_FACTORS)
-    if k_factors:
-        k_table.update(k_factors)
+    """Simulate one complete tournament with in-run Elo updates.
+
+    This is the scalar reference: :func:`monte_carlo` plays blocks of
+    runs together and must count exactly what this function returns
+    for each run's own generator.
+    """
+    k_table = _k_table(k_factors)
     teams = group_teams(fixtures)
-    for g, ts in teams.items():
-        for t in ts:
-            if t not in models:
-                raise ConfigError(f"no fitted model for team {t} (group {g})")
-            if t not in ratings:
-                raise ConfigError(f"no Elo rating for team {t} (group {g})")
+    _check_teams(models, ratings, teams)
 
     live = {t: float(ratings[t]) for ts in teams.values() for t in ts}
     ordered = sorted(fixtures, key=lambda f: f.match_id)
@@ -371,19 +417,11 @@ def run_tournament(
         g: [] for g in teams
     }
 
-    def play(a: str, b: str, fixture: Fixture) -> tuple[int, int]:
-        goals = sample_match(
-            models[a], models[b], live[a], live[b], rng, fixture.venue_country
-        )
-        k = k_table.get(fixture.match_type)
-        if k is None:
-            raise ConfigError(f"no K factor for match type {fixture.match_type!r}")
-        live[a], live[b] = elo.update_pair(live[a], live[b], *goals, k)
-        return goals
-
     for f in (f for f in ordered if f.stage == "GROUP"):
-        ga, gb = play(f.slot_a, f.slot_b, f)
-        group_results[f.group].append((f.slot_a, f.slot_b, ga, gb))
+        a, b = f.slot_a, f.slot_b
+        ga, gb = sample_match(models[a], models[b], live[a], live[b], rng, f.venue_country)
+        live[a], live[b] = elo.update_pair(live[a], live[b], ga, gb, _k_factor(k_table, f))
+        group_results[f.group].append((a, b, ga, gb))
 
     positions = {
         g: rank_group(teams[g], group_results[g], live, rng) for g in sorted(teams)
@@ -406,12 +444,9 @@ def run_tournament(
         winner, (ga, gb), _ = simulate_knockout_match(
             models[a], models[b], live[a], live[b], f.venue_country, rng
         )
-        k = k_table.get(f.match_type)
-        if k is None:
-            raise ConfigError(f"no K factor for match type {f.match_type!r}")
         # aggregate incl. extra time; a tie decided on penalties is a
         # draw for rating purposes
-        live[a], live[b] = elo.update_pair(live[a], live[b], ga, gb, k)
+        live[a], live[b] = elo.update_pair(live[a], live[b], ga, gb, _k_factor(k_table, f))
         winners[f.match_id] = winner
         if f.stage == "FINAL":
             champion = winner
@@ -425,11 +460,6 @@ def run_tournament(
         final_teams=tuple(sorted(reached["FINAL"])),
         champion=champion,
     )
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo aggregation
-# ---------------------------------------------------------------------------
 
 
 def _count_result(agg: SimulationAggregate, result: TournamentResult) -> None:
@@ -461,24 +491,277 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     )
 
 
-def _run_chunk(
-    models,
-    ratings,
-    fixtures,
-    allocation,
-    k_factors,
-    master_seed: int,
-    run_indices: Sequence[int],
-) -> SimulationAggregate:
-    agg = _empty_aggregate(
-        tuple(sorted(t for ts in group_teams(fixtures).values() for t in ts))
-    )
-    for i in run_indices:
-        result = run_tournament(
-            models, ratings, fixtures, allocation, run_rng(master_seed, i), k_factors
+# ---------------------------------------------------------------------------
+# the compiled bracket
+# ---------------------------------------------------------------------------
+
+# Uniforms one knockout match may take: 2 in regular time, 2 in extra
+# time, 1 for a shootout.
+KNOCKOUT_DRAWS = 5
+
+
+@dataclass(frozen=True)
+class _Knockout:
+    """One knockout fixture; each side is (kind, index, place).
+
+    kind "place": group ``index``'s team at ``place`` (0 winner, 1
+    runner-up); "third": the third assigned to third-slot column
+    ``index``; "winner": the winner of knockout match ``index``.
+    """
+
+    stage: str
+    sides: tuple[tuple[str, int, int], tuple[str, int, int]]
+    venue: int  # team number of the host country, -1 when it is no team here
+    k: float
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """Fixtures, allocation, models and ratings compiled to index arrays.
+
+    Teams are numbered in sorted code order, so comparing numbers
+    compares codes.  A run takes its uniforms in the scalar engine's
+    order: two per group match, the group lots, the best-third lots,
+    then up to ``KNOCKOUT_DRAWS`` per knockout match.
+    """
+
+    teams: tuple[str, ...]
+    models: ModelArrays
+    ratings: np.ndarray
+    members: np.ndarray  # (groups, teams per group), sorted
+    group_a: np.ndarray  # group matches in match-id order
+    group_b: np.ndarray
+    group_loc: np.ndarray  # (matches, 2): location indicator of each side
+    group_k: tuple[float, ...]
+    knockout: tuple[_Knockout, ...]
+    thirds: np.ndarray  # (2**groups, third slots): group by qualified-group mask, -1 when invalid
+    third_errors: dict  # (mask, third slot) -> message for the invalid entries
+
+    @property
+    def lots_start(self) -> int:
+        return 2 * len(self.group_a)
+
+    @property
+    def thirds_start(self) -> int:
+        return self.lots_start + self.members.size
+
+    @property
+    def knockout_start(self) -> int:
+        return self.thirds_start + len(self.members)
+
+    @property
+    def width(self) -> int:
+        """The most uniforms one run can take."""
+        return self.knockout_start + KNOCKOUT_DRAWS * len(self.knockout)
+
+
+def compile_bracket(
+    models: Mapping[str, "TeamModel"],
+    ratings: Mapping[str, float],
+    fixtures: Sequence[Fixture],
+    allocation: Mapping[str, Mapping[str, str]],
+    k_factors: Mapping[str, float] | None = None,
+) -> Bracket:
+    """Resolve names, slots and K factors once for a whole simulation.
+
+    Raises the ``ConfigError`` of a missing model, rating or K factor,
+    and the ``DataError`` of a knockout slot that cannot be resolved.
+    """
+    k_table = _k_table(k_factors)
+    by_group = group_teams(fixtures)
+    _check_teams(models, ratings, by_group)
+    teams = tuple(sorted(t for ts in by_group.values() for t in ts))
+    number = {t: i for i, t in enumerate(teams)}
+    groups = sorted(by_group)
+    group_number = {g: i for i, g in enumerate(groups)}
+
+    ordered = sorted(fixtures, key=lambda f: f.match_id)
+    group_fixtures = [f for f in ordered if f.stage == "GROUP"]
+    knockout_fixtures = [f for f in ordered if f.stage != "GROUP"]
+    group_k = tuple(_k_factor(k_table, f) for f in group_fixtures)
+    knockout_k = [_k_factor(k_table, f) for f in knockout_fixtures]
+
+    knockout_number = {f.match_id: j for j, f in enumerate(knockout_fixtures)}
+    third_slots: list[tuple[str, str]] = []  # (slot, paired slot) per column
+
+    def side(slot: str, paired: str) -> tuple[str, int, int]:
+        if slot.startswith("W"):
+            ref = int(slot[1:])
+            if ref not in knockout_number:
+                raise DataError(f"slot {slot} must reference a knockout match")
+            return ("winner", knockout_number[ref], 0)
+        if slot[0] in "12":
+            return ("place", group_number[slot[1:]], int(slot[0]) - 1)
+        third_slots.append((slot, paired))
+        return ("third", len(third_slots) - 1, 0)
+
+    knockout = tuple(
+        _Knockout(
+            stage=f.stage,
+            sides=(side(f.slot_a, f.slot_b), side(f.slot_b, f.slot_a)),
+            venue=number.get(f.venue_country, -1),
+            k=k,
         )
-        _count_result(agg, result)
-    return agg
+        for f, k in zip(knockout_fixtures, knockout_k)
+    )
+
+    thirds = np.full((2 ** len(groups), len(third_slots)), -1)
+    third_errors = {}
+    for qualified in combinations(groups, 4):
+        mask = sum(1 << group_number[g] for g in qualified)
+        combo = "".join(qualified)
+        row = allocation.get(combo)
+        for j, (slot, paired) in enumerate(third_slots):
+            group = row.get(paired) if row is not None else None
+            if row is None:
+                third_errors[mask, j] = f"allocation table has no row for combination {combo}"
+            elif group is not None and group in slot[1:]:
+                thirds[mask, j] = group_number[group]
+            else:
+                third_errors[mask, j] = _outside_pool(group, slot)
+
+    return Bracket(
+        teams=teams,
+        models=ModelArrays.from_models([models[t] for t in teams]),
+        ratings=np.array([float(ratings[t]) for t in teams]),
+        members=np.array([[number[t] for t in by_group[g]] for g in groups]),
+        group_a=np.array([number[f.slot_a] for f in group_fixtures]),
+        group_b=np.array([number[f.slot_b] for f in group_fixtures]),
+        group_loc=np.array(
+            [
+                (
+                    location_indicator(f.slot_a, f.slot_b, f.venue_country),
+                    location_indicator(f.slot_b, f.slot_a, f.venue_country),
+                )
+                for f in group_fixtures
+            ]
+        ),
+        group_k=group_k,
+        knockout=knockout,
+        thirds=thirds,
+        third_errors=third_errors,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the block engine
+# ---------------------------------------------------------------------------
+
+# Runs played together; bounds the engine's memory whatever n_runs is.
+BLOCK_RUNS = 1024
+
+
+def _simulate_block(
+    bracket: Bracket, master_seed: int, run_indices: Sequence[int]
+) -> np.ndarray:
+    """Stage counts (stat x team) of the runs ``run_indices``, played together.
+
+    Every row is one run and draws its uniforms from ``run_rng(master_seed,
+    i)`` in the scalar engine's order, so the counts equal those of
+    :func:`run_tournament` run by run.
+    """
+    n = len(run_indices)
+    n_teams = len(bracket.teams)
+    rows = np.arange(n)
+    u = np.stack([run_rng(master_seed, i).random(bracket.width) for i in run_indices])
+    live = np.tile(bracket.ratings, (n, 1))
+    counts = np.zeros((len(STAT_NAMES), n_teams), dtype=np.int64)
+
+    def count(stat: str, team: np.ndarray) -> None:
+        counts[STAT_NAMES.index(stat)] += np.bincount(team.ravel(), minlength=n_teams)
+
+    goals = np.empty((2, n, len(bracket.group_a)), dtype=np.int64)
+    for m, (a, b) in enumerate(zip(bracket.group_a, bracket.group_b)):
+        elo_a, elo_b = live[:, a], live[:, b]
+        goals[:, :, m] = sample_match_block(
+            bracket.models, np.full(n, a), np.full(n, b), elo_a, elo_b,
+            np.full(n, bracket.group_loc[m, 0]), np.full(n, bracket.group_loc[m, 1]),
+            u[:, 2 * m : 2 * m + 2],
+        )
+        live[:, a], live[:, b] = elo.update_pairs(
+            elo_a, elo_b, goals[0, :, m], goals[1, :, m], bracket.group_k[m]
+        )
+
+    members = bracket.members
+    overall, h2h = _standings(bracket.group_a, bracket.group_b, goals[0], goals[1], n_teams)
+    lots = u[:, bracket.lots_start : bracket.thirds_start].reshape((n,) + members.shape)
+    order = _tiebreak_order(overall[:, members], h2h[:, members], live[:, members], lots)
+    positions = np.take_along_axis(members[None], order, axis=-1)
+    count("group_first", positions[:, :, 0])
+    count("group_second", positions[:, :, 1])
+
+    third = positions[:, :, 2]
+    order = _tiebreak_order(
+        np.take_along_axis(overall, third[:, :, None], axis=1),
+        None,
+        np.take_along_axis(live, third, axis=1),
+        u[:, bracket.thirds_start : bracket.knockout_start],
+    )
+    qualified = order[:, :4]
+    count("third_qualified", np.take_along_axis(third, qualified, axis=1))
+    mask = (1 << qualified).sum(axis=1)
+    assigned = bracket.thirds[mask]
+    if (assigned < 0).any():
+        r, j = np.argwhere(assigned < 0)[0]
+        raise DataError(bracket.third_errors[mask[r], j])
+    assigned_third = np.take_along_axis(third, np.maximum(assigned, 0), axis=1)
+
+    winners = np.empty((n, len(bracket.knockout)), dtype=np.int64)
+
+    def resolve(kind: str, index: int, place: int) -> np.ndarray:
+        if kind == "place":
+            return positions[:, index, place]
+        if kind == "third":
+            return assigned_third[:, index]
+        return winners[:, index]
+
+    cursor = np.full(n, bracket.knockout_start)
+    in_r16 = np.zeros((n, n_teams), dtype=bool)
+    for j, match in enumerate(bracket.knockout):
+        a, b = (resolve(*side) for side in match.sides)
+        loc_a = (a == match.venue) * 1.0 - (b == match.venue) * 1.0
+        loc_b = (b == match.venue) * 1.0 - (a == match.venue) * 1.0
+        elo_a, elo_b = live[rows, a], live[rows, b]
+        draws = u[rows[:, None], cursor[:, None] + np.arange(KNOCKOUT_DRAWS)]
+        ga, gb = sample_match_block(bracket.models, a, b, elo_a, elo_b, loc_a, loc_b, draws)
+        level = np.flatnonzero(ga == gb)
+        xa, xb = sample_match_block(
+            bracket.models, a[level], b[level], elo_a[level], elo_b[level],
+            loc_a[level], loc_b[level], draws[level, 2:4],
+            mu_factor=EXTRA_TIME_MU_FACTOR,
+        )
+        ga[level] += xa
+        gb[level] += xb
+        shootout = level[ga[level] == gb[level]]
+        a_wins = ga > gb
+        a_wins[shootout] = draws[shootout, 4] < elo.expected_scores(
+            elo_a[shootout], elo_b[shootout]
+        )
+        winners[:, j] = np.where(a_wins, a, b)
+        cursor += 2
+        cursor[level] += 2
+        cursor[shootout] += 1
+        # aggregate incl. extra time; a tie decided on penalties is a
+        # draw for rating purposes
+        live[rows, a], live[rows, b] = elo.update_pairs(elo_a, elo_b, ga, gb, match.k)
+        count(match.stage.lower(), np.stack([a, b]))
+        if match.stage == "R16":
+            in_r16[rows, a] = in_r16[rows, b] = True
+        if match.stage == "FINAL":
+            count("champion", winners[:, j])
+    counts[STAT_NAMES.index("eliminated_group")] += (~in_r16).sum(axis=0)
+    return counts
+
+
+def _run_chunk(
+    bracket: Bracket, master_seed: int, run_indices: Sequence[int], block_runs: int
+) -> np.ndarray:
+    counts = np.zeros((len(STAT_NAMES), len(bracket.teams)), dtype=np.int64)
+    for start in range(0, len(run_indices), block_runs):
+        counts += _simulate_block(
+            bracket, master_seed, run_indices[start : start + block_runs]
+        )
+    return counts
 
 
 def monte_carlo(
@@ -498,32 +781,28 @@ def monte_carlo(
     """
     if n_runs <= 0:
         raise ConfigError("n_runs must be positive")
+    if n_workers < 1:
+        raise ConfigError(f"n_workers must be at least 1, got {n_workers}")
     validate_fixtures(fixtures)
     validate_allocation(allocation)
-    indices = list(range(n_runs))
-    if n_workers <= 1:
-        return _run_chunk(
-            models, ratings, fixtures, allocation, k_factors, master_seed, indices
-        )
-    chunks = [indices[i::n_workers] for i in range(n_workers)]
-    total = _empty_aggregate(
-        tuple(sorted(t for ts in group_teams(fixtures).values() for t in ts))
+    bracket = compile_bracket(models, ratings, fixtures, allocation, k_factors)
+    indices = range(n_runs)
+    if n_workers == 1:
+        counts = _run_chunk(bracket, master_seed, indices, BLOCK_RUNS)
+    else:
+        chunks = [indices[i::n_workers] for i in range(n_workers)]
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            futures = [
+                pool.submit(_run_chunk, bracket, master_seed, chunk, BLOCK_RUNS)
+                for chunk in chunks
+                if chunk
+            ]
+            counts = sum(fut.result() for fut in futures)
+    return SimulationAggregate(
+        n_runs=n_runs,
+        teams=bracket.teams,
+        counts={
+            stat: Counter(dict(zip(bracket.teams, row.tolist())))
+            for stat, row in zip(STAT_NAMES, counts)
+        },
     )
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        futures = [
-            pool.submit(
-                _run_chunk,
-                dict(models),
-                dict(ratings),
-                list(fixtures),
-                dict(allocation),
-                dict(k_factors) if k_factors else None,
-                master_seed,
-                chunk,
-            )
-            for chunk in chunks
-            if chunk
-        ]
-        for fut in futures:
-            total.merge(fut.result())
-    return total

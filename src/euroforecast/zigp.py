@@ -68,6 +68,19 @@ def _check_k(k) -> None:
         raise ParameterError(f"k must be non-negative, got {k}")
 
 
+def _log_pmf_positive(mu, phi, omega, k):
+    """log P[X=k] for float counts k >= 1; broadcasts parameters against k."""
+    m = mu + (phi - 1.0) * k
+    return (
+        np.log1p(-omega)
+        + np.log(mu)
+        + (k - 1.0) * np.log(m)
+        - gammaln(k + 1.0)
+        - k * np.log(phi)
+        - m / phi
+    )
+
+
 def log_pmf_values(params: ZigpParams, ks: np.ndarray) -> np.ndarray:
     """Vectorized log-pmf over an integer array ``ks``.
 
@@ -93,17 +106,7 @@ def log_pmf_values(params: ZigpParams, ks: np.ndarray) -> np.ndarray:
         out[zero] = -mu / phi
     else:
         out[zero] = np.logaddexp(np.log(omega), np.log1p(-omega) - mu / phi)
-
-    k = ks[~zero].astype(float)
-    m = mu + (phi - 1.0) * k
-    out[~zero] = (
-        np.log1p(-omega)
-        + np.log(mu)
-        + (k - 1.0) * np.log(m)
-        - gammaln(k + 1.0)
-        - k * np.log(phi)
-        - m / phi
-    )
+    out[~zero] = _log_pmf_positive(mu, phi, omega, ks[~zero].astype(float))
     return out
 
 
@@ -158,3 +161,54 @@ def sample(params: ZigpParams, rng: np.random.Generator, size: int | None = None
     if size is None:
         return int(idx)
     return idx.astype(np.int64)
+
+
+# Columns of the block sampler's table: counts 0..BLOCK_TABLE_WIDTH-1.
+# A row whose truncation point lies beyond it takes the full table.
+BLOCK_TABLE_WIDTH = 32
+_BLOCK_K = np.arange(1, BLOCK_TABLE_WIDTH, dtype=float)
+
+
+def _check_param_arrays(mu: np.ndarray, phi: np.ndarray, omega: np.ndarray) -> None:
+    """The checks of :class:`ZigpParams`, once over whole parameter arrays."""
+    for name, values, ok, rule in (
+        ("mu", mu, (mu > 0) & np.isfinite(mu), "positive and finite"),
+        ("phi", phi, (phi >= 1) & np.isfinite(phi), ">= 1 and finite"),
+        ("omega", omega, (omega >= 0) & (omega < 1), "in [0, 1)"),
+    ):
+        if not ok.all():
+            raise ParameterError(f"{name} must be {rule}, got {values[~ok][0]}")
+
+
+def sample_block(
+    mu: np.ndarray, phi: np.ndarray, omega: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Inverse-CDF draws for parameter arrays, one uniform ``u`` per row.
+
+    Row ``i`` equals :func:`sample` on ``ZigpParams(mu[i], phi[i],
+    omega[i])`` when that call draws ``u[i]``: the pmf terms, the
+    truncation point and the renormalized cumulative sums are computed
+    with the same formulas and in the same order, over the first
+    ``BLOCK_TABLE_WIDTH`` counts.
+    """
+    _check_param_arrays(mu, phi, omega)
+    log_p = np.empty((len(u), BLOCK_TABLE_WIDTH))
+    log_p[:, 0] = -mu / phi
+    inflated = omega > 0.0
+    mi, pi, oi = mu[inflated], phi[inflated], omega[inflated]
+    log_p[inflated, 0] = np.logaddexp(np.log(oi), np.log1p(-oi) - mi / pi)
+    log_p[:, 1:] = _log_pmf_positive(mu[:, None], phi[:, None], omega[:, None], _BLOCK_K)
+    p = np.exp(log_p)
+    c = np.cumsum(p, axis=1)
+    reached = c >= 1.0 - TAIL_EPS
+    in_table = reached[:, -1]
+    stop = reached.argmax(axis=1)
+    rows = np.arange(len(u))
+    cum = np.cumsum(p / np.where(in_table, c[rows, stop], 1.0)[:, None], axis=1)
+    cum[rows, stop] = 1.0
+    below = (cum <= u[:, None]) & (np.arange(BLOCK_TABLE_WIDTH) < stop[:, None])
+    draws = below.sum(axis=1)
+    for i in np.flatnonzero(~in_table):
+        _, full = _truncated_table(float(mu[i]), float(phi[i]), float(omega[i]), HARD_CAP)
+        draws[i] = min(int(np.searchsorted(full, u[i], side="right")), len(full) - 1)
+    return draws

@@ -28,6 +28,16 @@ def euro2020(data_dir):
     return ratings, fixtures, allocation
 
 
+class Uniforms:
+    """Stands in for a generator whose ``random()`` returns ``values`` in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self, size=None):
+        return next(self.values)
+
+
 def build_team_model(team: str, elo: float) -> TeamModel:
     """A plausible hand-parameterized model tied to the team's rating."""
     s = (elo - 1870.0) / 400.0

@@ -123,6 +123,25 @@ class TestReplayElo:
         assert "error" in capsys.readouterr().err
 
 
+    def test_non_finite_rating_is_config_error(self, tmp_path, demo_history, capsys):
+        matches_path, ratings_path = demo_history
+        header, *rows = ratings_path.read_text().splitlines()
+        rows = ["FRA,nan"] + [r for r in rows if not r.startswith("FRA,")]
+        broken = tmp_path / "ratings.csv"
+        broken.write_text("\n".join([header] + rows) + "\n")
+        code = main(
+            [
+                "replay-elo",
+                "--matches", str(matches_path),
+                "--ratings", str(broken),
+                "--out", str(tmp_path / "out.csv"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "ratings.csv:2" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestFit:
     def test_fit_writes_models(self, fitted_model_file, capsys):
         models, metadata = data_io.load_models(fitted_model_file)
@@ -347,6 +366,28 @@ class TestSimulate:
         )
         assert code == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_worker_count_below_one_is_config_error(
+        self, tmp_path, euro2016_model_file, data_dir, capsys, command
+    ):
+        args = [
+            command,
+            "--model", str(euro2016_model_file),
+            "--fixtures", str(data_dir / "euro2016_fixtures.csv"),
+            "--allocation", str(data_dir / "euro2016_allocation.csv"),
+            "--ratings", str(data_dir / "euro2016_ratings.csv"),
+            "--n-runs", "10",
+            "--workers", "0",
+        ]
+        if command == "simulate":
+            args += ["--out-dir", str(tmp_path / "sim")]
+        else:
+            args += ["--results", str(data_dir / "euro2016_results.csv"),
+                     "--out", str(tmp_path / "metrics.csv")]
+        assert main(args) == EXIT_CONFIG
+        assert "n_workers" in capsys.readouterr().err
 
 
 class TestValidate:

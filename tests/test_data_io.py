@@ -158,6 +158,21 @@ class TestLoadMatches:
         with pytest.raises(DataError, match="expected 7 fields, got 6"):
             load_matches(path)
 
+    @pytest.mark.parametrize("column", ["elo_a_before", "elo_b_before"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_elo_rejected_with_line(self, tmp_path, column, value):
+        elo = {"elo_a_before": "2087.0", "elo_b_before": "1850.5", column: value}
+        path = write(
+            tmp_path,
+            "m.csv",
+            "date,team_a,team_b,goals_a,goals_b,match_type,venue_country,"
+            "elo_a_before,elo_b_before\n"
+            "2021-03-25,FRA,UKR,1,1,QUAL,FRA,2087.0,1850.5\n"
+            f"2021-03-28,GER,ROU,1,0,QUAL,ROU,{elo['elo_a_before']},{elo['elo_b_before']}\n",
+        )
+        with pytest.raises(DataError, match=rf"m\.csv:3.*non-finite.*{column}"):
+            load_matches(path)
+
     def test_round_trip_preserves_annotations(self, tmp_path):
         matches = [
             MatchRecord(
@@ -193,6 +208,12 @@ class TestLoadRatings:
     def test_empty(self, tmp_path):
         path = write(tmp_path, "r.csv", "team,elo\n")
         with pytest.raises(DataError, match="no rows"):
+            load_ratings(path)
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_elo_rejected_with_line(self, tmp_path, value):
+        path = write(tmp_path, "r.csv", f"team,elo\nGER,2000\nFRA,{value}\n")
+        with pytest.raises(DataError, match=r"r\.csv:3.*non-finite.*elo"):
             load_ratings(path)
 
 

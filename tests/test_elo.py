@@ -15,10 +15,12 @@ from euroforecast.elo import (
     EloRating,
     EloUpdateInputs,
     expected_score,
+    expected_scores,
     goal_multiplier,
     replay_history,
     update,
     update_pair,
+    update_pairs,
 )
 from euroforecast.errors import DataError, ParameterError
 
@@ -86,6 +88,33 @@ class TestUpdate:
     def test_pair_is_always_zero_sum(self, elo_a, elo_b, goals_a, goals_b, k):
         new_a, new_b = update_pair(elo_a, elo_b, goals_a, goals_b, k)
         assert new_a + new_b == pytest.approx(elo_a + elo_b, abs=1e-8)
+
+
+class TestArrayForm:
+    def test_update_pairs_equal_scalar_updates_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        n = 2000
+        elo_a = rng.uniform(1500.0, 2200.0, n)
+        elo_b = rng.uniform(1500.0, 2200.0, n)
+        elo_b[::9] = elo_a[::9]
+        goals_a = rng.integers(0, 8, n)
+        goals_b = rng.integers(0, 8, n)
+        for k in DEFAULT_K_FACTORS.values():
+            new_a, new_b = update_pairs(elo_a, elo_b, goals_a, goals_b, k)
+            expect = [
+                update_pair(float(a), float(b), int(x), int(y), k)
+                for a, b, x, y in zip(elo_a, elo_b, goals_a, goals_b)
+            ]
+            assert new_a.tolist() == [e[0] for e in expect]
+            assert new_b.tolist() == [e[1] for e in expect]
+
+    def test_expected_scores_equal_scalar(self):
+        rng = np.random.default_rng(9)
+        elo_a = rng.uniform(1200.0, 2200.0, 500)
+        elo_b = rng.uniform(1200.0, 2200.0, 500)
+        assert expected_scores(elo_a, elo_b).tolist() == [
+            expected_score(float(a), float(b)) for a, b in zip(elo_a, elo_b)
+        ]
 
 
 def _match(date, a, b, ga, gb, kind="FRIENDLY"):

@@ -8,16 +8,18 @@ from numpy.testing import assert_allclose
 
 from euroforecast.forecast import (
     MatchForecast,
+    ModelArrays,
     combined_params,
     conditional_params,
     location_indicator,
     order_by_strength,
     sample_match,
+    sample_match_block,
     score_grid,
 )
 from euroforecast.zigp import pmf_values
 
-from conftest import build_team_model
+from conftest import Uniforms, build_team_model
 
 
 @pytest.fixture
@@ -208,3 +210,33 @@ class TestSampling:
             for _ in range(4000)
         ]
         assert np.mean(short) < 0.55 * np.mean(full)
+
+
+class TestBlockSampling:
+    @pytest.mark.parametrize("mu_factor", [1.0, 1.0 / 3.0])
+    def test_equals_scalar_row_by_row(self, mu_factor):
+        teams = {"BEL": 2100.0, "FRA": 2087.0, "GER": 1936.0, "MKD": 1600.0}
+        codes = sorted(teams)
+        models = [build_team_model(t, teams[t]) for t in codes]
+        rng = np.random.default_rng(12)
+        n = 600
+        a = rng.integers(0, 4, n)
+        b = (a + rng.integers(1, 4, n)) % 4
+        elo_a = rng.uniform(1600.0, 2150.0, n)
+        elo_b = rng.uniform(1600.0, 2150.0, n)
+        elo_b[::7] = elo_a[::7]  # ties go to the smaller code
+        venue = rng.integers(-1, 4, n)
+        loc_a = (a == venue) * 1.0 - (b == venue) * 1.0
+        loc_b = (b == venue) * 1.0 - (a == venue) * 1.0
+        u = rng.random((n, 2))
+        got_a, got_b = sample_match_block(
+            ModelArrays.from_models(models), a, b, elo_a, elo_b, loc_a, loc_b, u,
+            mu_factor=mu_factor,
+        )
+        for i in range(n):
+            place = codes[venue[i]] if venue[i] >= 0 else "NEUTRAL"
+            expect = sample_match(
+                models[a[i]], models[b[i]], float(elo_a[i]), float(elo_b[i]),
+                Uniforms(u[i].tolist()), place, mu_factor=mu_factor,
+            )
+            assert (got_a[i], got_b[i]) == expect

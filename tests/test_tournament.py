@@ -7,10 +7,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from euroforecast import data_io, tournament
 from euroforecast.errors import ConfigError, DataError
 from euroforecast.tournament import (
     STAT_NAMES,
     Fixture,
+    _count_result,
+    _empty_aggregate,
+    compile_bracket,
     group_teams,
     monte_carlo,
     rank_group,
@@ -395,3 +399,103 @@ class TestMonteCarlo:
     def test_probability_accessor(self, aggregate):
         p = sum(aggregate.probability("champion", t) for t in aggregate.teams)
         assert p == pytest.approx(1.0)
+
+
+def scalar_counts(models, ratings, fixtures, allocation, n_runs, seed):
+    """Counts of the scalar reference engine, one run at a time."""
+    teams = sorted(t for ts in group_teams(fixtures).values() for t in ts)
+    agg = _empty_aggregate(teams)
+    for i in range(n_runs):
+        _count_result(
+            agg, run_tournament(models, ratings, fixtures, allocation, run_rng(seed, i))
+        )
+    return agg
+
+
+@pytest.fixture(scope="module")
+def euro2016(data_dir):
+    """(models, ratings, fixtures, allocation) for the packaged EURO 2016 data."""
+    ratings = data_io.rating_table(data_io.load_ratings(data_dir / "euro2016_ratings.csv"))
+    fixtures = data_io.load_fixtures(data_dir / "euro2016_fixtures.csv")
+    allocation = data_io.load_allocation(data_dir / "euro2016_allocation.csv")
+    models = {t: build_team_model(t, e) for t, e in ratings.items()}
+    return models, ratings, fixtures, allocation
+
+
+SMALL_BLOCK = 16
+UNEVEN_RUNS = 50  # three full blocks of SMALL_BLOCK and a partial one
+
+
+class TestBlockEngine:
+    """``monte_carlo`` plays blocks of runs together; its counts must equal
+    the scalar ``run_tournament`` counted run by run."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, euro2020, euro_models, euro2016):
+        cache = {}
+
+        def counts(bracket, seed):
+            if (bracket, seed) not in cache:
+                inputs = euro2016 if bracket == 2016 else (euro_models, *euro2020)
+                cache[bracket, seed] = scalar_counts(*inputs, UNEVEN_RUNS, seed)
+            return cache[bracket, seed]
+
+        return counts
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("seed", [42, 9])
+    def test_euro2020_counts_equal_scalar_engine(
+        self, euro2020, euro_models, reference, monkeypatch, seed, workers
+    ):
+        monkeypatch.setattr(tournament, "BLOCK_RUNS", SMALL_BLOCK)
+        ratings, fixtures, allocation = euro2020
+        agg = monte_carlo(
+            euro_models, ratings, fixtures, allocation,
+            n_runs=UNEVEN_RUNS, master_seed=seed, n_workers=workers,
+        )
+        expect = reference(2020, seed)
+        assert agg.n_runs == expect.n_runs
+        assert agg.teams == expect.teams
+        assert agg.counts == expect.counts
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_euro2016_counts_equal_scalar_engine(self, euro2016, reference, monkeypatch, workers):
+        monkeypatch.setattr(tournament, "BLOCK_RUNS", SMALL_BLOCK)
+        agg = monte_carlo(*euro2016, n_runs=UNEVEN_RUNS, master_seed=42, n_workers=workers)
+        assert agg.counts == reference(2016, 42).counts
+
+    def test_default_block_size(self, euro2020, euro_models, aggregate):
+        assert aggregate.counts == scalar_counts(euro_models, *euro2020, 60, 9).counts
+
+    def test_block_width_covers_the_longest_run(self, euro2020, euro_models):
+        ratings, fixtures, allocation = euro2020
+        bracket = compile_bracket(euro_models, ratings, fixtures, allocation)
+        # 2 per group match, 4 lots per group, 6 best-third lots, 5 per knockout match
+        assert bracket.width == 2 * 36 + 24 + 6 + 5 * 15
+
+    def test_missing_model_rejected_before_any_run(self, euro2020, euro_models):
+        ratings, fixtures, allocation = euro2020
+        models = {t: m for t, m in euro_models.items() if t != "ITA"}
+        with pytest.raises(ConfigError, match="ITA"):
+            monte_carlo(models, ratings, fixtures, allocation, n_runs=5)
+
+    def test_unknown_match_type_rejected(self, euro2020, euro_models):
+        ratings, fixtures, allocation = euro2020
+        odd = [dataclasses.replace(f, match_type="CUP") if f.match_id == 50 else f for f in fixtures]
+        with pytest.raises(ConfigError, match="CUP"):
+            monte_carlo(euro_models, ratings, odd, allocation, n_runs=5)
+
+    def test_third_outside_its_pool_rejected(self, euro2020, euro_models):
+        ratings, fixtures, allocation = euro2020
+        swapped = {
+            combo: dict(zip(row, reversed(list(row.values()))))
+            for combo, row in allocation.items()
+        }
+        with pytest.raises(DataError, match="candidate pool"):
+            monte_carlo(euro_models, ratings, fixtures, swapped, n_runs=20)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_rejected(self, euro2020, euro_models, workers):
+        ratings, fixtures, allocation = euro2020
+        with pytest.raises(ConfigError, match="n_workers"):
+            monte_carlo(euro_models, ratings, fixtures, allocation, n_runs=5, n_workers=workers)

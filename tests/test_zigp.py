@@ -11,6 +11,7 @@ from scipy import stats
 
 from euroforecast.errors import ParameterError
 from euroforecast.zigp import (
+    BLOCK_TABLE_WIDTH,
     HARD_CAP,
     ZigpParams,
     log_pmf,
@@ -18,8 +19,11 @@ from euroforecast.zigp import (
     pmf,
     pmf_values,
     sample,
+    sample_block,
     truncated_pmf,
 )
+
+from conftest import Uniforms
 
 # values computed independently at 50-digit precision from the closed form
 ORACLE_PMF = [
@@ -170,3 +174,45 @@ class TestSampling:
         draws = sample(p, rng, size=100_000)
         frac_zero = np.mean(draws == 0)
         assert frac_zero == pytest.approx(pmf(p, 0), abs=0.01)
+
+
+def scalar_draws(mu, phi, omega, u):
+    return np.array(
+        [
+            sample(ZigpParams(float(m), float(p), float(o)), Uniforms([float(x)]))
+            for m, p, o, x in zip(mu, phi, omega, u)
+        ]
+    )
+
+
+class TestBlockSampling:
+    def test_equals_scalar_row_by_row(self):
+        rng = np.random.default_rng(5)
+        n = 3000
+        mu = rng.uniform(0.02, 4.0, n)
+        phi = rng.uniform(1.0, 1.6, n)
+        omega = rng.uniform(0.0, 0.3, n)
+        omega[::4] = 0.0
+        u = rng.random(n)
+        u[::11] = np.nextafter(1.0, 0.0)
+        u[::13] = 0.0
+        assert np.array_equal(sample_block(mu, phi, omega, u), scalar_draws(mu, phi, omega, u))
+
+    def test_heavy_tail_rows_take_the_full_table(self):
+        mu = np.array([8.0, 8.0, 0.5, 8.0])
+        phi = np.array([3.0, 3.0, 1.0, 3.0])
+        omega = np.array([0.0, 0.2, 0.0, 0.1])
+        u = np.array([0.5, 0.999, 0.3, np.nextafter(1.0, 0.0)])
+        draws = sample_block(mu, phi, omega, u)
+        assert draws[1] >= BLOCK_TABLE_WIDTH  # beyond the short table
+        assert np.array_equal(draws, scalar_draws(mu, phi, omega, u))
+
+    @pytest.mark.parametrize(
+        "column, value, name",
+        [(0, 0.0, "mu"), (0, np.inf, "mu"), (1, 0.9, "phi"), (2, 1.0, "omega"), (2, -0.1, "omega")],
+    )
+    def test_invalid_row_rejected(self, column, value, name):
+        params = [np.array([1.0, 1.2]), np.array([1.0, 1.1]), np.array([0.0, 0.1])]
+        params[column][1] = value
+        with pytest.raises(ParameterError, match=name):
+            sample_block(*params, np.array([0.5, 0.5]))
