@@ -313,8 +313,8 @@ def rating_table(ratings: Iterable[EloRating]) -> dict[str, float]:
     return {r.team: r.points for r in ratings}
 
 
-def load_fixtures(path: str | Path, validate: bool = True) -> list[Fixture]:
-    """Tournament fixtures; structural validation on by default."""
+def load_fixtures(path: str | Path) -> list[Fixture]:
+    """Tournament fixtures, validated as a complete EURO bracket."""
     spath = str(path)
     fixtures = []
     for line, row in _parse_table(
@@ -337,15 +337,14 @@ def load_fixtures(path: str | Path, validate: bool = True) -> list[Fixture]:
     if not fixtures:
         raise DataError("fixture file has no rows", path=spath)
     fixtures.sort(key=lambda f: f.match_id)
-    if validate:
-        try:
-            validate_fixtures(fixtures)
-        except DataError as exc:
-            raise DataError(str(exc), path=spath) from None
+    try:
+        validate_fixtures(fixtures)
+    except DataError as exc:
+        raise DataError(str(exc), path=spath) from None
     return fixtures
 
 
-def load_allocation(path: str | Path, validate: bool = True) -> dict[str, dict[str, str]]:
+def load_allocation(path: str | Path) -> dict[str, dict[str, str]]:
     """Best-thirds allocation: combination of qualified groups -> slot map.
 
     The header names the receiving winner slots (e.g. 1B,1C,1E,1F);
@@ -372,11 +371,10 @@ def load_allocation(path: str | Path, validate: bool = True) -> dict[str, dict[s
         if combo in table:
             raise DataError(f"duplicate combination {combo}", path=spath, line=line)
         table[combo] = dict(zip(slots, row[1:]))
-    if validate:
-        try:
-            validate_allocation(table)
-        except DataError as exc:
-            raise DataError(str(exc), path=spath) from None
+    try:
+        validate_allocation(table)
+    except DataError as exc:
+        raise DataError(str(exc), path=spath) from None
     return table
 
 

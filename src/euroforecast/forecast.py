@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .zigp import ZigpParams, pmf_values, sample, sample_block
+from .zigp import ZigpParams, _check_param_arrays, log_pmf_table, sample, sample_block
 
 if TYPE_CHECKING:
     from .regression import TeamModel
@@ -130,10 +130,11 @@ def score_grid(
     elo_b: float,
     venue_country: str = "NEUTRAL",
     cap: int = DEFAULT_GRID_CAP,
-    mu_factor: float = 1.0,
 ) -> MatchForecast:
     """Exact-score distribution on a (cap+1) x (cap+1) grid.
 
+    Row i holds the stronger side scoring i times the weaker side's
+    conditional pmf given i; the cap+1 conditional rows are one table.
     Probability mass above the cap is removed by renormalizing the
     truncated grid to sum to one.
     """
@@ -143,18 +144,17 @@ def score_grid(
     strong_model, weak_model = (model_b, model_a) if swapped else (model_a, model_b)
     elo_strong, elo_weak = (elo_b, elo_a) if swapped else (elo_a, elo_b)
 
-    strong_params = combined_params(
-        strong_model, weak_model, elo_strong, elo_weak, venue_country, mu_factor
-    )
-    ks = np.arange(cap + 1)
-    p_strong = pmf_values(strong_params, ks)
+    strong = combined_params(strong_model, weak_model, elo_strong, elo_weak, venue_country)
+    n = cap + 1
+    ks = np.arange(n, dtype=float)
+    p_strong = np.exp(log_pmf_table(strong.mu, strong.phi, strong.omega, ks))
 
-    grid = np.empty((cap + 1, cap + 1))
-    for i in range(cap + 1):
-        cond = conditional_params(
-            weak_model, stronger, elo_strong, venue_country, i, mu_factor
-        )
-        grid[i] = p_strong[i] * pmf_values(cond, ks)
+    nested = weak_model.nested
+    loc = location_indicator(weak_model.team, stronger, venue_country)
+    alpha = np.broadcast_to(nested.alpha, (n, len(nested.alpha)))
+    mu = _predict_mu(alpha, np.full(n, elo_strong), np.full(n, loc), ks)
+    _check_param_arrays(mu, np.full(n, nested.phi), np.full(n, nested.omega))
+    grid = p_strong[:, None] * np.exp(log_pmf_table(mu[:, None], nested.phi, nested.omega, ks))
     grid /= grid.sum()
 
     if swapped:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -33,8 +33,8 @@ from scipy.special import expit, gammaln
 from scipy.stats import chi2
 
 from .errors import DataError, FitError, InsufficientDataError
+from .forecast import location_indicator
 from .weights import WeightConfig, match_weight
-from .zigp import ZigpParams
 
 if TYPE_CHECKING:
     from .data_io import MatchRecord
@@ -69,9 +69,6 @@ class RegressionCoefficients:
     def predict_mu(self, covariates: Sequence[float]) -> float:
         eta = float(np.dot(self.alpha, covariates))
         return math.exp(eta)
-
-    def params_for(self, covariates: Sequence[float]) -> ZigpParams:
-        return ZigpParams(self.predict_mu(covariates), self.phi, self.omega)
 
 
 @dataclass(frozen=True)
@@ -117,84 +114,43 @@ class FitSummary:
 # ---------------------------------------------------------------------------
 
 
-def _location(team: str, opponent: str, venue_country: str) -> float:
-    if venue_country == team:
-        return 1.0
-    if venue_country == opponent:
-        return -1.0
-    return 0.0
-
-
-def _team_matches(team: str, matches: Iterable["MatchRecord"]):
-    for m in matches:
-        if team == m.team_a or team == m.team_b:
-            if m.elo_a_before is None or m.elo_b_before is None:
-                raise DataError(
-                    f"match {m.date} {m.team_a}-{m.team_b} lacks Elo annotations; "
-                    "replay history first"
-                )
-            yield m
-
-
-def build_attack_observations(
+def build_observations(
     team: str, matches: Sequence["MatchRecord"], cfg: WeightConfig
-) -> list[FitObservation]:
-    """Goals scored by ``team`` against (1, opponent Elo, location)."""
-    obs = []
-    for m in _team_matches(team, matches):
-        is_a = m.team_a == team
-        opponent = m.team_b if is_a else m.team_a
-        opp_elo = m.elo_b_before if is_a else m.elo_a_before
-        goals = m.goals_a if is_a else m.goals_b
-        loc = _location(team, opponent, m.venue_country)
-        obs.append(FitObservation(goals, (1.0, opp_elo, loc), match_weight(m, cfg)))
-    if not obs:
-        raise InsufficientDataError(f"team {team!r} has no matches in the data window")
-    return obs
+) -> tuple[list[FitObservation], list[FitObservation], list[FitObservation]]:
+    """The attack, defense and nested observations of ``team``, in one pass.
 
-
-def build_defense_observations(
-    team: str, matches: Sequence["MatchRecord"], cfg: WeightConfig
-) -> list[FitObservation]:
-    """Goals conceded by ``team``; covariates as in the attack builder."""
-    obs = []
-    for m in _team_matches(team, matches):
-        is_a = m.team_a == team
-        opponent = m.team_b if is_a else m.team_a
-        opp_elo = m.elo_b_before if is_a else m.elo_a_before
-        conceded = m.goals_b if is_a else m.goals_a
-        loc = _location(team, opponent, m.venue_country)
-        obs.append(FitObservation(conceded, (1.0, opp_elo, loc), match_weight(m, cfg)))
-    if not obs:
-        raise InsufficientDataError(f"team {team!r} has no matches in the data window")
-    return obs
-
-
-def build_nested_observations(
-    team: str, matches: Sequence["MatchRecord"], cfg: WeightConfig
-) -> list[FitObservation]:
-    """Underdog matches only: strictly lower Elo before kickoff.
-
-    Adds the opponent's goals in the match as a fourth covariate; equal
-    ratings are excluded (no strict ordering exists).
+    attack: goals scored by ``team`` against (1, opponent Elo, location);
+    defense: goals conceded, same covariates; nested: underdog matches
+    only (strictly lower Elo before kickoff; equal ratings have no
+    strict ordering), goals scored with the opponent's goals as a fourth
+    covariate.  Every row carries the match's weight.
     """
-    obs = []
-    for m in _team_matches(team, matches):
-        is_a = m.team_a == team
-        own_elo = m.elo_a_before if is_a else m.elo_b_before
-        opp_elo = m.elo_b_before if is_a else m.elo_a_before
-        if not own_elo < opp_elo:
+    attack, defense, nested = [], [], []
+    for m in matches:
+        if team != m.team_a and team != m.team_b:
             continue
-        opponent = m.team_b if is_a else m.team_a
-        goals = m.goals_a if is_a else m.goals_b
-        opp_goals = m.goals_b if is_a else m.goals_a
-        loc = _location(team, opponent, m.venue_country)
-        obs.append(
-            FitObservation(
-                goals, (1.0, opp_elo, loc, float(opp_goals)), match_weight(m, cfg)
+        if m.elo_a_before is None or m.elo_b_before is None:
+            raise DataError(
+                f"match {m.date} {m.team_a}-{m.team_b} lacks Elo annotations; "
+                "replay history first"
             )
-        )
-    return obs
+        if m.team_a == team:
+            opponent, own_elo, opp_elo = m.team_b, m.elo_a_before, m.elo_b_before
+            goals, conceded = m.goals_a, m.goals_b
+        else:
+            opponent, own_elo, opp_elo = m.team_a, m.elo_b_before, m.elo_a_before
+            goals, conceded = m.goals_b, m.goals_a
+        loc = location_indicator(team, opponent, m.venue_country)
+        weight = match_weight(m, cfg)
+        attack.append(FitObservation(goals, (1.0, opp_elo, loc), weight))
+        defense.append(FitObservation(conceded, (1.0, opp_elo, loc), weight))
+        if own_elo < opp_elo:
+            nested.append(
+                FitObservation(goals, (1.0, opp_elo, loc, float(conceded)), weight)
+            )
+    if not attack:
+        raise InsufficientDataError(f"team {team!r} has no matches in the data window")
+    return attack, defense, nested
 
 
 def design_matrix(observations: Sequence[FitObservation]):
@@ -372,24 +328,16 @@ def _alpha_to_raw(alpha_z, center, scale):
     return alpha
 
 
-def _alpha_to_std(alpha_raw, center, scale):
-    alpha = np.asarray(alpha_raw) * scale
-    alpha[0] = alpha_raw[0] + float(np.sum(np.asarray(alpha_raw)[1:] * center[1:]))
-    return alpha
-
-
 def fit_zigp(
-    observations: Sequence[FitObservation],
-    init: RegressionCoefficients | None = None,
-    seed: int = 0,
+    observations: Sequence[FitObservation], seed: int = 0
 ) -> RegressionCoefficients:
     """Weighted maximum-likelihood fit of one ZIGP regression.
 
     Multi-start L-BFGS-B with analytic gradients followed by a Newton
     polish; deterministic given ``seed``.  Raises
     :class:`InsufficientDataError` below max(10, 2*(p+2)) observations
-    and :class:`FitError` (carrying the best point found) when no start
-    reaches a stationary point.
+    and :class:`FitError` (carrying the best point found) when the best
+    start, polished once more, is still not a stationary point.
     """
     X, y, w = design_matrix(observations)
     n, p = X.shape
@@ -421,10 +369,6 @@ def fit_zigp(
             [rng.normal(0.0, 0.3, size=pf), [rng.normal(0.0, 0.5), rng.normal(0.0, 1.0)]]
         )
         starts.append(start0 + jitter)
-    if init is not None:
-        alpha_init = _alpha_to_std(np.array(init.alpha), center, scale)[keep]
-        theta_init = np.concatenate([alpha_init, [init.beta, init.gamma_log]])
-        starts.append(np.clip(theta_init, [b[0] for b in bounds], [b[1] for b in bounds]))
 
     best_theta, best_f, best_g = None, np.inf, None
     for x0 in starts:
@@ -442,6 +386,10 @@ def fit_zigp(
             best_theta, best_f, best_g = theta, f, g
 
     gnorm = _projected_grad_norm(best_g, best_theta, bounds)
+    if gnorm > 1e-6:
+        # the best start stalled short of stationarity; polish it further
+        best_theta, best_f, best_g = _newton_polish(best_theta, Xf, y, w_opt, bounds)
+        gnorm = _projected_grad_norm(best_g, best_theta, bounds)
     alpha_z = np.zeros(p)
     alpha_z[keep] = best_theta[:pf]
     coeffs = RegressionCoefficients(
@@ -517,9 +465,9 @@ def fit_team_models(
             entropy=cfg.seed, spawn_key=(idx,)
         ).generate_state(3)
         try:
-            attack_obs = build_attack_observations(team, matches, cfg.weights)
-            defense_obs = build_defense_observations(team, matches, cfg.weights)
-            nested_obs = build_nested_observations(team, matches, cfg.weights)
+            attack_obs, defense_obs, nested_obs = build_observations(
+                team, matches, cfg.weights
+            )
 
             attack = fit_zigp(attack_obs, seed=int(base_seed[0]))
             defense = fit_zigp(defense_obs, seed=int(base_seed[1]))

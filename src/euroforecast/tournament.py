@@ -96,13 +96,6 @@ class SimulationAggregate:
     def probability(self, stat: str, team: str) -> float:
         return self.counts[stat][team] / self.n_runs
 
-    def merge(self, other: "SimulationAggregate") -> None:
-        if other.teams != self.teams:
-            raise ValueError("cannot merge aggregates over different team sets")
-        self.n_runs += other.n_runs
-        for stat in STAT_NAMES:
-            self.counts[stat].update(other.counts[stat])
-
 
 def _empty_aggregate(teams: Sequence[str]) -> SimulationAggregate:
     counts = {stat: Counter({t: 0 for t in teams}) for stat in STAT_NAMES}
@@ -534,8 +527,7 @@ class Bracket:
     group_loc: np.ndarray  # (matches, 2): location indicator of each side
     group_k: tuple[float, ...]
     knockout: tuple[_Knockout, ...]
-    thirds: np.ndarray  # (2**groups, third slots): group by qualified-group mask, -1 when invalid
-    third_errors: dict  # (mask, third slot) -> message for the invalid entries
+    thirds: np.ndarray  # (2**groups, third slots): group by qualified-group mask
 
     @property
     def lots_start(self) -> int:
@@ -565,7 +557,9 @@ def compile_bracket(
     """Resolve names, slots and K factors once for a whole simulation.
 
     Raises the ``ConfigError`` of a missing model, rating or K factor,
-    and the ``DataError`` of a knockout slot that cannot be resolved.
+    and the ``DataError`` of a knockout slot that cannot be resolved or
+    of an allocation row that is missing or sends a third outside its
+    candidate pool.
     """
     k_table = _k_table(k_factors)
     by_group = group_teams(fixtures)
@@ -605,20 +599,18 @@ def compile_bracket(
         for f, k in zip(knockout_fixtures, knockout_k)
     )
 
-    thirds = np.full((2 ** len(groups), len(third_slots)), -1)
-    third_errors = {}
+    thirds = np.zeros((2 ** len(groups), len(third_slots)), dtype=int)
     for qualified in combinations(groups, 4):
-        mask = sum(1 << group_number[g] for g in qualified)
         combo = "".join(qualified)
         row = allocation.get(combo)
+        if row is None:
+            raise DataError(f"allocation table has no row for combination {combo}")
+        mask = sum(1 << group_number[g] for g in qualified)
         for j, (slot, paired) in enumerate(third_slots):
-            group = row.get(paired) if row is not None else None
-            if row is None:
-                third_errors[mask, j] = f"allocation table has no row for combination {combo}"
-            elif group is not None and group in slot[1:]:
-                thirds[mask, j] = group_number[group]
-            else:
-                third_errors[mask, j] = _outside_pool(group, slot)
+            group = row.get(paired)
+            if group is None or group not in slot[1:]:
+                raise DataError(_outside_pool(group, slot))
+            thirds[mask, j] = group_number[group]
 
     return Bracket(
         teams=teams,
@@ -639,7 +631,6 @@ def compile_bracket(
         group_k=group_k,
         knockout=knockout,
         thirds=thirds,
-        third_errors=third_errors,
     )
 
 
@@ -700,11 +691,7 @@ def _simulate_block(
     qualified = order[:, :4]
     count("third_qualified", np.take_along_axis(third, qualified, axis=1))
     mask = (1 << qualified).sum(axis=1)
-    assigned = bracket.thirds[mask]
-    if (assigned < 0).any():
-        r, j = np.argwhere(assigned < 0)[0]
-        raise DataError(bracket.third_errors[mask[r], j])
-    assigned_third = np.take_along_axis(third, np.maximum(assigned, 0), axis=1)
+    assigned_third = np.take_along_axis(third, bracket.thirds[mask], axis=1)
 
     winners = np.empty((n, len(bracket.knockout)), dtype=np.int64)
 

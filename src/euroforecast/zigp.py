@@ -68,17 +68,27 @@ def _check_k(k) -> None:
         raise ParameterError(f"k must be non-negative, got {k}")
 
 
-def _log_pmf_positive(mu, phi, omega, k):
-    """log P[X=k] for float counts k >= 1; broadcasts parameters against k."""
+def log_pmf_table(mu, phi, omega, k):
+    """log P[X=k] for float counts ``k``; broadcasts the parameters against ``k``.
+
+    The pmf, the block sampler's table and the score grid all evaluate
+    their terms here.  Both branches are computed elementwise and the
+    zero-inflated k = 0 term is picked where k == 0.
+    """
+    log1m_omega = np.log1p(-omega)
     m = mu + (phi - 1.0) * k
-    return (
-        np.log1p(-omega)
+    positive = (
+        log1m_omega
         + np.log(mu)
         + (k - 1.0) * np.log(m)
         - gammaln(k + 1.0)
         - k * np.log(phi)
         - m / phi
     )
+    # log(0) = -inf for omega = 0, and logaddexp(-inf, x) is x exactly
+    with np.errstate(divide="ignore"):
+        zero = np.logaddexp(np.log(omega), log1m_omega - mu / phi)
+    return np.where(k == 0, zero, positive)
 
 
 def log_pmf_values(params: ZigpParams, ks: np.ndarray) -> np.ndarray:
@@ -97,17 +107,7 @@ def log_pmf_values(params: ZigpParams, ks: np.ndarray) -> np.ndarray:
         log P[X=k] for each k; -inf where the pmf underflows.
     """
     _check_k(ks)
-    ks = np.asarray(ks, dtype=np.int64)
-    mu, phi, omega = params.mu, params.phi, params.omega
-
-    out = np.empty(ks.shape, dtype=float)
-    zero = ks == 0
-    if omega == 0.0:
-        out[zero] = -mu / phi
-    else:
-        out[zero] = np.logaddexp(np.log(omega), np.log1p(-omega) - mu / phi)
-    out[~zero] = _log_pmf_positive(mu, phi, omega, ks[~zero].astype(float))
-    return out
+    return log_pmf_table(params.mu, params.phi, params.omega, np.asarray(ks, dtype=float))
 
 
 def log_pmf(params: ZigpParams, k: int) -> float:
@@ -166,7 +166,7 @@ def sample(params: ZigpParams, rng: np.random.Generator, size: int | None = None
 # Columns of the block sampler's table: counts 0..BLOCK_TABLE_WIDTH-1.
 # A row whose truncation point lies beyond it takes the full table.
 BLOCK_TABLE_WIDTH = 32
-_BLOCK_K = np.arange(1, BLOCK_TABLE_WIDTH, dtype=float)
+_BLOCK_K = np.arange(BLOCK_TABLE_WIDTH, dtype=float)
 
 
 def _check_param_arrays(mu: np.ndarray, phi: np.ndarray, omega: np.ndarray) -> None:
@@ -192,13 +192,7 @@ def sample_block(
     ``BLOCK_TABLE_WIDTH`` counts.
     """
     _check_param_arrays(mu, phi, omega)
-    log_p = np.empty((len(u), BLOCK_TABLE_WIDTH))
-    log_p[:, 0] = -mu / phi
-    inflated = omega > 0.0
-    mi, pi, oi = mu[inflated], phi[inflated], omega[inflated]
-    log_p[inflated, 0] = np.logaddexp(np.log(oi), np.log1p(-oi) - mi / pi)
-    log_p[:, 1:] = _log_pmf_positive(mu[:, None], phi[:, None], omega[:, None], _BLOCK_K)
-    p = np.exp(log_p)
+    p = np.exp(log_pmf_table(mu[:, None], phi[:, None], omega[:, None], _BLOCK_K))
     c = np.cumsum(p, axis=1)
     reached = c >= 1.0 - TAIL_EPS
     in_table = reached[:, -1]

@@ -229,12 +229,6 @@ class TestLoadFixtures:
         with pytest.raises(DataError, match=r"f\.csv"):
             load_fixtures(path)
 
-    def test_validation_can_be_disabled(self, tmp_path, data_dir):
-        lines = (data_dir / "euro2020_fixtures.csv").read_text().splitlines()
-        path = write(tmp_path, "f.csv", "\n".join(lines[:-1]) + "\n")
-        fixtures = load_fixtures(path, validate=False)
-        assert len(fixtures) == 50
-
 
 class TestLoadAllocation:
     def test_packaged_tables(self, data_dir):

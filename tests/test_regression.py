@@ -16,9 +16,7 @@ from euroforecast.regression import (
     FitConfig,
     FitObservation,
     RegressionCoefficients,
-    build_attack_observations,
-    build_defense_observations,
-    build_nested_observations,
+    build_observations,
     chi_square_gof,
     design_matrix,
     fit_team_models,
@@ -57,7 +55,7 @@ class TestBuilders:
         ]
 
     def test_attack_rows(self, wcfg):
-        obs = build_attack_observations("AAA", self.matches, wcfg)
+        obs, _, _ = build_observations("AAA", self.matches, wcfg)
         assert [o.response for o in obs] == [3, 2, 0]
         assert obs[0].covariates == (1.0, 1800.0, 1.0)   # home
         assert obs[1].covariates == (1.0, 1950.0, -1.0)  # away
@@ -65,24 +63,24 @@ class TestBuilders:
         assert all(o.weight > 0 for o in obs)
 
     def test_defense_swaps_response(self, wcfg):
-        obs = build_defense_observations("AAA", self.matches, wcfg)
+        _, obs, _ = build_observations("AAA", self.matches, wcfg)
         assert [o.response for o in obs] == [1, 2, 1]
 
     def test_nested_keeps_strict_underdogs_only(self, wcfg):
-        obs = build_nested_observations("AAA", self.matches, wcfg)
+        _, _, obs = build_observations("AAA", self.matches, wcfg)
         # only the CCC away match: AAA rated below; the tie is excluded
         assert len(obs) == 1
         assert obs[0].response == 2
         assert obs[0].covariates == (1.0, 1950.0, -1.0, 2.0)
 
     def test_nested_opponent_side(self, wcfg):
-        obs = build_nested_observations("BBB", self.matches, wcfg)
+        _, _, obs = build_observations("BBB", self.matches, wcfg)
         assert len(obs) == 1
         assert obs[0].covariates == (1.0, 1900.0, -1.0, 3.0)
         assert obs[0].response == 1
 
     def test_weights_follow_match_weight(self, wcfg):
-        obs = build_attack_observations("AAA", self.matches, wcfg)
+        obs, _, _ = build_observations("AAA", self.matches, wcfg)
         assert obs[0].weight == pytest.approx(0.5 ** (157 / 1095))
 
     def test_missing_annotation_rejected(self, wcfg):
@@ -91,11 +89,11 @@ class TestBuilders:
             goals_a=1, goals_b=0, match_type="FRIENDLY", venue_country="NEUTRAL",
         )
         with pytest.raises(DataError, match="Elo"):
-            build_attack_observations("AAA", [plain], wcfg)
+            build_observations("AAA", [plain], wcfg)
 
     def test_no_matches_is_insufficient(self, wcfg):
         with pytest.raises(InsufficientDataError):
-            build_attack_observations("ZZZ", self.matches, wcfg)
+            build_observations("ZZZ", self.matches, wcfg)
 
 
 def synth_observations(seed, n=600, alpha=(0.9, -0.25, 0.2), phi=1.5, omega=0.15,
@@ -108,6 +106,78 @@ def synth_observations(seed, n=600, alpha=(0.9, -0.25, 0.2), phi=1.5, omega=0.15
     y = np.array([sample(ZigpParams(m, phi, omega), rng) for m in mu])
     w = rng.uniform(0.5, 4.0, n) if weighted else np.ones(n)
     return [FitObservation(int(y[i]), tuple(X[i]), float(w[i])) for i in range(n)]
+
+
+# Goals conceded by AUT in the demo history of scripts/gen_demo_history.py
+# for EURO 2016 (seed 28, ending 2016-06-10), as fitted by `fit` on the
+# EURO 2016 teams: (goals conceded, opponent Elo, location, weight), and
+# the defense regression's seed from AUT's SeedSequence.
+AUT_DEFENSE_SEED = 1136656250
+AUT_DEFENSE_2016 = [
+    (2, 1720.0, -1.0, 0.5739857231276825),
+    (3, 1556.9583525405105, -1.0, 0.5790950805153332),
+    (1, 2030.2490341966575, 0.0, 0.584249919056718),
+    (1, 1831.968223349987, 0.0, 0.5894506436041868),
+    (1, 1816.219462848662, 1.0, 1.4867441565347481),
+    (1, 1667.0825657613707, 1.0, 1.4999784704447607),
+    (1, 1708.220581854307, 1.0, 0.605332236056505),
+    (0, 1653.0354795793762, 1.0, 0.6107206257109118),
+    (1, 1913.375986053785, 1.0, 0.6161569803361864),
+    (0, 1626.4564716155537, -1.0, 0.6216417268944783),
+    (1, 1980.4851898249497, -1.0, 2.508701184594233),
+    (3, 1621.0672538534707, -1.0, 2.5310324907825987),
+    (1, 1760.9984508532027, 0.0, 2.5535625800062416),
+    (2, 1894.202763665062, -1.0, 2.5762932217404804),
+    (0, 1527.5478406280579, 1.0, 2.59922620121169),
+    (1, 1662.9967534834007, -1.0, 0.6555908298843772),
+    (2, 1681.776654582443, 0.0, 0.6614265984670754),
+    (0, 1864.620835877293, 0.0, 1.6682857859561675),
+    (1, 1781.2482834092193, 1.0, 1.6831361001046463),
+    (2, 1770.4168482733214, -1.0, 1.6981186049318238),
+    (2, 2028.0698123868576, 1.0, 1.7132344771384318),
+    (0, 1538.37387701362, 0.0, 1.7284849038996524),
+    (5, 1761.2501452783015, -1.0, 1.7438710829583568),
+    (1, 1713.8594555214397, 0.0, 0.7037576890876689),
+    (1, 1814.5389941487535, -1.0, 0.7100222169373559),
+    (0, 1708.833307387216, 1.0, 0.7163425087378856),
+    (2, 1618.7034314766324, 0.0, 0.722719060874347),
+    (1, 1801.0946444125887, 1.0, 0.7291523741504211),
+    (0, 1701.4852724493883, 0.0, 0.7356429538277135),
+    (2, 1981.3932960073648, -1.0, 0.7421913096654364),
+    (2, 1731.2479067875001, 0.0, 1.8719948899011123),
+    (1, 1640.1534589802072, 0.0, 1.8886585289690705),
+    (1, 1895.8882281557949, 1.0, 0.7621882000406616),
+    (3, 1824.9752007186394, 0.0, 0.7689728494731208),
+    (1, 1673.168428562148, -1.0, 0.7758178927399624),
+    (4, 1617.7801420177839, 0.0, 0.7827238674393727),
+    (2, 1878.9058849662447, 1.0, 0.7896913159549908),
+    (1, 1705.4384529191616, 1.0, 0.7967207854985053),
+    (1, 1690.0939558779073, -1.0, 0.8038128281526328),
+    (3, 1744.1279366916792, -1.0, 0.8109680009144759),
+    (0, 1833.061685818249, 0.0, 0.8181868657392705),
+    (0, 1813.0289896352667, 1.0, 0.8254699895845196),
+    (0, 1905.2847444982567, 1.0, 0.8328179444545214),
+    (0, 1963.1545218500642, 1.0, 2.1005782686132357),
+    (1, 1671.2934375419934, 0.0, 2.1192766519747503),
+    (1, 1745.158133762504, -1.0, 2.1381414797604306),
+    (2, 1796.6523176367186, 1.0, 2.157174233582125),
+    (4, 1931.925577707542, 1.0, 2.1763764082403103),
+    (1, 1796.2339745954066, 0.0, 2.195749511841491),
+    (3, 2043.1487562489033, -1.0, 0.8861180263666576),
+    (1, 1960.092398888577, -1.0, 0.894005842216286),
+    (1, 1636.5033132346737, 0.0, 0.9019638717812732),
+    (0, 1756.8334515977988, 1.0, 0.909992740071878),
+    (0, 1592.9464449160641, 1.0, 0.9180930776619133),
+    (0, 1934.379873714044, -1.0, 0.9262655207382708),
+    (0, 1644.2150433338604, 1.0, 0.9345107111508857),
+    (2, 1732.520614506487, 1.0, 2.357073241157867),
+    (0, 1689.3326297265737, 1.0, 2.378054825006887),
+    (1, 1677.230910518812, -1.0, 0.9596892709130335),
+    (3, 1721.080862004919, -1.0, 0.9682319842046982),
+    (3, 1838.4727019379666, 0.0, 0.9768507408080842),
+    (1, 1728.8241343737898, 0.0, 0.9855462176258405),
+    (0, 1714.828657259189, 1.0, 2.9829572927582784),
+]
 
 
 class TestLikelihood:
@@ -175,16 +245,14 @@ class TestFitter:
         assert a.phi == pytest.approx(b.phi, abs=1e-6)
         assert a.omega == pytest.approx(b.omega, abs=1e-6)
 
-    def test_init_never_hurts(self):
-        obs = synth_observations(6, n=400)
+    def test_stalled_best_start_is_polished_further(self):
+        # every start's polish stops at a projected gradient of 2.2e-2
+        obs = [FitObservation(k, (1.0, elo, loc), w) for k, elo, loc, w in AUT_DEFENSE_2016]
+        c = fit_zigp(obs, seed=AUT_DEFENSE_SEED)
         X, y, w = design_matrix(obs)
-        init = RegressionCoefficients(alpha=(0.5, 0.0, 0.0), beta=-1.0, gamma_log=-2.0)
-        c = fit_zigp(obs, init=init, seed=0)
-        theta_init = np.array([0.5, 0.0, 0.0, -1.0, -2.0])
-        theta_fit = np.concatenate([c.alpha, [c.beta, c.gamma_log]])
-        l_init, _ = loglik_and_grad(theta_init, X, y, w)
-        l_fit, _ = loglik_and_grad(theta_fit, X, y, w)
-        assert l_fit >= l_init
+        theta = np.concatenate([c.alpha, [c.beta, c.gamma_log]])
+        _, grad = loglik_and_grad(theta, X, y, w / np.mean(w))
+        assert np.max(np.abs(grad)) < 1e-5
 
     def test_pure_poisson_data_pushes_to_boundary(self):
         rng = np.random.default_rng(8)

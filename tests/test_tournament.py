@@ -494,6 +494,17 @@ class TestBlockEngine:
         with pytest.raises(DataError, match="candidate pool"):
             monte_carlo(euro_models, ratings, fixtures, swapped, n_runs=20)
 
+    def test_allocation_errors_raised_at_compile_time(self, euro2020, euro_models):
+        ratings, fixtures, allocation = euro2020
+        missing = {combo: row for combo, row in allocation.items() if combo != "CDEF"}
+        with pytest.raises(DataError, match="no row for combination CDEF"):
+            compile_bracket(euro_models, ratings, fixtures, missing)
+        # one row sends a third outside its pool, however rarely it is reached
+        row = allocation["CDEF"]
+        misrouted = {**allocation, "CDEF": dict(zip(row, reversed(list(row.values()))))}
+        with pytest.raises(DataError, match="candidate pool"):
+            compile_bracket(euro_models, ratings, fixtures, misrouted)
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_worker_count_below_one_rejected(self, euro2020, euro_models, workers):
         ratings, fixtures, allocation = euro2020
