@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .errors import ParameterError
 from .zigp import ZigpParams, _check_param_arrays, log_pmf_table, sample, sample_block
 
 if TYPE_CHECKING:
@@ -236,7 +237,10 @@ def _predict_mu(alpha: np.ndarray, *covariates: np.ndarray) -> np.ndarray:
     """
     x = np.stack([np.ones(len(alpha)), *covariates], axis=1)
     eta = np.vecdot(alpha, x)
-    return np.fromiter(map(math.exp, eta.tolist()), float, len(eta))
+    try:
+        return np.fromiter(map(math.exp, eta.tolist()), float, len(eta))
+    except OverflowError:
+        raise ParameterError(f"mu = exp({eta.max():.6g}) overflows") from None
 
 
 def sample_match_block(

@@ -13,11 +13,12 @@ candidate point is a valid distribution:
     phi = 1 + exp(beta),   omega = exp(gamma)/(1 + exp(gamma)).
 
 Fitting maximizes the weighted log-likelihood
-L(theta) = sum_i w_i * log pmf(mu_i, phi, omega; x_i) by L-BFGS-B with
-an analytic gradient, five starts (a log-link least-squares warm start
-plus four jittered copies) and a final Newton polish.  Covariates are
-standardized internally for conditioning; returned coefficients are on
-the raw covariate scale.
+L(theta) = sum_i w_i * log pmf(mu_i, phi, omega; x_i) by a damped
+projected Newton method with the closed-form gradient and Hessian,
+started from a log-link least-squares fit; four jittered copies of
+that start are tried only when it does not reach a stationary point.
+Covariates are standardized internally for conditioning; returned
+coefficients are on the raw covariate scale.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
-from scipy import optimize
-from scipy.special import expit, gammaln
-from scipy.stats import chi2
+from scipy.special import chdtrc, expit, gammaln
 
-from .errors import DataError, FitError, InsufficientDataError
+from .errors import DataError, FitError, InsufficientDataError, ParameterError
 from .forecast import location_indicator
 from .weights import WeightConfig, match_weight
 
@@ -44,6 +43,13 @@ _BETA_BOUNDS = (-30.0, 5.0)
 _GAMMA_BOUNDS = (-30.0, 30.0)
 _ALPHA_BOUND = 50.0
 _GOF_MEAN_FLOOR = 1e-8
+_STATIONARY_GTOL = 1e-6  # projected |grad| above which a fit has failed
+# Newton's own tolerance is tighter: a raw-scale coefficient's gradient is
+# the standardized one times the covariate's center (~1,800 for Elo).
+_NEWTON_GTOL = 1e-9
+# Towards the pure-Poisson corner (phi -> 1, omega -> 0) Newton moves
+# beta and gamma by about one unit per step.
+_NEWTON_MAX_ITER = 100
 
 
 class DesignMatrixWarning(UserWarning):
@@ -68,7 +74,10 @@ class RegressionCoefficients:
 
     def predict_mu(self, covariates: Sequence[float]) -> float:
         eta = float(np.dot(self.alpha, covariates))
-        return math.exp(eta)
+        try:
+            return math.exp(eta)
+        except OverflowError:
+            raise ParameterError(f"mu = exp({eta:.6g}) overflows") from None
 
 
 @dataclass(frozen=True)
@@ -166,129 +175,127 @@ def design_matrix(observations: Sequence[FitObservation]):
 # ---------------------------------------------------------------------------
 
 
+class _Sample(NamedTuple):
+    """One regression's rows with the constants of its fit."""
+
+    X: np.ndarray
+    w: np.ndarray
+    zero: np.ndarray  # response == 0
+    k: np.ndarray  # the responses, as floats
+    log_k_factorial: np.ndarray
+
+
+def _sample(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> _Sample:
+    k = y.astype(float)
+    return _Sample(X, w, y == 0, k, gammaln(k + 1.0))
+
+
+def _loglik_derivatives(theta: np.ndarray, s: _Sample):
+    """Weighted ZIGP log-likelihood with its gradient and Hessian.
+
+    Each observation's log-pmf is differentiated in its linear predictor
+    eta = x.alpha and in phi, then chained to beta; with t = mu/phi and
+    r = expit(gamma + t), the posterior probability that a zero is a
+    structural one, a zero's log-pmf is log(e^gamma + e^-t) - log(1 + e^gamma).
+    Returns (L, dL/dtheta, d2L/dtheta2).
+    """
+    X, w, zero, k = s.X, s.w, s.zero, s.k
+    p = X.shape[1]
+    beta, gamma = theta[p], theta[p + 1]
+    eta = np.clip(X @ theta[:p], -_ETA_CLIP, _ETA_CLIP)
+    mu = np.exp(eta)
+    b = math.exp(beta)  # phi - 1 = dphi/dbeta
+    phi = 1.0 + b
+    omega = float(expit(gamma))
+    log1m_omega = -np.logaddexp(0.0, gamma)
+
+    t = mu / phi
+    r, q = expit(gamma + t), expit(-gamma - t)
+    m = mu + b * k
+    c = k * (k - 1.0) / m**2
+    positive = (k - 1.0) * np.log(m) - s.log_k_factorial - k * math.log1p(b) - m / phi
+    ll = np.where(zero, np.logaddexp(gamma, -t) + log1m_omega, log1m_omega + eta + positive)
+    l_eta = np.where(zero, -q * t, 1.0 + mu * (k - 1.0) / m - t)
+    l_phi = np.where(zero, q * t / phi, k * (k - 1.0) / m - k / phi + (mu - k) / phi**2)
+    l_eta_eta = np.where(zero, t * (r * q * t - q), mu * b * c - t)
+    l_eta_phi = np.where(zero, q * t * (1.0 - r * t) / phi, mu * (1.0 / phi**2 - c))
+    l_phi_phi = np.where(
+        zero, t * (r * q * t - 2.0 * q) / phi**2, k / phi**2 - k * c - 2.0 * (mu - k) / phi**3
+    )
+    wz = np.where(zero, w, 0.0)
+    rqt = r * q * t
+
+    grad = np.empty(p + 2)
+    grad[:p] = X.T @ (w * l_eta)
+    grad[p] = b * float(w @ l_phi)
+    grad[p + 1] = float(wz @ r) - omega * w.sum()
+    hess = np.empty((p + 2, p + 2))
+    hess[:p, :p] = (X * (w * l_eta_eta)[:, None]).T @ X
+    hess[:p, p] = b * (X.T @ (w * l_eta_phi))
+    hess[:p, p + 1] = X.T @ (wz * rqt)
+    hess[p, p] = float(w @ (b * b * l_phi_phi + b * l_phi))
+    hess[p, p + 1] = -b / phi * float(wz @ rqt)
+    hess[p + 1, p + 1] = float(wz @ (r * q)) - omega * (1.0 - omega) * w.sum()
+    hess[p, :p] = hess[:p, p]
+    hess[p + 1, : p + 1] = hess[: p + 1, p + 1]
+    return float(w @ ll), grad, hess
+
+
 def loglik_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Weighted ZIGP log-likelihood and its analytic gradient.
 
     ``theta`` is [alpha_0..alpha_{p-1}, beta, gamma] matching the
     columns of ``X``.  Returns (L, dL/dtheta).
     """
-    p = X.shape[1]
-    alpha = theta[:p]
-    beta, gamma = theta[p], theta[p + 1]
-
-    eta = np.clip(X @ alpha, -_ETA_CLIP, _ETA_CLIP)
-    mu = np.exp(eta)
-    phi = 1.0 + math.exp(beta)
-    omega = float(expit(gamma))
-    log_omega = gamma - np.logaddexp(0.0, gamma)  # log expit(gamma)
-    log1m_omega = -np.logaddexp(0.0, gamma)
-
-    zero = y == 0
-    k = y[~zero].astype(float)
-    mu0, mu1 = mu[zero], mu[~zero]
-    m = mu1 + (phi - 1.0) * k
-
-    ll = np.empty(len(y))
-    ll[zero] = np.logaddexp(log_omega, log1m_omega - mu0 / phi)
-    ll[~zero] = (
-        log1m_omega
-        + np.log(mu1)
-        + (k - 1.0) * np.log(m)
-        - gammaln(k + 1.0)
-        - k * math.log(phi)
-        - m / phi
-    )
-    total = float(np.dot(w, ll))
-
-    # per-observation derivatives wrt (mu, phi, omega)
-    d_mu = np.empty(len(y))
-    d_phi = np.empty(len(y))
-    d_omega = np.empty(len(y))
-
-    e0 = np.exp(-mu0 / phi)
-    s0 = omega + (1.0 - omega) * e0
-    d_mu[zero] = -(1.0 - omega) * e0 / (phi * s0)
-    d_phi[zero] = (1.0 - omega) * e0 * mu0 / (phi**2 * s0)
-    d_omega[zero] = (1.0 - e0) / s0
-
-    d_mu[~zero] = 1.0 / mu1 + (k - 1.0) / m - 1.0 / phi
-    d_phi[~zero] = k * (k - 1.0) / m - k / phi + (mu1 - k) / phi**2
-    d_omega[~zero] = -1.0 / (1.0 - omega)
-
-    grad = np.empty(p + 2)
-    grad[:p] = X.T @ (w * d_mu * mu)
-    grad[p] = float(np.dot(w, d_phi)) * (phi - 1.0)
-    grad[p + 1] = float(np.dot(w, d_omega)) * omega * (1.0 - omega)
+    total, grad, _ = _loglik_derivatives(theta, _sample(X, y, w))
     return total, grad
 
 
-def _neg_loglik(theta, X, y, w):
-    value, grad = loglik_and_grad(theta, X, y, w)
-    return -value, -grad
+def _pinned(grad, theta, lo, hi):
+    """Coordinates at a bound that the (negated) gradient pushes outward."""
+    return ((theta <= lo + 1e-12) & (grad > 0)) | ((theta >= hi - 1e-12) & (grad < 0))
 
 
-def _projected_grad_norm(grad, theta, bounds):
+def _projected_grad_norm(grad, theta, lo, hi):
     """Inf-norm of the gradient with outward components at active bounds zeroed."""
-    g = grad.copy()
-    for i, (lo, hi) in enumerate(bounds):
-        if theta[i] <= lo + 1e-12 and g[i] > 0:
-            g[i] = 0.0
-        if theta[i] >= hi - 1e-12 and g[i] < 0:
-            g[i] = 0.0
-    return float(np.max(np.abs(g)))
+    return float(np.max(np.abs(grad[~_pinned(grad, theta, lo, hi)]), initial=0.0))
 
 
-def _newton_polish(theta, X, y, w, bounds, max_iter=12, tol=1e-10):
-    """Drive the (negated) gradient toward zero with projected Newton steps.
+def _newton(theta, s: _Sample, lo, hi):
+    """Minimize the negated log-likelihood by damped projected Newton steps.
 
-    The Hessian is obtained by central finite differences of the analytic
-    gradient, restricted to coordinates not pinned at a bound, with its
-    eigenvalues floored so that flat directions (a dispersion or inflation
-    parameter parked at its boundary has ~zero curvature) cannot poison
-    the solve.  A step is kept when it lowers the objective or, at
-    negligible objective cost, the projected gradient: near the optimum
-    the objective is flat to machine precision while the gradient still
-    carries signal.
+    Coordinates held at a bound are fixed (Bertsekas 1982).  On the
+    others the Hessian's eigenvalues enter by absolute value, floored
+    far below the largest: negative curvature still gives a descent
+    step, and towards the pure-Poisson corner, where the curvature in
+    beta and gamma is as small as the gradient, steps stay near one
+    unit.  A step is projected onto the box and halved until it lowers
+    the objective or, at negligible objective cost, the projected
+    gradient, which near the optimum still carries signal.
     """
-    f, g = _neg_loglik(theta, X, y, w)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    for _ in range(max_iter):
-        pg = _projected_grad_norm(g, theta, bounds)
-        if pg < tol:
+    theta = np.clip(theta, lo, hi)
+    f, g, H = (-v for v in _loglik_derivatives(theta, s))
+    for _ in range(_NEWTON_MAX_ITER):
+        pg = _projected_grad_norm(g, theta, lo, hi)
+        if pg < _NEWTON_GTOL:
             break
-        pinned = ((theta <= lo) & (g > 0)) | ((theta >= hi) & (g < 0))
-        idx = np.flatnonzero(~pinned)
-        if idx.size == 0:
-            break
-        H = np.empty((idx.size, idx.size))
-        for col, j in enumerate(idx):
-            h = 1e-6 * (1.0 + abs(theta[j]))
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
-            _, gp = _neg_loglik(tp, X, y, w)
-            _, gm = _neg_loglik(tm, X, y, w)
-            H[:, col] = (gp[idx] - gm[idx]) / (2.0 * h)
-        H = 0.5 * (H + H.T)
-        lam, vec = np.linalg.eigh(H)
-        lam = np.maximum(lam, 1e-8 * max(float(lam[-1]), 1.0))
+        free = ~_pinned(g, theta, lo, hi)
+        lam, vec = np.linalg.eigh(H[np.ix_(free, free)])
+        lam = np.maximum(np.abs(lam), 1e-12 * max(-lam[0], lam[-1], 1.0))
         step = np.zeros_like(theta)
-        step[idx] = -vec @ ((vec.T @ g[idx]) / lam)
-        accepted = False
-        scale = 1.0
-        for _ in range(20):
-            cand = np.clip(theta + scale * step, lo, hi)
-            fc, gc = _neg_loglik(cand, X, y, w)
-            better_f = fc < f - 1e-12
-            flat_f = fc <= f + 1e-9
-            if better_f or (flat_f and _projected_grad_norm(gc, cand, bounds) < pg):
-                theta, f, g = cand, fc, gc
-                accepted = True
+        step[free] = -vec @ ((vec.T @ g[free]) / lam)
+        for _ in range(30):
+            cand = np.clip(theta + step, lo, hi)
+            fc, gc, Hc = (-v for v in _loglik_derivatives(cand, s))
+            if fc < f or (
+                fc <= f + 1e-12 * (1.0 + abs(f))
+                and _projected_grad_norm(gc, cand, lo, hi) < pg
+            ):
                 break
-            scale *= 0.5
-        if not accepted:
+            step *= 0.5
+        else:
             break
+        theta, f, g, H = cand, fc, gc, Hc
     return theta, f, g
 
 
@@ -333,11 +340,13 @@ def fit_zigp(
 ) -> RegressionCoefficients:
     """Weighted maximum-likelihood fit of one ZIGP regression.
 
-    Multi-start L-BFGS-B with analytic gradients followed by a Newton
-    polish; deterministic given ``seed``.  Raises
-    :class:`InsufficientDataError` below max(10, 2*(p+2)) observations
-    and :class:`FitError` (carrying the best point found) when the best
-    start, polished once more, is still not a stationary point.
+    Damped projected Newton with the analytic Hessian from a weighted
+    least-squares warm start; only when that ends short of a stationary
+    point is it rerun from four jittered copies of the start, drawn from
+    ``seed``, and the best of the five kept.  Deterministic given
+    ``seed``.  Raises :class:`InsufficientDataError` below
+    max(10, 2*(p+2)) observations and :class:`FitError` (carrying the
+    best point found) when that point is still not stationary.
     """
     X, y, w = design_matrix(observations)
     n, p = X.shape
@@ -348,48 +357,33 @@ def fit_zigp(
         )
 
     # scale-invariant optimization; the argmax is unchanged
-    w_mean = float(w.mean())
-    w_opt = w / w_mean
+    w_opt = w / w.mean()
 
     Xz, center, scale, constant = _standardize(X)
     keep = np.flatnonzero(~constant)
     Xf = Xz[:, keep]
     pf = len(keep)
-    bounds = [(-_ALPHA_BOUND, _ALPHA_BOUND)] * pf + [_BETA_BOUNDS, _GAMMA_BOUNDS]
+    lo = np.array([-_ALPHA_BOUND] * pf + [_BETA_BOUNDS[0], _GAMMA_BOUNDS[0]])
+    hi = np.array([_ALPHA_BOUND] * pf + [_BETA_BOUNDS[1], _GAMMA_BOUNDS[1]])
+    sample = _sample(Xf, y, w_opt)
 
     # warm start: weighted least squares of log(y + 0.5) through the log link
     sw = np.sqrt(w_opt)
     alpha0, *_ = np.linalg.lstsq(Xf * sw[:, None], np.log(y + 0.5) * sw, rcond=None)
     start0 = np.concatenate([alpha0, [math.log(0.25), -2.94]])
 
-    rng = np.random.default_rng(seed)
-    starts = [start0]
-    for _ in range(4):
-        jitter = np.concatenate(
-            [rng.normal(0.0, 0.3, size=pf), [rng.normal(0.0, 0.5), rng.normal(0.0, 1.0)]]
-        )
-        starts.append(start0 + jitter)
-
-    best_theta, best_f, best_g = None, np.inf, None
-    for x0 in starts:
-        res = optimize.minimize(
-            _neg_loglik,
-            x0,
-            args=(Xf, y, w_opt),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10},
-        )
-        theta, f, g = _newton_polish(res.x, Xf, y, w_opt, bounds)
-        if f < best_f:
-            best_theta, best_f, best_g = theta, f, g
-
-    gnorm = _projected_grad_norm(best_g, best_theta, bounds)
-    if gnorm > 1e-6:
-        # the best start stalled short of stationarity; polish it further
-        best_theta, best_f, best_g = _newton_polish(best_theta, Xf, y, w_opt, bounds)
-        gnorm = _projected_grad_norm(best_g, best_theta, bounds)
+    best_theta, best_f, best_g = _newton(start0, sample, lo, hi)
+    gnorm = _projected_grad_norm(best_g, best_theta, lo, hi)
+    if gnorm > _STATIONARY_GTOL:
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            jitter = np.concatenate(
+                [rng.normal(0.0, 0.3, size=pf), [rng.normal(0.0, 0.5), rng.normal(0.0, 1.0)]]
+            )
+            theta, f, g = _newton(start0 + jitter, sample, lo, hi)
+            if f < best_f:
+                best_theta, best_f, best_g = theta, f, g
+        gnorm = _projected_grad_norm(best_g, best_theta, lo, hi)
     alpha_z = np.zeros(p)
     alpha_z[keep] = best_theta[:pf]
     coeffs = RegressionCoefficients(
@@ -397,7 +391,7 @@ def fit_zigp(
         beta=float(best_theta[pf]),
         gamma_log=float(best_theta[pf + 1]),
     )
-    if not np.isfinite(best_f) or gnorm > 1e-6:
+    if not np.isfinite(best_f) or gnorm > _STATIONARY_GTOL:
         raise FitError(
             f"fit did not reach a stationary point (projected |grad| = {gnorm:.2e})",
             best=coeffs,
@@ -433,7 +427,7 @@ def chi_square_gof(
         means = np.maximum(means, _GOF_MEAN_FLOOR)
     stat = float(np.sum((y - means) ** 2 / means))
     df = max(len(y) - len(coefficients.alpha), 1)
-    p_value = float(chi2.sf(stat, df))
+    p_value = float(chdtrc(df, stat))
     return FitDiagnostics(statistic=stat, df=df, p_value=p_value, n_obs=len(y))
 
 

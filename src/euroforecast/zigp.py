@@ -20,6 +20,7 @@ gracefully to 0 instead of overflowing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,9 +46,9 @@ class ZigpParams:
     omega: float
 
     def __post_init__(self):
-        if not (self.mu > 0 and np.isfinite(self.mu)):
+        if not (self.mu > 0 and math.isfinite(self.mu)):
             raise ParameterError(f"mu must be positive and finite, got {self.mu}")
-        if not (self.phi >= 1 and np.isfinite(self.phi)):
+        if not (self.phi >= 1 and math.isfinite(self.phi)):
             raise ParameterError(f"phi must be >= 1 and finite, got {self.phi}")
         if not (0 <= self.omega < 1):
             raise ParameterError(f"omega must lie in [0, 1), got {self.omega}")
@@ -155,12 +156,10 @@ def sample(params: ZigpParams, rng: np.random.Generator, size: int | None = None
     Deterministic given the generator state.
     """
     _, cum = _truncated_table(params.mu, params.phi, params.omega, HARD_CAP)
-    u = rng.random(size)
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, len(cum) - 1)
+    idx = cum.searchsorted(rng.random(size), side="right")
     if size is None:
-        return int(idx)
-    return idx.astype(np.int64)
+        return min(int(idx), len(cum) - 1)
+    return np.minimum(idx, len(cum) - 1).astype(np.int64)
 
 
 # Columns of the block sampler's table: counts 0..BLOCK_TABLE_WIDTH-1.

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import euroforecast
 from euroforecast import data_io
 from euroforecast.cli import CONFIG_DIR_ENV, EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, main
 
@@ -51,6 +56,21 @@ def fitted_model_file(tmp_path_factory, demo_history):
 
 
 class TestParser:
+    def test_import_skips_heavy_scipy_modules(self):
+        # scipy.stats and scipy.optimize would add about a second to every command
+        src = str(Path(euroforecast.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        code = (
+            "import sys, euroforecast.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
+
     def test_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -280,6 +300,21 @@ class TestForecast:
         assert code == EXIT_CONFIG
         assert "GER" in capsys.readouterr().err
 
+    def test_absurd_elo_is_config_error(self, tmp_path, fitted_model_file, capsys):
+        code = main(
+            [
+                "forecast",
+                "--model", str(fitted_model_file),
+                "--team-a", "FRA",
+                "--team-b", "BEL",
+                "--elo-a", "1e6",
+                "--elo-b", "1900",
+                "--out", str(tmp_path / "grid.csv"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "overflows" in capsys.readouterr().err
+
     def test_needs_some_elo_source(self, tmp_path, fitted_model_file, capsys):
         code = main(
             [
@@ -367,6 +402,24 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
+    def test_absurd_rating_is_config_error(self, tmp_path, euro2020_model_file, data_dir, capsys):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(
+            (data_dir / "euro2020_ratings.csv").read_text().replace("BEL,2100,", "BEL,1000000,")
+        )
+        code = main(
+            [
+                "simulate",
+                "--model", str(euro2020_model_file),
+                "--fixtures", str(data_dir / "euro2020_fixtures.csv"),
+                "--allocation", str(data_dir / "euro2020_allocation.csv"),
+                "--ratings", str(ratings),
+                "--n-runs", "10",
+                "--out-dir", str(tmp_path / "sim"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_worker_count_below_one_is_config_error(

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from euroforecast.data_io import MatchRecord
 from euroforecast.errors import DataError, FitError, InsufficientDataError
+from euroforecast import regression
 from euroforecast.regression import (
     DesignMatrixWarning,
     FitConfig,
@@ -180,6 +181,78 @@ AUT_DEFENSE_2016 = [
 ]
 
 
+# Goals conceded by CZE in the same kind of history (seed 1), and the
+# defense regression's seed.  Near beta = -30 the likelihood is flat in
+# beta only because phi - 1 = e^beta vanishes; a fit parked there has a
+# negative log-likelihood (normalised weights) of 90.9182, while the
+# interior maximum has phi > 1.
+CZE_DEFENSE_SEED = 3895736788
+CZE_DEFENSE_2016 = [
+    (2, 1733.0, -1.0, 0.5739857231276825),
+    (0, 1645.4829595540366, 1.0, 0.5790950805153332),
+    (0, 1712.0045829409999, 1.0, 0.584249919056718),
+    (2, 1782.2860895227677, -1.0, 0.5894506436041868),
+    (0, 1820.1898677059964, 0.0, 1.4867441565347481),
+    (2, 1589.8147206393821, -1.0, 1.4999784704447607),
+    (2, 1781.3669208877463, 0.0, 0.605332236056505),
+    (2, 1638.8103186400226, 0.0, 0.6107206257109118),
+    (2, 1925.0637248690416, -1.0, 0.6161569803361864),
+    (1, 1784.4642740677987, -1.0, 0.6216417268944783),
+    (1, 1688.45807002733, -1.0, 2.508701184594233),
+    (2, 1914.9824502096942, 1.0, 2.5310324907825987),
+    (2, 1851.7657085788312, -1.0, 2.5535625800062416),
+    (0, 1569.8845401757771, -1.0, 2.5762932217404804),
+    (1, 1858.334986813612, 0.0, 2.59922620121169),
+    (0, 1645.4416838766497, 1.0, 0.6555908298843772),
+    (2, 1858.9267864930318, -1.0, 0.6614265984670754),
+    (1, 1933.2113767959322, 1.0, 1.6682857859561675),
+    (2, 1875.2350926332062, 0.0, 1.6831361001046463),
+    (0, 1671.2534696370055, 1.0, 1.6981186049318238),
+    (1, 1803.963215068651, 0.0, 1.7132344771384318),
+    (2, 2073.7516528810156, 0.0, 1.7284849038996524),
+    (1, 1671.9871163655225, 0.0, 1.7438710829583568),
+    (3, 1827.1985194206286, -1.0, 0.7037576890876689),
+    (2, 1849.9331690185415, 0.0, 0.7100222169373559),
+    (3, 1855.2236883811206, -1.0, 0.7163425087378856),
+    (1, 1773.5068603286811, 0.0, 0.722719060874347),
+    (0, 1638.3721522945584, 1.0, 0.7291523741504211),
+    (0, 1705.5179032258936, 0.0, 0.7356429538277135),
+    (1, 1919.4527167479523, -1.0, 0.7421913096654364),
+    (2, 1790.7057086916357, 1.0, 1.8719948899011123),
+    (1, 1849.7869086671249, -1.0, 1.8886585289690705),
+    (4, 1862.1927350532037, -1.0, 0.7621882000406616),
+    (0, 1684.9548700637008, 1.0, 0.7689728494731208),
+    (0, 1797.9003919571358, -1.0, 0.7758178927399624),
+    (1, 1740.920143934971, 1.0, 0.7827238674393727),
+    (0, 1704.2355810989488, 1.0, 0.7896913159549908),
+    (3, 1892.6292234752855, 1.0, 0.7967207854985053),
+    (5, 1894.7208077735208, -1.0, 0.8038128281526328),
+    (0, 1826.3224326176007, 1.0, 0.8109680009144759),
+    (1, 1631.6782811863854, 0.0, 0.8181868657392705),
+    (2, 1832.4573141566013, 0.0, 0.8254699895845196),
+    (0, 1839.7267301945951, -1.0, 0.8328179444545214),
+    (0, 1578.61832014659, -1.0, 2.1005782686132357),
+    (2, 1782.8510450012986, 0.0, 2.1192766519747503),
+    (3, 1866.088273422042, 0.0, 2.1381414797604306),
+    (1, 1698.051652580716, 1.0, 2.157174233582125),
+    (4, 1778.0230516714191, -1.0, 2.1763764082403103),
+    (0, 1793.673652163346, 1.0, 2.195749511841491),
+    (1, 1688.8425668371717, -1.0, 0.8861180263666576),
+    (0, 1835.1316051967124, 0.0, 0.894005842216286),
+    (2, 1911.452705752576, -1.0, 0.9019638717812732),
+    (0, 1746.1224978085133, -1.0, 0.909992740071878),
+    (1, 1961.1233740643504, 0.0, 0.9180930776619133),
+    (1, 1738.4632739629217, -1.0, 0.9262655207382708),
+    (1, 1784.127918821034, 0.0, 0.9345107111508857),
+    (7, 1910.6485243917784, -1.0, 2.357073241157867),
+    (1, 1874.6349627152583, 0.0, 2.378054825006887),
+    (0, 1792.7280981313622, 0.0, 0.9596892709130335),
+    (4, 1838.626861012523, 1.0, 0.9682319842046982),
+    (1, 1628.8823882434963, 0.0, 0.9768507408080842),
+    (1, 1837.827693008905, 1.0, 0.9855462176258405),
+    (0, 1782.2823314434688, -1.0, 2.9829572927582784),
+]
+
 class TestLikelihood:
     def test_gradient_matches_finite_differences(self):
         obs = synth_observations(0, n=300)
@@ -197,6 +270,37 @@ class TestLikelihood:
                 tm[j] -= h
                 num = (loglik_and_grad(tp, X, y, w)[0] - loglik_and_grad(tm, X, y, w)[0]) / (2 * h)
                 assert grad[j] == pytest.approx(num, rel=1e-4, abs=1e-6)
+
+    @pytest.mark.parametrize("omega_tail", [False, True])
+    def test_hessian_matches_finite_differences(self, omega_tail):
+        # many zeros, a count covariate like the nested model's, and
+        # (omega_tail) omega near 0, where the curvature is tiny
+        rng = np.random.default_rng(17)
+        n = 200
+        X = np.column_stack(
+            [np.ones(n), rng.normal(size=n), rng.choice([-1.0, 0.0, 1.0], n), rng.poisson(1.0, n)]
+        )
+        y = np.where(rng.random(n) < 0.5, 0, rng.poisson(1.5, n))
+        w = rng.uniform(0.5, 3.0, n)
+        sample = regression._sample(X, y, w)
+        for _ in range(8):
+            theta = np.concatenate(
+                [rng.normal(0.0, 0.4, 4), [rng.normal(-1.0, 2.0), rng.normal(-1.0, 2.0)]]
+            )
+            if omega_tail:
+                theta[5] = rng.uniform(-25.0, -15.0)
+            _, _, hess = regression._loglik_derivatives(theta, sample)
+            numeric = np.empty_like(hess)
+            for j in range(len(theta)):
+                h = 1e-5 * (1.0 + abs(theta[j]))
+                tp, tm = theta.copy(), theta.copy()
+                tp[j] += h
+                tm[j] -= h
+                numeric[:, j] = (
+                    loglik_and_grad(tp, X, y, w)[1] - loglik_and_grad(tm, X, y, w)[1]
+                ) / (2 * h)
+            assert_allclose(hess, hess.T, rtol=1e-12)
+            assert_allclose(hess, numeric, rtol=1e-5, atol=1e-8 * np.abs(numeric).max())
 
     def test_loglik_is_weighted_sum_of_log_pmf(self):
         obs = synth_observations(1, n=50)
@@ -253,6 +357,40 @@ class TestFitter:
         theta = np.concatenate([c.alpha, [c.beta, c.gamma_log]])
         _, grad = loglik_and_grad(theta, X, y, w / np.mean(w))
         assert np.max(np.abs(grad)) < 1e-5
+
+    def test_interior_optimum_beats_flat_beta_boundary(self):
+        obs = [FitObservation(k, (1.0, elo, loc), w) for k, elo, loc, w in CZE_DEFENSE_2016]
+        c = fit_zigp(obs, seed=CZE_DEFENSE_SEED)
+        X, y, w = design_matrix(obs)
+        theta = np.concatenate([c.alpha, [c.beta, c.gamma_log]])
+        value, _ = loglik_and_grad(theta, X, y, w / np.mean(w))
+        assert -value < 90.9182 - 1e-3
+        assert c.phi > 1.005
+
+    def test_fallback_keeps_best_start(self, monkeypatch):
+        # one Newton step leaves every start short of stationarity
+        monkeypatch.setattr(regression, "_NEWTON_MAX_ITER", 1)
+        runs = []
+        newton = regression._newton
+
+        def recording(*args):
+            runs.append(newton(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(regression, "_newton", recording)
+        obs = synth_observations(3, n=400)
+        with pytest.raises(FitError) as info:
+            fit_zigp(obs, seed=5)
+        assert len(runs) == 5  # the warm start and four jittered copies
+        best = min(runs, key=lambda run: run[1])
+        assert info.value.diagnostics["neg_loglik"] == best[1]
+        coeffs = info.value.best
+        assert isinstance(coeffs, RegressionCoefficients)
+        assert (coeffs.beta, coeffs.gamma_log) == (best[0][-2], best[0][-1])
+        X, y, w = design_matrix(obs)
+        theta = np.concatenate([coeffs.alpha, [coeffs.beta, coeffs.gamma_log]])
+        value, _ = loglik_and_grad(theta, X, y, w / np.mean(w))
+        assert -value == pytest.approx(best[1], rel=1e-9)
 
     def test_pure_poisson_data_pushes_to_boundary(self):
         rng = np.random.default_rng(8)
