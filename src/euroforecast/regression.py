@@ -17,8 +17,14 @@ L(theta) = sum_i w_i * log pmf(mu_i, phi, omega; x_i) by a damped
 projected Newton method with the closed-form gradient and Hessian,
 started from a log-link least-squares fit; four jittered copies of
 that start are tried only when it does not reach a stationary point.
-Covariates are standardized internally for conditioning; returned
-coefficients are on the raw covariate scale.
+All regressions of a call run as one lockstep batch: each round
+evaluates every unfinished regression's candidate point in one pass
+over their concatenated rows, with per-regression segment sums, and
+takes every step from one stacked eigendecomposition, while each
+regression keeps its own step length and stopping rule.  A regression
+fitted alone (``fit_zigp``) gets bit for bit the result it gets inside
+a batch (``fit_team_models``).  Covariates are standardized internally
+for conditioning; returned coefficients are on the raw covariate scale.
 """
 
 from __future__ import annotations
@@ -176,69 +182,127 @@ def design_matrix(observations: Sequence[FitObservation]):
 
 
 class _Sample(NamedTuple):
-    """One regression's rows with the constants of its fit."""
+    """The rows of one or more regressions with the constants of their fits.
 
-    X: np.ndarray
+    Each regression's rows are contiguous: ``starts`` holds its first row
+    and ``fit`` the regression of every row.  Covariates are stored by
+    column, next to the products of every pair of columns.
+    """
+
+    Xt: np.ndarray  # (p, n) covariates
+    XX: np.ndarray  # Xt[i] * Xt[j] for i <= j, in np.triu_indices(p) order
     w: np.ndarray
     zero: np.ndarray  # response == 0
     k: np.ndarray  # the responses, as floats
     log_k_factorial: np.ndarray
+    fit: np.ndarray
+    starts: np.ndarray
+    w_sum: np.ndarray  # each regression's total weight
 
 
 def _sample(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> _Sample:
+    """One regression's rows (``X`` is observations by columns)."""
+    Xt = np.ascontiguousarray(X.T, dtype=float)
+    i, j = np.triu_indices(len(Xt))
     k = y.astype(float)
-    return _Sample(X, w, y == 0, k, gammaln(k + 1.0))
+    starts = np.zeros(1, dtype=np.intp)
+    return _Sample(
+        Xt, Xt[i] * Xt[j], w, y == 0, k, gammaln(k + 1.0),
+        np.zeros(len(w), dtype=np.intp), starts, np.add.reduceat(w, starts),
+    )
+
+
+def _stack(samples: Sequence[_Sample]) -> _Sample:
+    """One sample holding the one-regression ``samples``, in order."""
+    sizes = [len(s.w) for s in samples]
+    cat = lambda name, axis=0: np.concatenate(  # noqa: E731
+        [getattr(s, name) for s in samples], axis=axis
+    )
+    return _Sample(
+        cat("Xt", 1), cat("XX", 1), cat("w"), cat("zero"), cat("k"), cat("log_k_factorial"),
+        np.repeat(np.arange(len(samples)), sizes),
+        np.cumsum([0] + sizes[:-1]),
+        cat("w_sum"),
+    )
 
 
 def _loglik_derivatives(theta: np.ndarray, s: _Sample):
-    """Weighted ZIGP log-likelihood with its gradient and Hessian.
+    """Each regression's weighted ZIGP log-likelihood, gradient and Hessian.
 
+    Row i of ``theta`` holds the parameters of regression i of ``s``.
     Each observation's log-pmf is differentiated in its linear predictor
     eta = x.alpha and in phi, then chained to beta; with t = mu/phi and
     r = expit(gamma + t), the posterior probability that a zero is a
     structural one, a zero's log-pmf is log(e^gamma + e^-t) - log(1 + e^gamma).
-    Returns (L, dL/dtheta, d2L/dtheta2).
+    The per-row terms of all regressions are summed segment by segment
+    (``np.add.reduceat``), so a regression's values do not depend on the
+    other regressions of ``s``.  Returns (L, dL/dtheta, d2L/dtheta2),
+    shaped (m,), (m, p+2) and (m, p+2, p+2).
     """
-    X, w, zero, k = s.X, s.w, s.zero, s.k
-    p = X.shape[1]
-    beta, gamma = theta[p], theta[p + 1]
-    eta = np.clip(X @ theta[:p], -_ETA_CLIP, _ETA_CLIP)
-    mu = np.exp(eta)
-    b = math.exp(beta)  # phi - 1 = dphi/dbeta
+    Xt, w, zero, k = s.Xt, s.w, s.zero, s.k
+    p = len(Xt)
+    beta, gamma = theta[:, p], theta[:, p + 1]
+    alpha = theta[:, :p].T[:, s.fit]  # each row's coefficients, by column
+    eta = Xt[0] * alpha[0]
+    for j in range(1, p):
+        eta += Xt[j] * alpha[j]
+    mu = np.exp(np.clip(eta, -_ETA_CLIP, _ETA_CLIP, out=eta))
+    b = np.exp(beta)  # phi - 1 = dphi/dbeta
     phi = 1.0 + b
-    omega = float(expit(gamma))
-    log1m_omega = -np.logaddexp(0.0, gamma)
+    omega = expit(gamma)
 
-    t = mu / phi
-    r, q = expit(gamma + t), expit(-gamma - t)
-    m = mu + b * k
+    # each row's regression-level values
+    b_i, phi_i, gamma_i = b[s.fit], phi[s.fit], gamma[s.fit]
+    log1m_omega = -np.logaddexp(0.0, gamma)[s.fit]
+    t = mu / phi_i
+    r, q = expit(gamma_i + t), expit(-gamma_i - t)
+    m = mu + b_i * k
     c = k * (k - 1.0) / m**2
-    positive = (k - 1.0) * np.log(m) - s.log_k_factorial - k * math.log1p(b) - m / phi
-    ll = np.where(zero, np.logaddexp(gamma, -t) + log1m_omega, log1m_omega + eta + positive)
+    positive = (
+        (k - 1.0) * np.log(m) - s.log_k_factorial - k * np.log1p(b)[s.fit] - m / phi_i
+    )
+    ll = np.where(zero, np.logaddexp(gamma_i, -t) + log1m_omega, log1m_omega + eta + positive)
     l_eta = np.where(zero, -q * t, 1.0 + mu * (k - 1.0) / m - t)
-    l_phi = np.where(zero, q * t / phi, k * (k - 1.0) / m - k / phi + (mu - k) / phi**2)
-    l_eta_eta = np.where(zero, t * (r * q * t - q), mu * b * c - t)
-    l_eta_phi = np.where(zero, q * t * (1.0 - r * t) / phi, mu * (1.0 / phi**2 - c))
+    l_phi = np.where(zero, q * t / phi_i, k * (k - 1.0) / m - k / phi_i + (mu - k) / phi_i**2)
+    l_eta_eta = np.where(zero, t * (r * q * t - q), mu * b_i * c - t)
+    l_eta_phi = np.where(zero, q * t * (1.0 - r * t) / phi_i, mu * (1.0 / phi_i**2 - c))
     l_phi_phi = np.where(
-        zero, t * (r * q * t - 2.0 * q) / phi**2, k / phi**2 - k * c - 2.0 * (mu - k) / phi**3
+        zero,
+        t * (r * q * t - 2.0 * q) / phi_i**2,
+        k / phi_i**2 - k * c - 2.0 * (mu - k) / phi_i**3,
     )
     wz = np.where(zero, w, 0.0)
-    rqt = r * q * t
 
-    grad = np.empty(p + 2)
-    grad[:p] = X.T @ (w * l_eta)
-    grad[p] = b * float(w @ l_phi)
-    grad[p + 1] = float(wz @ r) - omega * w.sum()
-    hess = np.empty((p + 2, p + 2))
-    hess[:p, :p] = (X * (w * l_eta_eta)[:, None]).T @ X
-    hess[:p, p] = b * (X.T @ (w * l_eta_phi))
-    hess[:p, p + 1] = X.T @ (wz * rqt)
-    hess[p, p] = float(w @ (b * b * l_phi_phi + b * l_phi))
-    hess[p, p + 1] = -b / phi * float(wz @ rqt)
-    hess[p + 1, p + 1] = float(wz @ (r * q)) - omega * (1.0 - omega) * w.sum()
-    hess[p, :p] = hess[:p, p]
-    hess[p + 1, : p + 1] = hess[: p + 1, p + 1]
-    return float(w @ ll), grad, hess
+    # one row per summed term: six scalars, three covariate-weighted
+    # vectors and the upper triangle of the alpha block
+    terms = np.empty((6 + 3 * p + len(s.XX), len(w)))
+    terms[0] = w * ll
+    terms[1] = w * l_phi
+    terms[2] = wz * r
+    terms[3] = w * (b_i * b_i * l_phi_phi + b_i * l_phi)
+    terms[4] = wz * (r * q * t)
+    terms[5] = wz * (r * q)
+    np.multiply(Xt, w * l_eta, out=terms[6 : 6 + p])
+    np.multiply(Xt, w * l_eta_phi, out=terms[6 + p : 6 + 2 * p])
+    np.multiply(Xt, terms[4], out=terms[6 + 2 * p : 6 + 3 * p])
+    np.multiply(s.XX, w * l_eta_eta, out=terms[6 + 3 * p :])
+    sums = np.add.reduceat(terms, s.starts, axis=1)
+
+    grad = np.empty((len(theta), p + 2))
+    grad[:, :p] = sums[6 : 6 + p].T
+    grad[:, p] = b * sums[1]
+    grad[:, p + 1] = sums[2] - omega * s.w_sum
+    hess = np.empty((len(theta), p + 2, p + 2))
+    i, j = np.triu_indices(p)
+    hess[:, i, j] = hess[:, j, i] = sums[6 + 3 * p :].T
+    hess[:, :p, p] = (b * sums[6 + p : 6 + 2 * p]).T
+    hess[:, :p, p + 1] = sums[6 + 2 * p : 6 + 3 * p].T
+    hess[:, p, p] = sums[3]
+    hess[:, p, p + 1] = -b / phi * sums[4]
+    hess[:, p + 1, p + 1] = sums[5] - omega * (1.0 - omega) * s.w_sum
+    hess[:, p, :p] = hess[:, :p, p]
+    hess[:, p + 1, : p + 1] = hess[:, : p + 1, p + 1]
+    return sums[0], grad, hess
 
 
 def loglik_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -247,8 +311,9 @@ def loglik_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarr
     ``theta`` is [alpha_0..alpha_{p-1}, beta, gamma] matching the
     columns of ``X``.  Returns (L, dL/dtheta).
     """
+    theta = np.asarray(theta, dtype=float)[None]
     total, grad, _ = _loglik_derivatives(theta, _sample(X, y, w))
-    return total, grad
+    return float(total[0]), grad[0]
 
 
 def _pinned(grad, theta, lo, hi):
@@ -257,45 +322,86 @@ def _pinned(grad, theta, lo, hi):
 
 
 def _projected_grad_norm(grad, theta, lo, hi):
-    """Inf-norm of the gradient with outward components at active bounds zeroed."""
-    return float(np.max(np.abs(grad[~_pinned(grad, theta, lo, hi)]), initial=0.0))
+    """Each row's inf-norm of the gradient with outward components at active bounds zeroed."""
+    return np.abs(np.where(_pinned(grad, theta, lo, hi), 0.0, grad)).max(axis=-1)
 
 
-def _newton(theta, s: _Sample, lo, hi):
-    """Minimize the negated log-likelihood by damped projected Newton steps.
+def _newton_steps(g, H, pinned):
+    """Each row's Newton step on its free coordinates (0 on pinned ones).
 
-    Coordinates held at a bound are fixed (Bertsekas 1982).  On the
-    others the Hessian's eigenvalues enter by absolute value, floored
-    far below the largest: negative curvature still gives a descent
-    step, and towards the pure-Poisson corner, where the curvature in
-    beta and gamma is as small as the gradient, steps stay near one
-    unit.  A step is projected onto the box and halved until it lowers
+    Pinned coordinates get identity rows and columns in ``H`` and a zero
+    gradient, so one stacked eigendecomposition serves every row.  The
+    eigenvalues enter by absolute value, floored at 1e-12 of the largest
+    magnitude (and of 1, which covers the identity rows): negative
+    curvature still gives a descent step, and towards the pure-Poisson
+    corner, where the curvature in beta and gamma is as small as the
+    gradient, steps stay near one unit.
+    """
+    held = pinned[:, :, None] | pinned[:, None, :]
+    H = np.where(held, np.eye(g.shape[1]), H)
+    g = np.where(pinned, 0.0, g)
+    lam, vec = np.linalg.eigh(H)
+    floor = 1e-12 * np.maximum(np.maximum(-lam[:, 0], lam[:, -1]), 1.0)
+    lam = np.maximum(np.abs(lam), floor[:, None])
+    coef = (vec.mT @ g[:, :, None])[:, :, 0] / lam
+    return np.where(pinned, 0.0, -(vec @ coef[:, :, None])[:, :, 0])
+
+
+def _newton_batch(theta, samples: Sequence[_Sample], lo, hi):
+    """Minimize each regression's negated log-likelihood by damped projected Newton.
+
+    Row i of ``theta`` starts the regression of ``samples[i]``; all have
+    the same columns and bounds.  The regressions run in lockstep: each
+    round evaluates every unfinished regression's candidate point in one
+    call on their stacked rows, while each keeps its own step, halving
+    count and stopping rule, so each takes the path it would take alone.
+
+    Coordinates held at a bound are fixed (Bertsekas 1982).  A step is
+    projected onto the box and halved, up to 30 times, until it lowers
     the objective or, at negligible objective cost, the projected
-    gradient, which near the optimum still carries signal.
+    gradient, which near the optimum still carries signal.  A regression
+    stops at projected gradient ``_NEWTON_GTOL``, after
+    ``_NEWTON_MAX_ITER`` steps, or when no halving is accepted.  Returns
+    the final points, objectives and gradients, one row each.
     """
     theta = np.clip(theta, lo, hi)
-    f, g, H = (-v for v in _loglik_derivatives(theta, s))
-    for _ in range(_NEWTON_MAX_ITER):
-        pg = _projected_grad_norm(g, theta, lo, hi)
-        if pg < _NEWTON_GTOL:
+    batch = _stack(samples)
+    f, g, H = (-v for v in _loglik_derivatives(theta, batch))
+    step = np.zeros_like(theta)
+    pg = np.zeros(len(theta))
+    steps_taken = np.zeros(len(theta), dtype=int)
+    halvings = np.zeros(len(theta), dtype=int)
+    live = np.ones(len(theta), dtype=bool)
+    running = moved = np.arange(len(theta))  # moved: at a new point, needing a step
+    while True:
+        pinned = _pinned(g[moved], theta[moved], lo, hi)
+        pg[moved] = np.abs(np.where(pinned, 0.0, g[moved])).max(axis=1)
+        done = (steps_taken[moved] >= _NEWTON_MAX_ITER) | (pg[moved] < _NEWTON_GTOL)
+        live[moved[done]] = False
+        moved, pinned = moved[~done], pinned[~done]
+        step[moved] = _newton_steps(g[moved], H[moved], pinned)
+        halvings[moved] = 0
+        unfinished = np.flatnonzero(live)
+        if not unfinished.size:
             break
-        free = ~_pinned(g, theta, lo, hi)
-        lam, vec = np.linalg.eigh(H[np.ix_(free, free)])
-        lam = np.maximum(np.abs(lam), 1e-12 * max(-lam[0], lam[-1], 1.0))
-        step = np.zeros_like(theta)
-        step[free] = -vec @ ((vec.T @ g[free]) / lam)
-        for _ in range(30):
-            cand = np.clip(theta + step, lo, hi)
-            fc, gc, Hc = (-v for v in _loglik_derivatives(cand, s))
-            if fc < f or (
-                fc <= f + 1e-12 * (1.0 + abs(f))
-                and _projected_grad_norm(gc, cand, lo, hi) < pg
-            ):
-                break
-            step *= 0.5
-        else:
-            break
-        theta, f, g, H = cand, fc, gc, Hc
+        if not np.array_equal(unfinished, running):
+            running, batch = unfinished, _stack([samples[i] for i in unfinished])
+        cand = np.clip(theta[running] + step[running], lo, hi)
+        fc, gc, Hc = (-v for v in _loglik_derivatives(cand, batch))
+        f0 = f[running]
+        accept = (fc < f0) | (
+            (fc <= f0 + 1e-12 * (1.0 + np.abs(f0)))
+            & (_projected_grad_norm(gc, cand, lo, hi) < pg[running])
+        )
+        moved = running[accept]
+        theta[moved], f[moved], g[moved], H[moved] = (
+            cand[accept], fc[accept], gc[accept], Hc[accept]
+        )
+        steps_taken[moved] += 1
+        rejected = running[~accept]
+        step[rejected] *= 0.5
+        halvings[rejected] += 1
+        live[rejected[halvings[rejected] == 30]] = False
     return theta, f, g
 
 
@@ -319,7 +425,7 @@ def _standardize(X):
             warnings.warn(
                 f"covariate column {j} is constant; its coefficient is fixed at zero",
                 DesignMatrixWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
             constant[j] = True
             continue
@@ -335,19 +441,19 @@ def _alpha_to_raw(alpha_z, center, scale):
     return alpha
 
 
-def fit_zigp(
-    observations: Sequence[FitObservation], seed: int = 0
-) -> RegressionCoefficients:
-    """Weighted maximum-likelihood fit of one ZIGP regression.
+class _Problem(NamedTuple):
+    """One regression ready to fit: its rows, start point and covariate scaling."""
 
-    Damped projected Newton with the analytic Hessian from a weighted
-    least-squares warm start; only when that ends short of a stationary
-    point is it rerun from four jittered copies of the start, drawn from
-    ``seed``, and the best of the five kept.  Deterministic given
-    ``seed``.  Raises :class:`InsufficientDataError` below
-    max(10, 2*(p+2)) observations and :class:`FitError` (carrying the
-    best point found) when that point is still not stationary.
-    """
+    sample: _Sample
+    start: np.ndarray
+    keep: np.ndarray  # the fitted (non-constant) columns
+    center: np.ndarray
+    scale: np.ndarray
+    seed: int  # of the jittered starts
+
+
+def _prepare(observations: Sequence[FitObservation], seed: int) -> _Problem:
+    """Check the sample size, standardize and compute the least-squares start."""
     X, y, w = design_matrix(observations)
     n, p = X.shape
     dim = p + 2
@@ -362,42 +468,92 @@ def fit_zigp(
     Xz, center, scale, constant = _standardize(X)
     keep = np.flatnonzero(~constant)
     Xf = Xz[:, keep]
-    pf = len(keep)
-    lo = np.array([-_ALPHA_BOUND] * pf + [_BETA_BOUNDS[0], _GAMMA_BOUNDS[0]])
-    hi = np.array([_ALPHA_BOUND] * pf + [_BETA_BOUNDS[1], _GAMMA_BOUNDS[1]])
-    sample = _sample(Xf, y, w_opt)
 
     # warm start: weighted least squares of log(y + 0.5) through the log link
     sw = np.sqrt(w_opt)
     alpha0, *_ = np.linalg.lstsq(Xf * sw[:, None], np.log(y + 0.5) * sw, rcond=None)
-    start0 = np.concatenate([alpha0, [math.log(0.25), -2.94]])
+    start = np.concatenate([alpha0, [math.log(0.25), -2.94]])
+    return _Problem(_sample(Xf, y, w_opt), start, keep, center, scale, seed)
 
-    best_theta, best_f, best_g = _newton(start0, sample, lo, hi)
-    gnorm = _projected_grad_norm(best_g, best_theta, lo, hi)
-    if gnorm > _STATIONARY_GTOL:
-        rng = np.random.default_rng(seed)
-        for _ in range(4):
-            jitter = np.concatenate(
-                [rng.normal(0.0, 0.3, size=pf), [rng.normal(0.0, 0.5), rng.normal(0.0, 1.0)]]
-            )
-            theta, f, g = _newton(start0 + jitter, sample, lo, hi)
-            if f < best_f:
-                best_theta, best_f, best_g = theta, f, g
-        gnorm = _projected_grad_norm(best_g, best_theta, lo, hi)
-    alpha_z = np.zeros(p)
-    alpha_z[keep] = best_theta[:pf]
+
+def _result(problem: _Problem, theta, f, gnorm) -> RegressionCoefficients | FitError:
+    """The raw-scale coefficients at ``theta``, or the FitError carrying them."""
+    pf = len(problem.keep)
+    alpha_z = np.zeros(len(problem.center))
+    alpha_z[problem.keep] = theta[:pf]
     coeffs = RegressionCoefficients(
-        alpha=tuple(_alpha_to_raw(alpha_z, center, scale)),
-        beta=float(best_theta[pf]),
-        gamma_log=float(best_theta[pf + 1]),
+        alpha=tuple(_alpha_to_raw(alpha_z, problem.center, problem.scale)),
+        beta=float(theta[pf]),
+        gamma_log=float(theta[pf + 1]),
     )
-    if not np.isfinite(best_f) or gnorm > _STATIONARY_GTOL:
-        raise FitError(
+    if not np.isfinite(f) or gnorm > _STATIONARY_GTOL:
+        return FitError(
             f"fit did not reach a stationary point (projected |grad| = {gnorm:.2e})",
             best=coeffs,
-            diagnostics={"neg_loglik": best_f, "grad_norm": gnorm},
+            diagnostics={"neg_loglik": float(f), "grad_norm": float(gnorm)},
         )
     return coeffs
+
+
+def _fit_batch(problems: Sequence[_Problem]) -> list[RegressionCoefficients | FitError]:
+    """Fit every regression; a failed fit's entry is its :class:`FitError`.
+
+    Regressions with the same number of fitted columns form one lockstep
+    Newton batch from their least-squares starts.  Those that end short
+    of a stationary point are rerun, as a second batch, from four
+    jittered copies of their start drawn from their seed, and the best of
+    the five is kept.  A regression's result is the same in any batch.
+    """
+    results: list = [None] * len(problems)
+    by_width: dict[int, list[int]] = {}
+    for i, problem in enumerate(problems):
+        by_width.setdefault(len(problem.keep), []).append(i)
+    for pf, members in by_width.items():
+        lo = np.array([-_ALPHA_BOUND] * pf + [_BETA_BOUNDS[0], _GAMMA_BOUNDS[0]])
+        hi = np.array([_ALPHA_BOUND] * pf + [_BETA_BOUNDS[1], _GAMMA_BOUNDS[1]])
+        samples = [problems[i].sample for i in members]
+        start = np.array([problems[i].start for i in members])
+        theta, f, g = _newton_batch(start, samples, lo, hi)
+        gnorm = _projected_grad_norm(g, theta, lo, hi)
+        retry = np.flatnonzero(gnorm > _STATIONARY_GTOL)
+        if retry.size:
+            jittered = []
+            for j in retry:
+                rng = np.random.default_rng(problems[members[j]].seed)
+                for _ in range(4):
+                    alpha = rng.normal(0.0, 0.3, size=pf)
+                    jitter = [*alpha, rng.normal(0.0, 0.5), rng.normal(0.0, 1.0)]
+                    jittered.append(start[j] + jitter)
+            tries = retry.repeat(4)
+            runs = _newton_batch(np.array(jittered), [samples[j] for j in tries], lo, hi)
+            for j, theta_j, f_j, g_j in zip(tries, *runs):
+                if f_j < f[j]:
+                    theta[j], f[j], g[j] = theta_j, f_j, g_j
+            gnorm = _projected_grad_norm(g, theta, lo, hi)
+        for j, i in enumerate(members):
+            results[i] = _result(problems[i], theta[j], f[j], gnorm[j])
+    return results
+
+
+def fit_zigp(
+    observations: Sequence[FitObservation], seed: int = 0
+) -> RegressionCoefficients:
+    """Weighted maximum-likelihood fit of one ZIGP regression.
+
+    A batch of one for the lockstep fitter that ``fit_team_models`` runs
+    on all regressions at once, with the same result: damped projected
+    Newton with the analytic Hessian from a weighted least-squares warm
+    start; only when that ends short of a stationary point is it rerun
+    from four jittered copies of the start, drawn from ``seed``, and the
+    best of the five kept.  Deterministic given ``seed``.  Raises
+    :class:`InsufficientDataError` below max(10, 2*(p+2)) observations
+    and :class:`FitError` (carrying the best point found) when that point
+    is still not stationary.
+    """
+    (result,) = _fit_batch([_prepare(observations, seed)])
+    if isinstance(result, FitError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -447,49 +603,60 @@ def fit_team_models(
 ) -> FitSummary:
     """Fit attack/defense/nested models for every team.
 
+    Every team's regressions are fitted together in one batch (see
+    ``fit_zigp``), with the same results as one ``fit_zigp`` call each.
     Per-team failures are collected, not raised, so one bad team cannot
-    abort the rest.  Nested fits fall back to the attack regression
+    abort the rest; a team's failure is its first in attack, defense,
+    nested order.  Nested fits fall back to the attack regression
     (opponent-goals coefficient 0) when the underdog sample is smaller
     than ``cfg.min_nested_obs`` or below the fitter's own minimum.
     """
-    models: dict[str, TeamModel] = {}
     failures: dict[str, str] = {}
+    jobs = []  # (team, observations, index of its first problem, problem count)
+    problems: list[_Problem] = []
     for idx, team in enumerate(sorted(teams)):
         base_seed = np.random.SeedSequence(
             entropy=cfg.seed, spawn_key=(idx,)
         ).generate_state(3)
         try:
-            attack_obs, defense_obs, nested_obs = build_observations(
-                team, matches, cfg.weights
-            )
-
-            attack = fit_zigp(attack_obs, seed=int(base_seed[0]))
-            defense = fit_zigp(defense_obs, seed=int(base_seed[1]))
-            if len(nested_obs) < cfg.min_nested_obs:
-                nested = _nested_fallback(attack)
-                fallback = True
-            else:
-                try:
-                    nested = fit_zigp(nested_obs, seed=int(base_seed[2]))
-                    fallback = False
-                except InsufficientDataError:
-                    nested = _nested_fallback(attack)
-                    fallback = True
-
-            diagnostics = {
-                "attack": chi_square_gof(attack, attack_obs),
-                "defense": chi_square_gof(defense, defense_obs),
-            }
-            if not fallback:
-                diagnostics["nested"] = chi_square_gof(nested, nested_obs)
-            models[team] = TeamModel(
-                team=team,
-                attack=attack,
-                defense=defense,
-                nested=nested,
-                diagnostics=diagnostics,
-                nested_fallback=fallback,
-            )
+            observations = build_observations(team, matches, cfg.weights)
+            # attack and defense share their rows, so both have enough or neither
+            fits = [_prepare(observations[0], int(base_seed[0])),
+                    _prepare(observations[1], int(base_seed[1]))]
         except (FitError, DataError) as exc:
             failures[team] = str(exc)
-    return FitSummary(models=models, failures=failures)
+            continue
+        if len(observations[2]) >= cfg.min_nested_obs:
+            try:
+                fits.append(_prepare(observations[2], int(base_seed[2])))
+            except InsufficientDataError:
+                pass
+        jobs.append((team, observations, len(problems), len(fits)))
+        problems += fits
+
+    results = _fit_batch(problems)
+    models: dict[str, TeamModel] = {}
+    for team, observations, first, count in jobs:
+        fitted = results[first : first + count]
+        error = next((r for r in fitted if isinstance(r, FitError)), None)
+        if error is not None:
+            failures[team] = str(error)
+            continue
+        attack, defense = fitted[:2]
+        fallback = count == 2
+        nested = _nested_fallback(attack) if fallback else fitted[2]
+        diagnostics = {
+            "attack": chi_square_gof(attack, observations[0]),
+            "defense": chi_square_gof(defense, observations[1]),
+        }
+        if not fallback:
+            diagnostics["nested"] = chi_square_gof(nested, observations[2])
+        models[team] = TeamModel(
+            team=team,
+            attack=attack,
+            defense=defense,
+            nested=nested,
+            diagnostics=diagnostics,
+            nested_fallback=fallback,
+        )
+    return FitSummary(models=models, failures=dict(sorted(failures.items())))

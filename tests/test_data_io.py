@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from euroforecast import data_io
 from euroforecast.data_io import (
@@ -399,6 +403,48 @@ class TestModelFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileAccessError):
             load_models(tmp_path / "absent.json")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_finite_models_round_trip_bit_exact(self, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        count = st.integers(min_value=0, max_value=2**53)
+
+        def coeffs(p):
+            return RegressionCoefficients(
+                alpha=tuple(data.draw(st.lists(finite, min_size=p, max_size=p))),
+                beta=data.draw(finite),
+                gamma_log=data.draw(finite),
+            )
+
+        teams = data.draw(st.sets(st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=3, max_size=3),
+                                  max_size=4))
+        models = {}
+        for team in sorted(teams):
+            kinds = data.draw(st.sets(st.sampled_from(["attack", "defense", "nested"])))
+            models[team] = TeamModel(
+                team=team,
+                attack=coeffs(3),
+                defense=coeffs(3),
+                nested=coeffs(4),
+                diagnostics={
+                    kind: FitDiagnostics(data.draw(finite), data.draw(count),
+                                         data.draw(finite), data.draw(count))
+                    for kind in sorted(kinds)
+                },
+                nested_fallback=data.draw(st.booleans()),
+            )
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+            save_models(first, models, metadata={"command": "fit"})
+            loaded, metadata = load_models(first)
+            assert loaded == models
+            # repr also tells -0.0 from 0.0
+            assert {t: repr(m) for t, m in loaded.items()} == {
+                t: repr(m) for t, m in models.items()
+            }
+            save_models(second, loaded, metadata)
+            assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.fixture(scope="module")

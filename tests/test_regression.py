@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from euroforecast.data_io import MatchRecord
+from euroforecast.data_io import MatchRecord, load_config, load_matches, load_ratings
+from euroforecast.elo import replay_history
 from euroforecast.errors import DataError, FitError, InsufficientDataError
 from euroforecast import regression
 from euroforecast.regression import (
@@ -24,6 +27,7 @@ from euroforecast.regression import (
     fit_zigp,
     loglik_and_grad,
 )
+from euroforecast.tournament import group_teams
 from euroforecast.weights import WeightConfig
 from euroforecast.zigp import ZigpParams, sample
 
@@ -289,7 +293,7 @@ class TestLikelihood:
             )
             if omega_tail:
                 theta[5] = rng.uniform(-25.0, -15.0)
-            _, _, hess = regression._loglik_derivatives(theta, sample)
+            hess = regression._loglik_derivatives(theta[None], sample)[2][0]
             numeric = np.empty_like(hess)
             for j in range(len(theta)):
                 h = 1e-5 * (1.0 + abs(theta[j]))
@@ -350,7 +354,9 @@ class TestFitter:
         assert a.omega == pytest.approx(b.omega, abs=1e-6)
 
     def test_stalled_best_start_is_polished_further(self):
-        # every start's polish stops at a projected gradient of 2.2e-2
+        # a sample on which an earlier multi-start fitter stalled on every
+        # start (projected gradient 2.2e-2); the fit must be stationary on
+        # the raw covariate scale
         obs = [FitObservation(k, (1.0, elo, loc), w) for k, elo, loc, w in AUT_DEFENSE_2016]
         c = fit_zigp(obs, seed=AUT_DEFENSE_SEED)
         X, y, w = design_matrix(obs)
@@ -371,13 +377,14 @@ class TestFitter:
         # one Newton step leaves every start short of stationarity
         monkeypatch.setattr(regression, "_NEWTON_MAX_ITER", 1)
         runs = []
-        newton = regression._newton
+        newton_batch = regression._newton_batch
 
         def recording(*args):
-            runs.append(newton(*args))
-            return runs[-1]
+            result = newton_batch(*args)
+            runs.extend(zip(*result))  # one (theta, f, g) per start
+            return result
 
-        monkeypatch.setattr(regression, "_newton", recording)
+        monkeypatch.setattr(regression, "_newton_batch", recording)
         obs = synth_observations(3, n=400)
         with pytest.raises(FitError) as info:
             fit_zigp(obs, seed=5)
@@ -528,3 +535,110 @@ class TestTeamOrchestration:
         summary = fit_team_models(matches, teams + ["ZZZ"], FitConfig(weights=wcfg, seed=0))
         assert "ZZZ" in summary.failures
         assert sorted(summary.models) == teams
+
+
+def team_seeds(cfg, idx):
+    """The attack, defense and nested seeds ``fit_team_models`` gives team ``idx``."""
+    seeds = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(idx,)).generate_state(3)
+    return [int(s) for s in seeds]
+
+
+def fit_one_by_one(matches, teams, cfg):
+    """``fit_team_models`` as one ``fit_zigp`` call per regression.
+
+    Returns {team: (attack, defense, nested or None)} and the failures.
+    """
+    models, failures = {}, {}
+    for idx, team in enumerate(sorted(teams)):
+        attack_obs, defense_obs, nested_obs = build_observations(team, matches, cfg.weights)
+        seeds = team_seeds(cfg, idx)
+        try:
+            attack = fit_zigp(attack_obs, seed=seeds[0])
+            defense = fit_zigp(defense_obs, seed=seeds[1])
+            nested = None
+            if len(nested_obs) >= cfg.min_nested_obs:
+                try:
+                    nested = fit_zigp(nested_obs, seed=seeds[2])
+                except InsufficientDataError:
+                    pass
+        except FitError as exc:
+            failures[team] = str(exc)
+            continue
+        models[team] = (attack, defense, nested)
+    return models, failures
+
+
+class TestBatchedFits:
+    @pytest.fixture(scope="class")
+    def demo(self, demo_history, data_dir, euro2020):
+        """Replayed demo history, the EURO 2020 teams and the CLI's fit settings."""
+        matches_path, ratings_path = demo_history
+        cfg = load_config(data_dir / "default_config.json")
+        annotated, _ = replay_history(
+            load_ratings(ratings_path), load_matches(matches_path), cfg.k_factors
+        )
+        teams = sorted(t for ts in group_teams(euro2020[1]).values() for t in ts)
+        fit_cfg = FitConfig(
+            weights=cfg.weight_config(), seed=0, min_nested_obs=cfg.min_nested_obs
+        )
+        return annotated, teams, fit_cfg
+
+    @pytest.mark.parametrize("max_iter", [regression._NEWTON_MAX_ITER, 20])
+    def test_batch_equals_fits_alone(self, demo, monkeypatch, max_iter):
+        # at 20 steps some fits stop short and are rerun from jittered starts
+        monkeypatch.setattr(regression, "_NEWTON_MAX_ITER", max_iter)
+        batch_sizes = []
+        newton_batch = regression._newton_batch
+
+        def recording(theta, *args):
+            batch_sizes.append(len(theta))
+            return newton_batch(theta, *args)
+
+        monkeypatch.setattr(regression, "_newton_batch", recording)
+        matches, teams, cfg = demo
+        # every underdog match of the team with the most of them moved to a
+        # neutral venue: its nested location column is constant, so it fits
+        # 3 columns and shares its batch with the full-rank attack and
+        # defense regressions
+        underdog = max(teams, key=lambda t: len(build_observations(t, matches, cfg.weights)[2]))
+        neutral = [
+            dataclasses.replace(m, venue_country="NEUTRAL")
+            if underdog in (m.team_a, m.team_b)
+            and (m.elo_a_before < m.elo_b_before) == (m.team_a == underdog)
+            else m
+            for m in matches
+        ]
+        with pytest.warns(DesignMatrixWarning, match="column 2 is constant"):
+            summary = fit_team_models(neutral, teams, cfg)
+        assert (len(batch_sizes) > 2) == (max_iter == 20)  # a jittered batch ran
+        pinned = summary.models[underdog]
+        assert not pinned.nested_fallback
+        assert pinned.nested.alpha[2] == 0.0
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DesignMatrixWarning)
+            models, failures = fit_one_by_one(neutral, teams, cfg)
+        assert summary.failures == failures
+        assert sorted(summary.models) == sorted(models)
+        for team, (attack, defense, nested) in models.items():
+            model = summary.models[team]
+            assert repr(model.attack) == repr(attack), team
+            assert repr(model.defense) == repr(defense), team
+            assert model.nested_fallback == (nested is None)
+            if nested is not None:
+                assert repr(model.nested) == repr(nested), team
+
+    def test_failures_are_the_attack_fit_errors(self, demo, monkeypatch):
+        # one Newton step leaves every fit short: each team fails on its attack fit
+        monkeypatch.setattr(regression, "_NEWTON_MAX_ITER", 1)
+        matches, teams, cfg = demo
+        summary = fit_team_models(matches, teams, cfg)
+        assert summary.models == {}
+        expected = {}
+        for idx, team in enumerate(teams):
+            with pytest.raises(FitError) as info:
+                attack = build_observations(team, matches, cfg.weights)[0]
+                fit_zigp(attack, seed=team_seeds(cfg, idx)[0])
+            expected[team] = str(info.value)
+        assert summary.failures == expected
+        assert list(summary.failures) == teams
