@@ -11,7 +11,6 @@ scores conditionally on the stronger side's goals through its nested
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -229,17 +228,18 @@ class ModelArrays:
 
 
 def _predict_mu(alpha: np.ndarray, *covariates: np.ndarray) -> np.ndarray:
-    """``RegressionCoefficients.predict_mu`` per row, bit for bit.
+    """``RegressionCoefficients.predict_mu`` per row, added in its order.
 
-    ``np.vecdot`` runs the dot kernel of ``np.dot`` on each row, and the
-    exponential is ``math.exp`` per element, because numpy's vector
-    ``exp`` can differ from it in the last bit.
+    eta is the intercept plus each coefficient times its covariate,
+    added left to right; mu is its exponential.
     """
-    x = np.stack([np.ones(len(alpha)), *covariates], axis=1)
-    eta = np.vecdot(alpha, x)
+    eta = alpha[:, 0].copy()
+    for j, x in enumerate(covariates, start=1):
+        eta += alpha[:, j] * x
     try:
-        return np.fromiter(map(math.exp, eta.tolist()), float, len(eta))
-    except OverflowError:
+        with np.errstate(over="raise"):
+            return np.exp(eta)
+    except FloatingPointError:
         raise ParameterError(f"mu = exp({eta.max():.6g}) overflows") from None
 
 

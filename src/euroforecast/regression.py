@@ -79,7 +79,9 @@ class RegressionCoefficients:
         return float(expit(self.gamma_log))
 
     def predict_mu(self, covariates: Sequence[float]) -> float:
-        eta = float(np.dot(self.alpha, covariates))
+        eta = 0.0
+        for a, x in zip(self.alpha, covariates):
+            eta += a * x
         try:
             return math.exp(eta)
         except OverflowError:

@@ -14,7 +14,7 @@ aggregate counts bit-identical for any worker count.
 ``run_tournament`` plays one run with scalar calls and is the reference.
 ``monte_carlo`` compiles the bracket once and plays blocks of runs
 together on per-run arrays; every run takes its uniforms in the
-reference's order, so the counts are equal.
+reference's order, so the counts are equal up to last-bit rounding.
 """
 
 from __future__ import annotations
@@ -397,8 +397,8 @@ def run_tournament(
     """Simulate one complete tournament with in-run Elo updates.
 
     This is the scalar reference: :func:`monte_carlo` plays blocks of
-    runs together and must count exactly what this function returns
-    for each run's own generator.
+    runs together and counts what this function returns for each run's
+    own generator, up to last-bit rounding in the goal sampler.
     """
     k_table = _k_table(k_factors)
     teams = group_teams(fixtures)
@@ -640,6 +640,7 @@ def compile_bracket(
 
 # Runs played together; bounds the engine's memory whatever n_runs is.
 BLOCK_RUNS = 1024
+MAX_WORKERS = 64  # largest accepted n_workers: each is an OS process
 
 
 def _simulate_block(
@@ -768,8 +769,8 @@ def monte_carlo(
     """
     if n_runs <= 0:
         raise ConfigError("n_runs must be positive")
-    if n_workers < 1:
-        raise ConfigError(f"n_workers must be at least 1, got {n_workers}")
+    if not 1 <= n_workers <= MAX_WORKERS:
+        raise ConfigError(f"n_workers must lie in [1, {MAX_WORKERS}], got {n_workers}")
     validate_fixtures(fixtures)
     validate_allocation(allocation)
     bracket = compile_bracket(models, ratings, fixtures, allocation, k_factors)

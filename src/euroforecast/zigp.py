@@ -22,17 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import ParameterError
 
-# Truncation used for normalizing/sampling: stop at the first k whose
-# cumulative mass reaches 1 - TAIL_EPS, never beyond HARD_CAP.  At
-# football-scale parameters (mu <= 10, phi <= 3) the mass beyond 200 is
-# below 1e-7, so the induced bias is negligible.
+# Truncation of the sampler: a draw stops at the first k whose cumulative
+# mass reaches 1 - TAIL_EPS (k then takes the rest), never beyond HARD_CAP.
+# At football-scale parameters (mu <= 10, phi <= 3) the mass beyond 200
+# is below 1e-7, so the induced bias is negligible.
 HARD_CAP = 200
 TAIL_EPS = 1e-9
 
@@ -72,9 +71,9 @@ def _check_k(k) -> None:
 def log_pmf_table(mu, phi, omega, k):
     """log P[X=k] for float counts ``k``; broadcasts the parameters against ``k``.
 
-    The pmf, the block sampler's table and the score grid all evaluate
-    their terms here.  Both branches are computed elementwise and the
-    zero-inflated k = 0 term is picked where k == 0.
+    The pmf, the block sampler's columns and the score grid all evaluate
+    their terms here.  The zero-inflated k = 0 term is computed unless
+    ``k`` is one nonzero count, and picked where k == 0.
     """
     log1m_omega = np.log1p(-omega)
     m = mu + (phi - 1.0) * k
@@ -86,6 +85,8 @@ def log_pmf_table(mu, phi, omega, k):
         - k * np.log(phi)
         - m / phi
     )
+    if np.isscalar(k) and k != 0:
+        return positive
     # log(0) = -inf for omega = 0, and logaddexp(-inf, x) is x exactly
     with np.errstate(divide="ignore"):
         zero = np.logaddexp(np.log(omega), log1m_omega - mu / phi)
@@ -126,46 +127,42 @@ def pmf(params: ZigpParams, k: int) -> float:
     return float(np.exp(log_pmf(params, k)))
 
 
-@lru_cache(maxsize=4096)
-def _truncated_table(mu: float, phi: float, omega: float, cap: int):
-    """Truncated-and-renormalized pmf table plus its cumulative sums.
-
-    Truncation point: first k with cumulative mass >= 1 - TAIL_EPS,
-    hard-capped at ``cap``.  The returned arrays must not be mutated
-    (they are shared through the cache).
-    """
-    p = pmf_values(ZigpParams(mu, phi, omega), np.arange(cap + 1))
+def truncated_pmf(params: ZigpParams, cap: int = HARD_CAP) -> np.ndarray:
+    """The law of :func:`sample`: the pmf up to the stop point (the first k
+    whose cumulative mass reaches 1 - TAIL_EPS, at most ``cap``), which
+    takes the remaining mass."""
+    p = pmf_values(params, np.arange(cap + 1))
     c = np.cumsum(p)
     stop = min(int(np.searchsorted(c, 1.0 - TAIL_EPS)), cap)
-    probs = p[: stop + 1] / c[stop]
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    return probs, cum
-
-
-def truncated_pmf(params: ZigpParams, cap: int = HARD_CAP) -> np.ndarray:
-    """Renormalized pmf over the truncated support used for sampling."""
-    probs, _ = _truncated_table(params.mu, params.phi, params.omega, cap)
+    probs = p[: stop + 1]
+    probs[stop] = 1.0 - c[stop - 1] if stop else 1.0
     return probs
 
 
 def sample(params: ZigpParams, rng: np.random.Generator, size: int | None = None):
-    """Draw from ZIGP by inversion over the truncated pmf.
+    """Draw from ZIGP by inversion by sequential search.
 
-    With ``size=None`` returns a single int, otherwise an int64 array.
+    With ``size=None`` returns a single int, drawn in plain Python floats
+    by the stop rule and summation order of :func:`sample_block`;
+    otherwise an int64 array of ``size`` draws from :func:`sample_block`.
     Deterministic given the generator state.
     """
-    _, cum = _truncated_table(params.mu, params.phi, params.omega, HARD_CAP)
-    idx = cum.searchsorted(rng.random(size), side="right")
-    if size is None:
-        return min(int(idx), len(cum) - 1)
-    return np.minimum(idx, len(cum) - 1).astype(np.int64)
-
-
-# Columns of the block sampler's table: counts 0..BLOCK_TABLE_WIDTH-1.
-# A row whose truncation point lies beyond it takes the full table.
-BLOCK_TABLE_WIDTH = 32
-_BLOCK_K = np.arange(BLOCK_TABLE_WIDTH, dtype=float)
+    mu, phi, omega = params.mu, params.phi, params.omega
+    if size is not None:
+        u = rng.random(size)
+        return sample_block(*(np.full(size, v) for v in (mu, phi, omega)), u)
+    u = rng.random()
+    cum = omega + (1.0 - omega) * math.exp(-mu / phi)
+    base = math.log1p(-omega) + math.log(mu)
+    log_phi = math.log(phi)
+    k = 0
+    while cum <= u and cum < 1.0 - TAIL_EPS and k < HARD_CAP:
+        k += 1
+        m = mu + (phi - 1.0) * k
+        cum += math.exp(
+            base + (k - 1.0) * math.log(m) - math.lgamma(k + 1.0) - k * log_phi - m / phi
+        )
+    return k
 
 
 def _check_param_arrays(mu: np.ndarray, phi: np.ndarray, omega: np.ndarray) -> None:
@@ -184,24 +181,22 @@ def sample_block(
 ) -> np.ndarray:
     """Inverse-CDF draws for parameter arrays, one uniform ``u`` per row.
 
-    Row ``i`` equals :func:`sample` on ``ZigpParams(mu[i], phi[i],
-    omega[i])`` when that call draws ``u[i]``: the pmf terms, the
-    truncation point and the renormalized cumulative sums are computed
-    with the same formulas and in the same order, over the first
-    ``BLOCK_TABLE_WIDTH`` counts.
+    Sequential search (Devroye 1986, ch. III): the cumulative mass grows
+    by one :func:`log_pmf_table` column per step, over the rows still
+    active.  A row stops at the first k whose cumulative mass exceeds
+    ``u`` or reaches 1 - TAIL_EPS, and at HARD_CAP at the latest; the
+    stop point takes the remaining mass, so nothing is renormalized.
     """
     _check_param_arrays(mu, phi, omega)
-    p = np.exp(log_pmf_table(mu[:, None], phi[:, None], omega[:, None], _BLOCK_K))
-    c = np.cumsum(p, axis=1)
-    reached = c >= 1.0 - TAIL_EPS
-    in_table = reached[:, -1]
-    stop = reached.argmax(axis=1)
-    rows = np.arange(len(u))
-    cum = np.cumsum(p / np.where(in_table, c[rows, stop], 1.0)[:, None], axis=1)
-    cum[rows, stop] = 1.0
-    below = (cum <= u[:, None]) & (np.arange(BLOCK_TABLE_WIDTH) < stop[:, None])
-    draws = below.sum(axis=1)
-    for i in np.flatnonzero(~in_table):
-        _, full = _truncated_table(float(mu[i]), float(phi[i]), float(omega[i]), HARD_CAP)
-        draws[i] = min(int(np.searchsorted(full, u[i], side="right")), len(full) - 1)
+    draws = np.zeros(len(u), dtype=np.int64)
+    cum = np.exp(log_pmf_table(mu, phi, omega, 0.0))
+    rows = np.flatnonzero((cum <= u) & (cum < 1.0 - TAIL_EPS))
+    cum = cum[rows]
+    for k in range(1, HARD_CAP + 1):
+        if not rows.size:
+            break
+        cum += np.exp(log_pmf_table(mu[rows], phi[rows], omega[rows], float(k)))
+        draws[rows] = k
+        going = (cum <= u[rows]) & (cum < 1.0 - TAIL_EPS)
+        rows, cum = rows[going], cum[going]
     return draws

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import euroforecast
-from euroforecast import data_io
+from euroforecast import data_io, tournament
 from euroforecast.cli import CONFIG_DIR_ENV, EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, main
 
 from conftest import build_team_model
@@ -421,24 +421,40 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "overflows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "validate"])
-    def test_worker_count_below_one_is_config_error(
-        self, tmp_path, euro2016_model_file, data_dir, capsys, command
-    ):
+    @staticmethod
+    def worker_args(command, workers, tmp_path, model_file, data_dir):
         args = [
             command,
-            "--model", str(euro2016_model_file),
+            "--model", str(model_file),
             "--fixtures", str(data_dir / "euro2016_fixtures.csv"),
             "--allocation", str(data_dir / "euro2016_allocation.csv"),
             "--ratings", str(data_dir / "euro2016_ratings.csv"),
             "--n-runs", "10",
-            "--workers", "0",
+            "--workers", workers,
         ]
         if command == "simulate":
-            args += ["--out-dir", str(tmp_path / "sim")]
-        else:
-            args += ["--results", str(data_dir / "euro2016_results.csv"),
-                     "--out", str(tmp_path / "metrics.csv")]
+            return args + ["--out-dir", str(tmp_path / "sim")]
+        return args + ["--results", str(data_dir / "euro2016_results.csv"),
+                       "--out", str(tmp_path / "metrics.csv")]
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_worker_count_below_one_is_config_error(
+        self, tmp_path, euro2016_model_file, data_dir, capsys, command
+    ):
+        args = self.worker_args(command, "0", tmp_path, euro2016_model_file, data_dir)
+        assert main(args) == EXIT_CONFIG
+        assert "n_workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["65", str(10**6)])
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_worker_count_above_bound_is_config_error(
+        self, tmp_path, euro2016_model_file, data_dir, capsys, monkeypatch, command, workers
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(tournament, "ProcessPoolExecutor", no_pool)
+        args = self.worker_args(command, workers, tmp_path, euro2016_model_file, data_dir)
         assert main(args) == EXIT_CONFIG
         assert "n_workers" in capsys.readouterr().err
 

@@ -240,3 +240,24 @@ class TestBlockSampling:
                 Uniforms(u[i].tolist()), place, mu_factor=mu_factor,
             )
             assert (got_a[i], got_b[i]) == expect
+
+    def test_block_draws_match_grid(self):
+        """200k block draws against ``score_grid`` by criterion 7's 4-sigma rule."""
+        models = [build_team_model("FRA", 2087.0), build_team_model("GER", 1936.0)]
+        n = 200_000
+        ones = np.ones(n)
+        a, b = np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+        u = np.random.default_rng(7100).random((n, 2))
+        ga, gb = sample_match_block(
+            ModelArrays.from_models(models), a, b, 2087.0 * ones, 1936.0 * ones, -ones, ones, u
+        )
+        forecast = score_grid(*models, 2087.0, 1936.0, "GER")
+        cap = forecast.cap
+        inside = (ga <= cap) & (gb <= cap)
+        assert (~inside).sum() <= 10
+        counts = np.zeros((cap + 1, cap + 1))
+        np.add.at(counts, (ga[inside], gb[inside]), 1)
+        check = forecast.grid >= 1e-4
+        expect = n * forecast.grid[check]
+        sigma = np.sqrt(n * forecast.grid[check] * (1.0 - forecast.grid[check]))
+        assert np.all(np.abs(counts[check] - expect) <= 4.0 * sigma)

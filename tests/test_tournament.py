@@ -510,3 +510,15 @@ class TestBlockEngine:
         ratings, fixtures, allocation = euro2020
         with pytest.raises(ConfigError, match="n_workers"):
             monte_carlo(euro_models, ratings, fixtures, allocation, n_runs=5, n_workers=workers)
+
+    @pytest.mark.parametrize("workers", [tournament.MAX_WORKERS + 1, 10**6])
+    def test_worker_count_above_bound_rejected(
+        self, euro2020, euro_models, monkeypatch, workers
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(tournament, "ProcessPoolExecutor", no_pool)
+        ratings, fixtures, allocation = euro2020
+        with pytest.raises(ConfigError, match="n_workers"):
+            monte_carlo(euro_models, ratings, fixtures, allocation, n_runs=5, n_workers=workers)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from scipy import stats
 
 from euroforecast.errors import ParameterError
 from euroforecast.zigp import (
-    BLOCK_TABLE_WIDTH,
     HARD_CAP,
+    TAIL_EPS,
     ZigpParams,
     log_pmf,
     log_pmf_values,
@@ -127,7 +129,7 @@ class TestTruncation:
 
     def test_heavy_tail_hits_hard_cap(self):
         # mass beyond 200 at these parameters is 2.27e-8 > TAIL_EPS, so
-        # the table runs to the cap and renormalization absorbs the tail
+        # the table runs to the cap and the cap takes the tail
         probs = truncated_pmf(ZigpParams(10.0, 3.0, 0.0))
         assert len(probs) == HARD_CAP + 1
         assert np.sum(probs) == pytest.approx(1.0, abs=1e-12)
@@ -185,6 +187,25 @@ def scalar_draws(mu, phi, omega, u):
     )
 
 
+SLACK = 1e-12  # last-bit rounding of a cumulative mass, with room
+
+
+def closed_form_cum(mu, phi, omega):
+    """Cumulative ZIGP mass at 0, 1, ... in plain floats, past the
+    sampler's truncation point (mass 1 - TAIL_EPS) by SLACK, or to HARD_CAP."""
+    total = omega + (1.0 - omega) * math.exp(-mu / phi)
+    cum = [total]
+    for k in range(1, HARD_CAP + 1):
+        if total >= 1.0 - TAIL_EPS + SLACK:
+            break
+        m = mu + (phi - 1.0) * k
+        total += (1.0 - omega) * math.exp(
+            math.log(mu) + (k - 1) * math.log(m) - math.lgamma(k + 1) - k * math.log(phi) - m / phi
+        )
+        cum.append(total)
+    return cum
+
+
 class TestBlockSampling:
     def test_equals_scalar_row_by_row(self):
         rng = np.random.default_rng(5)
@@ -204,8 +225,35 @@ class TestBlockSampling:
         omega = np.array([0.0, 0.2, 0.0, 0.1])
         u = np.array([0.5, 0.999, 0.3, np.nextafter(1.0, 0.0)])
         draws = sample_block(mu, phi, omega, u)
-        assert draws[1] >= BLOCK_TABLE_WIDTH  # beyond the short table
+        assert draws[1] >= 32  # beyond the first 32 counts
         assert np.array_equal(draws, scalar_draws(mu, phi, omega, u))
+
+    @pytest.mark.parametrize("draw", [sample_block, scalar_draws])
+    def test_draws_invert_the_closed_form(self, draw):
+        rng = np.random.default_rng(8)
+        n = 2000
+        mu = rng.uniform(0.02, 5.0, n)
+        phi = rng.uniform(1.0, 2.0, n)
+        omega = rng.uniform(0.0, 0.4, n)
+        omega[::4] = 0.0
+        u = rng.random(n)
+        u[::17] = np.nextafter(1.0, 0.0)
+        # heavy tails beyond 32 counts, and the clamp at the cap
+        mu[:4], phi[:4], omega[:4] = [8.0, 8.0, 10.0, 10.0], [3.0, 3.0, 3.0, 3.0], 0.0
+        u[:4] = [0.999, np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0), 0.5]
+        draws = draw(mu, phi, omega, u)
+        assert draws[0] >= 32 and draws[1] >= 32
+        assert draws[2] == HARD_CAP
+        checked = 0
+        for k, m, p, o, x in zip(draws.tolist(), mu, phi, omega, u):
+            cum = closed_form_cum(m, p, o)
+            if any(abs(x - c) < SLACK for c in cum):
+                continue  # rounding could move a boundary past u
+            below = cum[k - 1] if k else 0.0
+            assert below <= x and below < 1.0 - TAIL_EPS + SLACK
+            assert x < cum[k] or cum[k] >= 1.0 - TAIL_EPS - SLACK or k == HARD_CAP
+            checked += 1
+        assert checked == n
 
     @pytest.mark.parametrize(
         "column, value, name",
