@@ -36,6 +36,9 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy
+import scipy
+
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CRITERIA = ("test_criterion_6_simulation_invariants", "test_criterion_7_sampler_matches_grid")
@@ -124,19 +127,14 @@ def summarize(pairs: list[dict], spec: list[dict]) -> dict:
 
 
 def machine() -> dict:
-    versions = {}
-    for lib in ("numpy", "scipy"):
-        try:
-            versions[lib] = __import__(lib).__version__
-        except ImportError:
-            versions[lib] = None
     return {
         "cpus": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "platform": platform.platform(),
         "processor": platform.machine(),
         "python": platform.python_version(),
-        **versions,
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
         "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
         "note": "bench/run.py sets OPENBLAS_NUM_THREADS=1 for every measured process",
     }
@@ -158,6 +156,8 @@ def main(argv=None) -> int:
                (("parent", args.parent), ("change", args.change))}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     seeds = parse_seeds(args.seeds)
+    if len(seeds) < 2:
+        parser.error("--seeds must give at least two pairs, to have quartiles")
     report = {
         "date": dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds"),
         "commits": commits,
