@@ -2,15 +2,16 @@
 """Paired benchmark runs of a parent commit against a change.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --workloads simulate-euro2020 --seeds 1-12 --seconds 10 --out BENCH_6.json
+        --seeds 1-12 --seconds 25 --out BENCH_6.json
 
 Exports both commits' files (``git archive``) into fresh temporary
 directories and runs ``bench/run.py --trace 0`` of each on the same
-workload and seed, one pair per seed.  The order alternates: the parent
-goes first in even pairs, the change in odd ones, so a drift in machine
-load favours neither side.  Unless ``--no-tests`` is given, it also runs
-the tier-1 suite once per side with ``pytest --durations=0`` and records
-the suite time and the times of acceptance criteria 6 and 7.
+workload and seed, one pair per seed, for every workload that
+``BENCHMARK.json`` lists.  The order alternates: the parent goes first
+in even pairs, the change in odd ones, so a drift in machine load
+favours neither side.  It then runs the tier-1 suite once per side with
+``pytest --durations=0`` and records the suite time and the times of
+acceptance criteria 6 and 7.
 
 The JSON file written to ``--out`` holds, per workload and end-to-end
 metric, every pair's two values, both sides' medians and quartiles, and
@@ -144,17 +145,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD~1", help="parent ref (default HEAD~1)")
     parser.add_argument("--change", default="HEAD", help="change ref (default HEAD)")
-    parser.add_argument("--workloads", default="simulate-euro2020",
-                        help="comma-separated workload names")
     parser.add_argument("--seeds", default="1-10", help="one pair per seed, e.g. 1-10 or 3,12")
     parser.add_argument("--seconds", type=int, default=25, help="--seconds of each run")
-    parser.add_argument("--no-tests", action="store_true", help="skip the tier-1 timing")
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
     args = parser.parse_args(argv)
 
     commits = {side: git("rev-parse", ref) for side, ref in
                (("parent", args.parent), ("change", args.change))}
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec = benchmark["end_to_end"]
     seeds = parse_seeds(args.seeds)
     if len(seeds) < 2:
         parser.error("--seeds must give at least two pairs, to have quartiles")
@@ -168,7 +167,7 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         trees = {side: export(commit, scratch) for side, commit in commits.items()}
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -183,8 +182,7 @@ def main(argv=None) -> int:
                 "failed": sum(p[s]["failed"] for p in pairs for s in commits),
                 "pairs": pairs,
             }
-        if not args.no_tests:
-            report["tier1"] = {side: tier1_times(tree) for side, tree in trees.items()}
+        report["tier1"] = {side: tier1_times(tree) for side, tree in trees.items()}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .elo import DEFAULT_K_FACTORS, EloRating
 from .errors import ConfigError, DataError, FileAccessError, ParameterError
-from .regression import FitDiagnostics, RegressionCoefficients, TeamModel
+from .regression import ALPHA_LENGTHS, FitDiagnostics, RegressionCoefficients, TeamModel
 from .tournament import (
     Fixture,
     SimulationAggregate,
@@ -466,15 +466,14 @@ def _coeffs_to_json(c: RegressionCoefficients) -> dict:
     return {"alpha": list(c.alpha), "beta": c.beta, "gamma_log": c.gamma_log}
 
 
-def _coeffs_from_json(obj: dict, where: str) -> RegressionCoefficients:
+def _coeffs_from_json(obj: dict, team: str, kind: str) -> RegressionCoefficients:
     try:
-        return RegressionCoefficients(
-            alpha=tuple(float(a) for a in obj["alpha"]),
-            beta=float(obj["beta"]),
-            gamma_log=float(obj["gamma_log"]),
-        )
+        alpha = tuple(float(a) for a in obj["alpha"])
+        if len(alpha) != ALPHA_LENGTHS[kind]:
+            raise ValueError(f"{len(alpha)} alpha values, expected {ALPHA_LENGTHS[kind]}")
+        return RegressionCoefficients(alpha, float(obj["beta"]), float(obj["gamma_log"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed coefficients at {where}: {exc}") from None
+        raise DataError(f"malformed coefficients at {team}.{kind}: {exc}") from None
 
 
 def save_models(
@@ -542,9 +541,9 @@ def load_models(path: str | Path) -> tuple[dict[str, TeamModel], dict]:
             }
             models[team] = TeamModel(
                 team=team,
-                attack=_coeffs_from_json(obj["attack"], f"{team}.attack"),
-                defense=_coeffs_from_json(obj["defense"], f"{team}.defense"),
-                nested=_coeffs_from_json(obj["nested"], f"{team}.nested"),
+                attack=_coeffs_from_json(obj["attack"], team, "attack"),
+                defense=_coeffs_from_json(obj["defense"], team, "defense"),
+                nested=_coeffs_from_json(obj["nested"], team, "nested"),
                 diagnostics=diagnostics,
                 nested_fallback=bool(obj.get("nested_fallback", False)),
             )

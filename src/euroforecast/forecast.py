@@ -234,7 +234,7 @@ def _predict_mu(alpha: np.ndarray, *covariates: np.ndarray) -> np.ndarray:
     added left to right; mu is its exponential.
     """
     eta = alpha[:, 0].copy()
-    for j, x in enumerate(covariates, start=1):
+    for j, x in zip(range(1, alpha.shape[1]), covariates, strict=True):
         eta += alpha[:, j] * x
     try:
         with np.errstate(over="raise"):

@@ -56,6 +56,7 @@ _NEWTON_GTOL = 1e-9
 # Towards the pure-Poisson corner (phi -> 1, omega -> 0) Newton moves
 # beta and gamma by about one unit per step.
 _NEWTON_MAX_ITER = 100
+ALPHA_LENGTHS = {"attack": 3, "defense": 3, "nested": 4}  # see build_observations
 
 
 class DesignMatrixWarning(UserWarning):
@@ -80,7 +81,7 @@ class RegressionCoefficients:
 
     def predict_mu(self, covariates: Sequence[float]) -> float:
         eta = 0.0
-        for a, x in zip(self.alpha, covariates):
+        for a, x in zip(self.alpha, covariates, strict=True):
             eta += a * x
         try:
             return math.exp(eta)

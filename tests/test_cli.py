@@ -300,6 +300,26 @@ class TestForecast:
         assert code == EXIT_CONFIG
         assert "GER" in capsys.readouterr().err
 
+    def test_wrong_alpha_count_is_config_error(self, tmp_path, fitted_model_file, capsys):
+        doc = json.loads(fitted_model_file.read_text())
+        doc["teams"]["BEL"]["nested"]["alpha"].pop()
+        model = tmp_path / "short.json"
+        model.write_text(json.dumps(doc))
+        code = main(
+            [
+                "forecast",
+                "--model", str(model),
+                "--team-a", "FRA",
+                "--team-b", "BEL",
+                "--elo-a", "2000",
+                "--elo-b", "1900",
+                "--out", str(tmp_path / "grid.csv"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "BEL.nested: 3 alpha values, expected 4" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_absurd_elo_is_config_error(self, tmp_path, fitted_model_file, capsys):
         code = main(
             [

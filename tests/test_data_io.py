@@ -400,6 +400,18 @@ class TestModelFiles:
         with pytest.raises(DataError, match="FRA"):
             load_models(path)
 
+    @pytest.mark.parametrize(
+        "kind, count", [("attack", 2), ("defense", 4), ("nested", 3), ("nested", 5)]
+    )
+    def test_wrong_alpha_count(self, tmp_path, kind, count):
+        path = tmp_path / "models.json"
+        save_models(path, two_models())
+        doc = json.loads(path.read_text())
+        doc["teams"]["GER"][kind]["alpha"] = [0.1] * count
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=rf"GER\.{kind}: {count} alpha values, expected"):
+            load_models(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileAccessError):
             load_models(tmp_path / "absent.json")

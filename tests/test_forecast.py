@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from euroforecast.forecast import (
     MatchForecast,
     ModelArrays,
+    _predict_mu,
     combined_params,
     conditional_params,
     location_indicator,
@@ -79,6 +80,17 @@ class TestCombinedParams:
         home = combined_params(strong, weak, 2087.0, 1936.0, "FRA")
         away = combined_params(strong, weak, 2087.0, 1936.0, "GER")
         assert home.mu > away.mu
+
+
+class TestLinearPredictor:
+    @pytest.mark.parametrize("n_covariates", [2, 4])
+    def test_covariate_count_must_match(self, weak, n_covariates):
+        covariates = (1.0, 2087.0, 1.0, 2.0, 0.5)[:n_covariates]
+        with pytest.raises(ValueError, match="zip"):
+            weak.attack.predict_mu(covariates)
+        alpha = np.array([weak.attack.alpha] * 2)
+        with pytest.raises(ValueError, match="zip"):
+            _predict_mu(alpha, *(np.full(2, x) for x in covariates[1:]))
 
 
 class TestConditionalParams:
