@@ -2,7 +2,7 @@
 """Paired benchmark runs of a parent commit against a change.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --seeds 1-12 --seconds 25 --out BENCH_6.json
+        --seeds 1-12 --seconds 25 --out BENCH_7.json
 
 Exports both commits' files (``git archive``) into fresh temporary
 directories and runs ``bench/run.py --trace 0`` of each on the same
@@ -15,8 +15,9 @@ acceptance criteria 6 and 7.
 
 The JSON file written to ``--out`` holds, per workload and end-to-end
 metric, every pair's two values, both sides' medians and quartiles, and
-in how many pairs the change was better; plus both commit ids and the
-machine (CPUs, library versions, BLAS thread settings).
+in how many pairs the change was better; plus both commit ids, both
+sides' ``src/**/*.py`` line counts and the machine (CPUs, library
+versions, BLAS thread settings).
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ def export(commit: str, into: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(tree, filter="data")
     return tree
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the package sources, ``src/**/*.py``."""
+    return sum(len(p.read_bytes().splitlines()) for p in tree.glob("src/**/*.py"))
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -167,6 +173,7 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         trees = {side: export(commit, scratch) for side, commit in commits.items()}
+        report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
             for i, seed in enumerate(seeds):

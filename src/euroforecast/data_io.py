@@ -466,14 +466,15 @@ def _coeffs_to_json(c: RegressionCoefficients) -> dict:
     return {"alpha": list(c.alpha), "beta": c.beta, "gamma_log": c.gamma_log}
 
 
-def _coeffs_from_json(obj: dict, team: str, kind: str) -> RegressionCoefficients:
+def _coeffs_from_json(obj: dict, team: str, kind: str, path: str) -> RegressionCoefficients:
+    """One coefficient block; out-of-range values (a ``ParameterError``) are malformed too."""
     try:
         alpha = tuple(float(a) for a in obj["alpha"])
         if len(alpha) != ALPHA_LENGTHS[kind]:
             raise ValueError(f"{len(alpha)} alpha values, expected {ALPHA_LENGTHS[kind]}")
         return RegressionCoefficients(alpha, float(obj["beta"]), float(obj["gamma_log"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed coefficients at {team}.{kind}: {exc}") from None
+        raise DataError(f"malformed coefficients at {team}.{kind}: {exc}", path=path) from None
 
 
 def save_models(
@@ -541,9 +542,9 @@ def load_models(path: str | Path) -> tuple[dict[str, TeamModel], dict]:
             }
             models[team] = TeamModel(
                 team=team,
-                attack=_coeffs_from_json(obj["attack"], team, "attack"),
-                defense=_coeffs_from_json(obj["defense"], team, "defense"),
-                nested=_coeffs_from_json(obj["nested"], team, "nested"),
+                attack=_coeffs_from_json(obj["attack"], team, "attack", spath),
+                defense=_coeffs_from_json(obj["defense"], team, "defense", spath),
+                nested=_coeffs_from_json(obj["nested"], team, "nested", spath),
                 diagnostics=diagnostics,
                 nested_fallback=bool(obj.get("nested_fallback", False)),
             )

@@ -38,15 +38,6 @@ class EloRating:
     as_of: dt.date
 
 
-@dataclass(frozen=True)
-class EloUpdateInputs:
-    elo_before: float
-    elo_opponent: float
-    k_weight: float
-    goals_for: int
-    goals_against: int
-
-
 def expected_score(elo_a: float, elo_b: float) -> float:
     """Win expectancy We of the first team from the Elo difference."""
     d = elo_a - elo_b
@@ -64,29 +55,16 @@ def goal_multiplier(goal_diff: int) -> float:
     return (11.0 + goal_diff) / 8.0
 
 
-def _result_w(goals_for: int, goals_against: int) -> float:
-    if goals_for > goals_against:
-        return 1.0
-    if goals_for < goals_against:
-        return 0.0
-    return 0.5
-
-
-def update(inputs: EloUpdateInputs) -> float:
-    """New Elo of the team: elo_before + K * G * (W - We)."""
-    w = _result_w(inputs.goals_for, inputs.goals_against)
-    we = expected_score(inputs.elo_before, inputs.elo_opponent)
-    g = goal_multiplier(abs(inputs.goals_for - inputs.goals_against))
-    return inputs.elo_before + inputs.k_weight * g * (w - we)
-
-
 def update_pair(
     elo_a: float, elo_b: float, goals_a: int, goals_b: int, k_weight: float
 ) -> tuple[float, float]:
-    """Post-match ratings of both sides (zero-sum by construction)."""
-    new_a = update(EloUpdateInputs(elo_a, elo_b, k_weight, goals_a, goals_b))
-    new_b = update(EloUpdateInputs(elo_b, elo_a, k_weight, goals_b, goals_a))
-    return new_a, new_b
+    """Post-match ratings of both sides: elo + K * G * (W - We) each."""
+    kg = k_weight * goal_multiplier(abs(goals_a - goals_b))
+    w_a = 1.0 if goals_a > goals_b else 0.0 if goals_a < goals_b else 0.5
+    return (
+        elo_a + kg * (w_a - expected_score(elo_a, elo_b)),
+        elo_b + kg * ((1.0 - w_a) - expected_score(elo_b, elo_a)),
+    )
 
 
 def expected_scores(elo_a: np.ndarray, elo_b: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ParameterError
 
 if TYPE_CHECKING:
-    from .tournament import SimulationAggregate, TournamentResult
+    from .tournament import SimulationAggregate
 
 N_RANKS = 6
 RANK_LABELS = (
@@ -50,42 +50,6 @@ class OutcomeDistribution:
     def modal_rank(self) -> int:
         """1-based argmax; ties resolve to the smaller (better) rank."""
         return int(np.argmax(self.p)) + 1
-
-
-@dataclass(frozen=True)
-class RealizedResult:
-    team: str
-    rank: int
-
-    def __post_init__(self):
-        if not 1 <= self.rank <= N_RANKS:
-            raise ParameterError(f"rank must be 1..{N_RANKS}, got {self.rank}")
-
-
-def result_rank_from_run(result: "TournamentResult") -> dict[str, int]:
-    """Rank every participant of a finished tournament 1..6."""
-    if not result.champion:
-        raise ParameterError("tournament outcome is incomplete: no champion")
-    ranks: dict[str, int] = {}
-    for positions in result.group_positions.values():
-        for t in positions:
-            ranks[t] = 6
-    stage_rank = (
-        (result.r16_teams, 5),
-        (result.qf_teams, 4),
-        (result.sf_teams, 3),
-        (result.final_teams, 2),
-    )
-    for reached, rank in stage_rank:
-        for t in reached:
-            ranks[t] = rank
-    ranks[result.champion] = 1
-    counts = np.bincount(list(ranks.values()), minlength=7)[1:]
-    if list(counts) != [1, 1, 2, 4, 8, 8]:
-        raise ParameterError(
-            f"rank counts {list(counts)} do not match the 24-team bracket (1,1,2,4,8,8)"
-        )
-    return ranks
 
 
 def distributions_from_aggregate(

@@ -57,6 +57,7 @@ _NEWTON_GTOL = 1e-9
 # beta and gamma by about one unit per step.
 _NEWTON_MAX_ITER = 100
 ALPHA_LENGTHS = {"attack": 3, "defense": 3, "nested": 4}  # see build_observations
+BETA_MAX = 709.78  # a model's largest beta: e^beta stays below the largest double
 
 
 class DesignMatrixWarning(UserWarning):
@@ -65,19 +66,28 @@ class DesignMatrixWarning(UserWarning):
 
 @dataclass(frozen=True)
 class RegressionCoefficients:
-    """One fitted coefficient set: linear predictor plus (beta, gamma)."""
+    """One fitted coefficient set: linear predictor plus (beta, gamma).
+
+    ``phi`` and ``omega`` are derived once, here.  A set is rejected
+    unless every alpha is finite, beta <= BETA_MAX (so that phi = 1 + e^beta
+    is finite) and omega = expit(gamma_log) is below 1.
+    """
 
     alpha: tuple[float, ...]
     beta: float
     gamma_log: float
+    phi: float = field(init=False, repr=False, compare=False)
+    omega: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def phi(self) -> float:
-        return 1.0 + math.exp(self.beta)
-
-    @property
-    def omega(self) -> float:
-        return float(expit(self.gamma_log))
+    def __post_init__(self):
+        omega = float(expit(self.gamma_log))
+        if not (all(map(math.isfinite, self.alpha)) and self.beta <= BETA_MAX and omega < 1.0):
+            raise ParameterError(
+                f"need finite alpha, beta <= {BETA_MAX} and expit(gamma_log) < 1; got "
+                f"alpha {self.alpha}, beta {self.beta}, gamma_log {self.gamma_log}"
+            )
+        object.__setattr__(self, "phi", 1.0 + math.exp(self.beta))
+        object.__setattr__(self, "omega", omega)
 
     def predict_mu(self, covariates: Sequence[float]) -> float:
         eta = 0.0

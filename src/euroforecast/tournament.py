@@ -24,7 +24,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -97,11 +97,6 @@ class SimulationAggregate:
         return self.counts[stat][team] / self.n_runs
 
 
-def _empty_aggregate(teams: Sequence[str]) -> SimulationAggregate:
-    counts = {stat: Counter({t: 0 for t in teams}) for stat in STAT_NAMES}
-    return SimulationAggregate(n_runs=0, teams=tuple(teams), counts=counts)
-
-
 # ---------------------------------------------------------------------------
 # fixture validation
 # ---------------------------------------------------------------------------
@@ -134,19 +129,20 @@ def validate_fixtures(fixtures: Sequence[Fixture]) -> None:
     teams = group_teams(fixtures)
     if len(teams) != 6 or any(len(ts) != 4 for ts in teams.values()):
         raise DataError("group stage must cover 6 groups of 4 teams")
-    for g, group_fixtures in _by_group(by_stage["GROUP"]).items():
-        if len(group_fixtures) != 6:
+    for g, n_matches in Counter(f.group for f in by_stage["GROUP"]).items():
+        if n_matches != 6:
             raise DataError(f"group {g} must have 6 fixtures")
-    known = set(ids)
+    knockout = {f"W{f.match_id}": f.match_id for f in fixtures if f.stage != "GROUP"}
     for f in fixtures:
         if f.stage == "GROUP":
             continue
         for slot in (f.slot_a, f.slot_b):
             if slot.startswith("W"):
-                ref = int(slot[1:])
-                if ref not in known or ref >= f.match_id:
+                ref = knockout.get(slot)
+                if ref is None or ref >= f.match_id:
                     raise DataError(
-                        f"match {f.match_id}: slot {slot} must reference an earlier match"
+                        f"match {f.match_id}: slot {slot} must reference an earlier "
+                        "match of the knockout stage"
                     )
             elif slot[0] in "12":
                 if slot[1:] not in teams:
@@ -156,13 +152,6 @@ def validate_fixtures(fixtures: Sequence[Fixture]) -> None:
                     raise DataError(f"match {f.match_id}: unknown groups in slot {slot}")
             else:
                 raise DataError(f"match {f.match_id}: malformed slot {slot!r}")
-
-
-def _by_group(group_fixtures: Iterable[Fixture]) -> dict[str, list[Fixture]]:
-    out: dict[str, list[Fixture]] = {}
-    for f in group_fixtures:
-        out.setdefault(f.group, []).append(f)
-    return out
 
 
 def validate_allocation(
@@ -400,6 +389,8 @@ def run_tournament(
     runs together and counts what this function returns for each run's
     own generator, up to last-bit rounding in the goal sampler.
     """
+    validate_fixtures(fixtures)
+    validate_allocation(allocation)
     k_table = _k_table(k_factors)
     teams = group_teams(fixtures)
     _check_teams(models, ratings, teams)
@@ -455,28 +446,6 @@ def run_tournament(
     )
 
 
-def _count_result(agg: SimulationAggregate, result: TournamentResult) -> None:
-    qualified = set(result.r16_teams)
-    for positions in result.group_positions.values():
-        agg.counts["group_first"][positions[0]] += 1
-        agg.counts["group_second"][positions[1]] += 1
-        for t in positions:
-            if t not in qualified:
-                agg.counts["eliminated_group"][t] += 1
-    for t in result.qualified_thirds:
-        agg.counts["third_qualified"][t] += 1
-    for stat, reached in (
-        ("r16", result.r16_teams),
-        ("qf", result.qf_teams),
-        ("sf", result.sf_teams),
-        ("final", result.final_teams),
-    ):
-        for t in reached:
-            agg.counts[stat][t] += 1
-    agg.counts["champion"][result.champion] += 1
-    agg.n_runs += 1
-
-
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     """The RNG for one run; independent of all other runs."""
     return np.random.default_rng(
@@ -495,15 +464,16 @@ KNOCKOUT_DRAWS = 5
 
 @dataclass(frozen=True)
 class _Knockout:
-    """One knockout fixture; each side is (kind, index, place).
+    """One knockout fixture; each side is a column of the run's seat table.
 
-    kind "place": group ``index``'s team at ``place`` (0 winner, 1
-    runner-up); "third": the third assigned to third-slot column
-    ``index``; "winner": the winner of knockout match ``index``.
+    The seat table holds every group place (group-major), then the
+    assigned thirds (one column per third slot), then the winner of each
+    knockout match.
     """
 
     stage: str
-    sides: tuple[tuple[str, int, int], tuple[str, int, int]]
+    seat_a: int
+    seat_b: int
     venue: int  # team number of the host country, -1 when it is no team here
     k: float
 
@@ -556,10 +526,10 @@ def compile_bracket(
 ) -> Bracket:
     """Resolve names, slots and K factors once for a whole simulation.
 
-    Raises the ``ConfigError`` of a missing model, rating or K factor,
-    and the ``DataError`` of a knockout slot that cannot be resolved or
-    of an allocation row that is missing or sends a third outside its
-    candidate pool.
+    ``fixtures`` must have passed :func:`validate_fixtures`.  Raises the
+    ``ConfigError`` of a missing model, rating or K factor, and the
+    ``DataError`` of an allocation row that is missing or sends a third
+    outside its candidate pool.
     """
     k_table = _k_table(k_factors)
     by_group = group_teams(fixtures)
@@ -575,24 +545,22 @@ def compile_bracket(
     group_k = tuple(_k_factor(k_table, f) for f in group_fixtures)
     knockout_k = [_k_factor(k_table, f) for f in knockout_fixtures]
 
-    knockout_number = {f.match_id: j for j, f in enumerate(knockout_fixtures)}
-    third_slots: list[tuple[str, str]] = []  # (slot, paired slot) per column
-
-    def side(slot: str, paired: str) -> tuple[str, int, int]:
-        if slot.startswith("W"):
-            ref = int(slot[1:])
-            if ref not in knockout_number:
-                raise DataError(f"slot {slot} must reference a knockout match")
-            return ("winner", knockout_number[ref], 0)
-        if slot[0] in "12":
-            return ("place", group_number[slot[1:]], int(slot[0]) - 1)
-        third_slots.append((slot, paired))
-        return ("third", len(third_slots) - 1, 0)
+    # the seat table's columns: every group place, each third slot, each winner
+    third_slots = [
+        (slot, paired)
+        for f in knockout_fixtures
+        for slot, paired in ((f.slot_a, f.slot_b), (f.slot_b, f.slot_a))
+        if slot[0] == "3"
+    ]
+    columns = [f"{p + 1}{g}" for g in groups for p in range(len(by_group[g]))]
+    columns += third_slots + [f"W{f.match_id}" for f in knockout_fixtures]
+    seat = {column: i for i, column in enumerate(columns)}
 
     knockout = tuple(
         _Knockout(
             stage=f.stage,
-            sides=(side(f.slot_a, f.slot_b), side(f.slot_b, f.slot_a)),
+            seat_a=seat[(f.slot_a, f.slot_b) if f.slot_a[0] == "3" else f.slot_a],
+            seat_b=seat[(f.slot_b, f.slot_a) if f.slot_b[0] == "3" else f.slot_b],
             venue=number.get(f.venue_country, -1),
             k=k,
         )
@@ -694,19 +662,14 @@ def _simulate_block(
     mask = (1 << qualified).sum(axis=1)
     assigned_third = np.take_along_axis(third, bracket.thirds[mask], axis=1)
 
-    winners = np.empty((n, len(bracket.knockout)), dtype=np.int64)
-
-    def resolve(kind: str, index: int, place: int) -> np.ndarray:
-        if kind == "place":
-            return positions[:, index, place]
-        if kind == "third":
-            return assigned_third[:, index]
-        return winners[:, index]
-
+    n_knockout = len(bracket.knockout)
+    seats = np.concatenate(
+        [positions.reshape(n, -1), assigned_third, np.empty((n, n_knockout), dtype=np.int64)],
+        axis=1,
+    )
     cursor = np.full(n, bracket.knockout_start)
-    in_r16 = np.zeros((n, n_teams), dtype=bool)
-    for j, match in enumerate(bracket.knockout):
-        a, b = (resolve(*side) for side in match.sides)
+    for winner, match in enumerate(bracket.knockout, start=seats.shape[1] - n_knockout):
+        a, b = seats[:, match.seat_a], seats[:, match.seat_b]
         loc_a = (a == match.venue) * 1.0 - (b == match.venue) * 1.0
         loc_b = (b == match.venue) * 1.0 - (a == match.venue) * 1.0
         elo_a, elo_b = live[rows, a], live[rows, b]
@@ -725,7 +688,7 @@ def _simulate_block(
         a_wins[shootout] = draws[shootout, 4] < elo.expected_scores(
             elo_a[shootout], elo_b[shootout]
         )
-        winners[:, j] = np.where(a_wins, a, b)
+        seats[:, winner] = np.where(a_wins, a, b)
         cursor += 2
         cursor[level] += 2
         cursor[shootout] += 1
@@ -733,11 +696,9 @@ def _simulate_block(
         # draw for rating purposes
         live[rows, a], live[rows, b] = elo.update_pairs(elo_a, elo_b, ga, gb, match.k)
         count(match.stage.lower(), np.stack([a, b]))
-        if match.stage == "R16":
-            in_r16[rows, a] = in_r16[rows, b] = True
         if match.stage == "FINAL":
-            count("champion", winners[:, j])
-    counts[STAT_NAMES.index("eliminated_group")] += (~in_r16).sum(axis=0)
+            count("champion", seats[:, winner])
+    counts[STAT_NAMES.index("eliminated_group")] = n - counts[STAT_NAMES.index("r16")]
     return counts
 
 

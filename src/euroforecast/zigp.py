@@ -93,45 +93,29 @@ def log_pmf_table(mu, phi, omega, k):
     return np.where(k == 0, zero, positive)
 
 
-def log_pmf_values(params: ZigpParams, ks: np.ndarray) -> np.ndarray:
-    """Vectorized log-pmf over an integer array ``ks``.
+def log_pmf(params: ZigpParams, k):
+    """log P[X=k] for one count, or for each count of an integer array.
 
-    Parameters
-    ----------
-    params : ZigpParams
-        Distribution parameters.
-    ks : array of int
-        Count values, all >= 0.
-
-    Returns
-    -------
-    np.ndarray
-        log P[X=k] for each k; -inf where the pmf underflows.
+    Returns a float for a count and an array for an array; -inf where the
+    pmf underflows.
     """
-    _check_k(ks)
-    return log_pmf_table(params.mu, params.phi, params.omega, np.asarray(ks, dtype=float))
+    _check_k(k)
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    values = log_pmf_table(params.mu, params.phi, params.omega, ks)
+    return values if np.ndim(k) else float(values[0])
 
 
-def log_pmf(params: ZigpParams, k: int) -> float:
-    """log P[X=k], numerically stable for large k."""
-    return float(log_pmf_values(params, np.array([k]))[0])
-
-
-def pmf_values(params: ZigpParams, ks: np.ndarray) -> np.ndarray:
-    """Vectorized pmf; exp of :func:`log_pmf_values`."""
-    return np.exp(log_pmf_values(params, ks))
-
-
-def pmf(params: ZigpParams, k: int) -> float:
-    """P[X=k] for a single count k >= 0."""
-    return float(np.exp(log_pmf(params, k)))
+def pmf(params: ZigpParams, k):
+    """P[X=k]; exp of :func:`log_pmf`, a float for a count and an array for an array."""
+    values = np.exp(log_pmf(params, k))
+    return values if np.ndim(k) else float(values)
 
 
 def truncated_pmf(params: ZigpParams, cap: int = HARD_CAP) -> np.ndarray:
     """The law of :func:`sample`: the pmf up to the stop point (the first k
     whose cumulative mass reaches 1 - TAIL_EPS, at most ``cap``), which
     takes the remaining mass."""
-    p = pmf_values(params, np.arange(cap + 1))
+    p = pmf(params, np.arange(cap + 1))
     c = np.cumsum(p)
     stop = min(int(np.searchsorted(c, 1.0 - TAIL_EPS)), cap)
     probs = p[: stop + 1]

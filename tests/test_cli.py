@@ -422,6 +422,27 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
+    def test_winner_of_a_group_match_is_config_error(
+        self, tmp_path, euro2020_model_file, data_dir, capsys
+    ):
+        fixtures = tmp_path / "fixtures.csv"
+        fixtures.write_text(
+            (data_dir / "euro2020_fixtures.csv").read_text().replace("NED,2A,2B", "NED,W1,2B")
+        )
+        code = main(
+            [
+                "simulate",
+                "--model", str(euro2020_model_file),
+                "--fixtures", str(fixtures),
+                "--allocation", str(data_dir / "euro2020_allocation.csv"),
+                "--ratings", str(data_dir / "euro2020_ratings.csv"),
+                "--n-runs", "10",
+                "--out-dir", str(tmp_path / "sim"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "fixtures.csv: match 37: slot W1" in capsys.readouterr().err
+
     def test_absurd_rating_is_config_error(self, tmp_path, euro2020_model_file, data_dir, capsys):
         ratings = tmp_path / "ratings.csv"
         ratings.write_text(
@@ -477,6 +498,37 @@ class TestSimulate:
         args = self.worker_args(command, workers, tmp_path, euro2016_model_file, data_dir)
         assert main(args) == EXIT_CONFIG
         assert "n_workers" in capsys.readouterr().err
+
+
+class TestOutOfRangeCoefficients:
+    """phi = 1 + e^beta must be finite and omega = expit(gamma_log) below 1."""
+
+    @pytest.mark.parametrize("field, value", [("beta", 1000), ("gamma_log", 800)])
+    @pytest.mark.parametrize("command", ["simulate", "forecast"])
+    def test_is_config_error(
+        self, tmp_path, euro2020_model_file, data_dir, capsys, command, field, value
+    ):
+        doc = json.loads(euro2020_model_file.read_text())
+        doc["teams"]["FRA"]["attack"][field] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        if command == "simulate":
+            args = [
+                "--fixtures", str(data_dir / "euro2020_fixtures.csv"),
+                "--allocation", str(data_dir / "euro2020_allocation.csv"),
+                "--ratings", str(data_dir / "euro2020_ratings.csv"),
+                "--n-runs", "10",
+                "--out-dir", str(tmp_path / "sim"),
+            ]
+        else:
+            args = [
+                "--team-a", "FRA", "--team-b", "GER", "--elo-a", "2000", "--elo-b", "1900",
+                "--out", str(tmp_path / "grid.csv"),
+            ]
+        assert main([command, "--model", str(model), *args]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "model.json: malformed coefficients at FRA.attack" in err
+        assert "Traceback" not in err
 
 
 class TestValidate:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -34,10 +35,15 @@ from euroforecast.data_io import (
     save_matches,
     save_models,
 )
-from euroforecast.errors import ConfigError, DataError, FileAccessError
+from euroforecast.errors import ConfigError, DataError, FileAccessError, ParameterError
 from euroforecast.forecast import score_grid
 from euroforecast.metrics import distributions_from_aggregate, score_report
-from euroforecast.regression import FitDiagnostics, RegressionCoefficients, TeamModel
+from euroforecast.regression import (
+    BETA_MAX,
+    FitDiagnostics,
+    RegressionCoefficients,
+    TeamModel,
+)
 from euroforecast.tournament import group_teams, monte_carlo
 
 from conftest import build_team_model
@@ -233,6 +239,13 @@ class TestLoadFixtures:
         with pytest.raises(DataError, match=r"f\.csv"):
             load_fixtures(path)
 
+    def test_winner_slot_must_name_a_knockout_match(self, tmp_path, data_dir):
+        # match 1 is a group match, so W1 names no knockout winner
+        text = (data_dir / "euro2020_fixtures.csv").read_text()
+        path = write(tmp_path, "f.csv", text.replace("NED,2A,2B", "NED,W1,2B"))
+        with pytest.raises(DataError, match=r"f\.csv: match 37: slot W1 must reference"):
+            load_fixtures(path)
+
 
 class TestLoadAllocation:
     def test_packaged_tables(self, data_dir):
@@ -373,6 +386,17 @@ def two_models():
     return {"FRA": a, "GER": b}
 
 
+# the accepted range of a model file's coefficients (docs/FORMATS.md):
+# beta up to BETA_MAX, and omega = expit(gamma_log) below 1, which holds
+# up to gamma_log 36.7368
+GAMMA_LOG_MAX = 36.73
+OUT_OF_RANGE = {
+    "alpha": st.sampled_from([math.nan, math.inf, -math.inf]),
+    "beta": st.floats(min_value=BETA_MAX, exclude_min=True) | st.just(math.nan),
+    "gamma_log": st.floats(min_value=36.74) | st.just(math.nan),
+}
+
+
 class TestModelFiles:
     def test_round_trip_is_lossless(self, tmp_path):
         models = two_models()
@@ -412,9 +436,31 @@ class TestModelFiles:
         with pytest.raises(DataError, match=rf"GER\.{kind}: {count} alpha values, expected"):
             load_models(path)
 
+    @pytest.mark.parametrize(
+        "field, value", [("beta", 1000.0), ("gamma_log", 800.0), ("beta", math.nan)]
+    )
+    def test_out_of_range_coefficients_rejected(self, tmp_path, field, value):
+        path = tmp_path / "models.json"
+        save_models(path, two_models())
+        doc = json.loads(path.read_text())
+        doc["teams"]["FRA"]["attack"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"models\.json: malformed coefficients at FRA\.attack"):
+            load_models(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileAccessError):
             load_models(tmp_path / "absent.json")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_coefficients_outside_the_accepted_range_rejected(self, data):
+        field = data.draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+        coeffs = {"alpha": (0.1, 0.0, 0.0), "beta": -2.0, "gamma_log": -3.0}
+        value = data.draw(OUT_OF_RANGE[field])
+        coeffs[field] = (0.1, value, 0.0) if field == "alpha" else value
+        with pytest.raises(ParameterError):
+            RegressionCoefficients(**coeffs)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -425,8 +471,8 @@ class TestModelFiles:
         def coeffs(p):
             return RegressionCoefficients(
                 alpha=tuple(data.draw(st.lists(finite, min_size=p, max_size=p))),
-                beta=data.draw(finite),
-                gamma_log=data.draw(finite),
+                beta=data.draw(st.floats(max_value=BETA_MAX, allow_infinity=False)),
+                gamma_log=data.draw(st.floats(max_value=GAMMA_LOG_MAX, allow_infinity=False)),
             )
 
         teams = data.draw(st.sets(st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=3, max_size=3),

@@ -13,12 +13,10 @@ from euroforecast.data_io import MatchRecord
 from euroforecast.elo import (
     DEFAULT_K_FACTORS,
     EloRating,
-    EloUpdateInputs,
     expected_score,
     expected_scores,
     goal_multiplier,
     replay_history,
-    update,
     update_pair,
     update_pairs,
 )
@@ -73,8 +71,8 @@ class TestUpdate:
         assert new_a + new_b == pytest.approx(1930.0 + 1785.0, abs=1e-9)
 
     def test_upset_gains_more_than_expected_win(self):
-        underdog_gain = update(EloUpdateInputs(1600.0, 2000.0, 50.0, 1, 0)) - 1600.0
-        favourite_gain = update(EloUpdateInputs(2000.0, 1600.0, 50.0, 1, 0)) - 2000.0
+        underdog_gain = update_pair(1600.0, 2000.0, 1, 0, 50.0)[0] - 1600.0
+        favourite_gain = update_pair(2000.0, 1600.0, 1, 0, 50.0)[0] - 2000.0
         assert underdog_gain > favourite_gain > 0
 
     @settings(max_examples=100, deadline=None)

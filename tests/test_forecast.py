@@ -18,7 +18,7 @@ from euroforecast.forecast import (
     sample_match_block,
     score_grid,
 )
-from euroforecast.zigp import pmf_values
+from euroforecast.zigp import pmf
 
 from conftest import Uniforms, build_team_model
 
@@ -124,11 +124,11 @@ class TestScoreGrid:
         cap = 10
         f = score_grid(strong, weak, 2087.0, 1936.0, "NEUTRAL", cap=cap)
         ks = np.arange(cap + 1)
-        p_strong = pmf_values(combined_params(strong, weak, 2087.0, 1936.0, "NEUTRAL"), ks)
+        p_strong = pmf(combined_params(strong, weak, 2087.0, 1936.0, "NEUTRAL"), ks)
         raw = np.array(
             [
                 p_strong[i]
-                * pmf_values(conditional_params(weak, "FRA", 2087.0, "NEUTRAL", i), ks)
+                * pmf(conditional_params(weak, "FRA", 2087.0, "NEUTRAL", i), ks)
                 for i in range(cap + 1)
             ]
         )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,15 +12,13 @@ from euroforecast.metrics import (
     N_RANKS,
     MetricsReport,
     OutcomeDistribution,
-    RealizedResult,
     brier,
     distributions_from_aggregate,
     mld,
-    result_rank_from_run,
     rps,
     score_report,
 )
-from euroforecast.tournament import monte_carlo, run_tournament
+from euroforecast.tournament import monte_carlo
 
 
 def dist(team, *p):
@@ -52,52 +48,6 @@ class TestOutcomeDistribution:
     def test_modal_tie_prefers_better_rank(self):
         d = dist("AAA", 0.1, 0.3, 0.3, 0.1, 0.1, 0.1)
         assert d.modal_rank() == 2
-
-    def test_realized_result_range(self):
-        RealizedResult("AAA", 1)
-        RealizedResult("AAA", 6)
-        with pytest.raises(ParameterError):
-            RealizedResult("AAA", 0)
-        with pytest.raises(ParameterError):
-            RealizedResult("AAA", 7)
-
-
-@pytest.fixture(scope="module")
-def run(euro2020, euro_models):
-    ratings, fixtures, allocation = euro2020
-    return run_tournament(
-        euro_models, ratings, fixtures, allocation, np.random.default_rng(14)
-    )
-
-
-class TestResultRank:
-    def test_counts_follow_bracket(self, run):
-        ranks = result_rank_from_run(run)
-        assert len(ranks) == 24
-        counts = [list(ranks.values()).count(r) for r in range(1, 7)]
-        assert counts == [1, 1, 2, 4, 8, 8]
-
-    def test_stage_semantics(self, run):
-        ranks = result_rank_from_run(run)
-        assert ranks[run.champion] == 1
-        loser = next(t for t in run.final_teams if t != run.champion)
-        assert ranks[loser] == 2
-        for t in run.sf_teams:
-            assert ranks[t] <= 3
-        for positions in run.group_positions.values():
-            for t in positions:
-                if t not in run.r16_teams:
-                    assert ranks[t] == 6
-
-    def test_incomplete_run_rejected(self, run):
-        broken = dataclasses.replace(run, champion="")
-        with pytest.raises(ParameterError, match="incomplete"):
-            result_rank_from_run(broken)
-
-    def test_malformed_bracket_rejected(self, run):
-        broken = dataclasses.replace(run, qf_teams=run.qf_teams[:-1])
-        with pytest.raises(ParameterError, match="counts"):
-            result_rank_from_run(broken)
 
 
 class TestAggregateDistributions:

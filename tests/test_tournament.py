@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from euroforecast import data_io, tournament
 from euroforecast.errors import ConfigError, DataError
 from euroforecast.tournament import (
     STAT_NAMES,
     Fixture,
-    _count_result,
-    _empty_aggregate,
+    SimulationAggregate,
+    TournamentResult,
     compile_bracket,
     group_teams,
     monte_carlo,
@@ -57,6 +61,15 @@ class TestValidateFixtures:
             for f in fixtures
         ]
         with pytest.raises(DataError, match="earlier match"):
+            validate_fixtures(broken)
+
+    def test_winner_of_a_group_match_rejected(self, euro2020):
+        _, fixtures, _ = euro2020
+        broken = [
+            dataclasses.replace(f, slot_a="W1") if f.match_id == 37 else f
+            for f in fixtures
+        ]
+        with pytest.raises(DataError, match="match 37: slot W1 must reference an earlier match"):
             validate_fixtures(broken)
 
     def test_malformed_slot_rejected(self, euro2020):
@@ -222,6 +235,50 @@ class TestBestThirds:
         assert picked == ("C", "D", "E", "F")
 
 
+SCORES = st.integers(0, 9)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+def round_robin(data, teams):
+    """The six matches among four ``teams``, with drawn sides and scores."""
+    results = []
+    for a, b in combinations(teams, 2):
+        if data.draw(st.booleans()):
+            a, b = b, a
+        results.append((a, b, data.draw(SCORES), data.draw(SCORES)))
+    return results
+
+
+class TestRankingProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=SEEDS)
+    def test_rank_group(self, data, seed):
+        results = round_robin(data, GROUP)
+        elo = {t: data.draw(FINITE) for t in GROUP}
+        rng = np.random.default_rng(seed)
+        ranking = rank_group(GROUP, results, elo, rng)
+        assert sorted(ranking) == sorted(GROUP)
+        # one lot per team, whatever the results
+        lots_only = np.random.default_rng(seed)
+        lots_only.random(len(GROUP))
+        assert rng.bit_generator.state == lots_only.bit_generator.state
+        teams, shuffled = data.draw(st.permutations(GROUP)), data.draw(st.permutations(results))
+        assert rank_group(teams, shuffled, elo, np.random.default_rng(seed)) == ranking
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=SEEDS)
+    def test_select_best_thirds(self, data, seed):
+        teams = {g: tuple(f"{g}{i}" for i in range(4)) for g in "ABCDEF"}
+        results = [r for g in teams for r in round_robin(data, teams[g])]
+        elo = {t: data.draw(FINITE) for ts in teams.values() for t in ts}
+        thirds = {g: data.draw(st.sampled_from(ts)) for g, ts in teams.items()}
+        picked = select_best_thirds(thirds, results, elo, np.random.default_rng(seed))
+        assert len(set(picked)) == 4
+        assert list(picked) == sorted(picked)
+        assert set(picked) <= set(teams)
+
+
 class TestKnockoutMatch:
     def test_deterministic(self):
         a = build_team_model("AAA", 2000.0)
@@ -309,6 +366,21 @@ class TestRunTournament:
         partial = {t: e for t, e in ratings.items() if t != "WAL"}
         with pytest.raises(ConfigError, match="WAL"):
             run_tournament(euro_models, partial, fixtures, allocation, np.random.default_rng(0))
+
+    def test_winner_of_a_group_match_rejected(self, euro2020, euro_models):
+        ratings, fixtures, allocation = euro2020
+        broken = [
+            dataclasses.replace(f, slot_a="W1") if f.match_id == 37 else f
+            for f in fixtures
+        ]
+        with pytest.raises(DataError, match="slot W1"):
+            run_tournament(euro_models, ratings, broken, allocation, np.random.default_rng(0))
+
+    def test_incomplete_allocation_rejected(self, euro2020, euro_models):
+        ratings, fixtures, allocation = euro2020
+        partial = {combo: row for combo, row in allocation.items() if combo != "CDEF"}
+        with pytest.raises(DataError, match="combination"):
+            run_tournament(euro_models, ratings, fixtures, partial, np.random.default_rng(0))
 
     def test_input_ratings_not_mutated(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
@@ -399,6 +471,33 @@ class TestMonteCarlo:
     def test_probability_accessor(self, aggregate):
         p = sum(aggregate.probability("champion", t) for t in aggregate.teams)
         assert p == pytest.approx(1.0)
+
+
+def _empty_aggregate(teams) -> SimulationAggregate:
+    counts = {stat: Counter({t: 0 for t in teams}) for stat in STAT_NAMES}
+    return SimulationAggregate(n_runs=0, teams=tuple(teams), counts=counts)
+
+
+def _count_result(agg: SimulationAggregate, result: TournamentResult) -> None:
+    qualified = set(result.r16_teams)
+    for positions in result.group_positions.values():
+        agg.counts["group_first"][positions[0]] += 1
+        agg.counts["group_second"][positions[1]] += 1
+        for t in positions:
+            if t not in qualified:
+                agg.counts["eliminated_group"][t] += 1
+    for t in result.qualified_thirds:
+        agg.counts["third_qualified"][t] += 1
+    for stat, reached in (
+        ("r16", result.r16_teams),
+        ("qf", result.qf_teams),
+        ("sf", result.sf_teams),
+        ("final", result.final_teams),
+    ):
+        for t in reached:
+            agg.counts[stat][t] += 1
+    agg.counts["champion"][result.champion] += 1
+    agg.n_runs += 1
 
 
 def scalar_counts(models, ratings, fixtures, allocation, n_runs, seed):

@@ -17,9 +17,7 @@ from euroforecast.zigp import (
     TAIL_EPS,
     ZigpParams,
     log_pmf,
-    log_pmf_values,
     pmf,
-    pmf_values,
     sample,
     sample_block,
     truncated_pmf,
@@ -78,7 +76,7 @@ class TestPmf:
     def test_poisson_reduction(self):
         ks = np.arange(0, 30)
         for mu in (0.1, 0.5, 1.0, 1.35521, 2.0, 3.7, 5.0, 10.0):
-            ours = pmf_values(ZigpParams(mu, 1.0, 0.0), ks)
+            ours = pmf(ZigpParams(mu, 1.0, 0.0), ks)
             ref = stats.poisson.pmf(ks, mu)
             assert np.max(np.abs(ours - ref)) < 1e-12
 
@@ -88,7 +86,7 @@ class TestPmf:
 
     def test_non_integer_k_rejected(self):
         with pytest.raises(ParameterError):
-            log_pmf_values(ZigpParams(1.0, 1.0, 0.0), np.array([0.5]))
+            log_pmf(ZigpParams(1.0, 1.0, 0.0), np.array([0.5]))
 
     def test_large_k_underflows_to_zero(self):
         p = ZigpParams(1.0, 1.0, 0.0)
@@ -97,7 +95,7 @@ class TestPmf:
 
     def test_log_pmf_scalar_matches_vector(self):
         p = ZigpParams(2.3, 1.4, 0.07)
-        vec = log_pmf_values(p, np.arange(6))
+        vec = log_pmf(p, np.arange(6))
         for k in range(6):
             assert log_pmf(p, k) == vec[k]
 
@@ -108,7 +106,7 @@ class TestPmf:
         omega=st.floats(0.0, 0.6),
     )
     def test_pmf_sums_to_one(self, mu, phi, omega):
-        total = float(np.sum(pmf_values(ZigpParams(mu, phi, omega), np.arange(HARD_CAP + 1))))
+        total = float(np.sum(pmf(ZigpParams(mu, phi, omega), np.arange(HARD_CAP + 1))))
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_inflation_raises_zero_mass(self):
@@ -156,7 +154,7 @@ class TestSampling:
         rng = np.random.default_rng(1)
         n = 200_000
         draws = sample(p, rng, size=n)
-        theo = pmf_values(p, np.arange(10))
+        theo = pmf(p, np.arange(10))
         emp = np.bincount(draws, minlength=10)[:10] / n
         se = np.sqrt(theo * (1 - theo) / n)
         assert np.all(np.abs(emp - theo) < 4 * se + 1e-9)
