@@ -133,10 +133,14 @@ def validate_fixtures(fixtures: Sequence[Fixture]) -> None:
         if n_matches != 6:
             raise DataError(f"group {g} must have 6 fixtures")
     knockout = {f"W{f.match_id}": f.match_id for f in fixtures if f.stage != "GROUP"}
+    seen: set[str] = set()
     for f in fixtures:
         if f.stage == "GROUP":
             continue
         for slot in (f.slot_a, f.slot_b):
+            if slot in seen:
+                raise DataError(f"match {f.match_id}: slot {slot} is used twice")
+            seen.add(slot)
             if slot.startswith("W"):
                 ref = knockout.get(slot)
                 if ref is None or ref >= f.match_id:

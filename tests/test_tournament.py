@@ -72,6 +72,15 @@ class TestValidateFixtures:
         with pytest.raises(DataError, match="match 37: slot W1 must reference an earlier match"):
             validate_fixtures(broken)
 
+    def test_slot_used_twice_rejected(self, euro2020):
+        _, fixtures, _ = euro2020
+        broken = [
+            dataclasses.replace(f, slot_b="2A") if f.match_id == 37 else f
+            for f in fixtures
+        ]
+        with pytest.raises(DataError, match="match 37: slot 2A is used twice"):
+            validate_fixtures(broken)
+
     def test_malformed_slot_rejected(self, euro2020):
         _, fixtures, _ = euro2020
         broken = [
