@@ -186,17 +186,13 @@ def cmd_forecast(args) -> int:
     return EXIT_OK
 
 
-def _simulation_inputs(args):
+def _simulate(args):
+    """Load the model, fixtures, allocation and ratings, and play ``--n-runs`` tournaments."""
+    cfg = _load_config(args)
     models, _ = data_io.load_models(args.model)
     fixtures = data_io.load_fixtures(args.fixtures)
     allocation = data_io.load_allocation(args.allocation)
     ratings = data_io.rating_table(data_io.load_ratings(args.ratings))
-    return models, fixtures, allocation, ratings
-
-
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    models, fixtures, allocation, ratings = _simulation_inputs(args)
     agg = tournament.monte_carlo(
         models,
         ratings,
@@ -207,6 +203,11 @@ def cmd_simulate(args) -> int:
         n_workers=args.workers,
         k_factors=cfg.k_factors,
     )
+    return fixtures, agg
+
+
+def cmd_simulate(args) -> int:
+    fixtures, agg = _simulate(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(
@@ -226,19 +227,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args)
-    models, fixtures, allocation, ratings = _simulation_inputs(args)
-    realized = data_io.load_realized_results(args.results)
-    agg = tournament.monte_carlo(
-        models,
-        ratings,
-        fixtures,
-        allocation,
-        n_runs=args.n_runs,
-        master_seed=args.seed,
-        n_workers=args.workers,
-        k_factors=cfg.k_factors,
-    )
+    realized = data_io.load_realized_results(args.results)  # fail before simulating
+    _, agg = _simulate(args)
     distributions = metrics.distributions_from_aggregate(agg)
     report = metrics.score_report(distributions, realized)
     manifest = _manifest(
@@ -274,6 +264,17 @@ def cmd_gof(args) -> int:
 
 def _add_config(p):
     p.add_argument("--config", help="JSON config file (default: packaged config)")
+
+
+def _add_simulation(p):
+    p.add_argument("--model", required=True)
+    p.add_argument("--fixtures", required=True)
+    p.add_argument("--allocation", required=True)
+    p.add_argument("--ratings", required=True)
+    p.add_argument("--n-runs", type=int, default=DEFAULT_N_RUNS)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
+    _add_config(p)
 
 
 def _add_window(p):
@@ -324,28 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_forecast)
 
     p = sub.add_parser("simulate", help="Monte Carlo tournament simulation")
-    p.add_argument("--model", required=True)
-    p.add_argument("--fixtures", required=True)
-    p.add_argument("--allocation", required=True)
-    p.add_argument("--ratings", required=True)
-    p.add_argument("--n-runs", type=int, default=DEFAULT_N_RUNS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    _add_simulation(p)
     p.add_argument("--out-dir", required=True)
-    _add_config(p)
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("validate", help="backtest a simulated tournament against reality")
-    p.add_argument("--model", required=True)
-    p.add_argument("--fixtures", required=True)
-    p.add_argument("--allocation", required=True)
-    p.add_argument("--ratings", required=True)
+    _add_simulation(p)
     p.add_argument("--results", required=True, help="realized ranks CSV")
-    p.add_argument("--n-runs", type=int, default=DEFAULT_N_RUNS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="metrics report CSV")
-    _add_config(p)
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("gof", help="print/export fit diagnostics from a model file")
@@ -361,10 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FileAccessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (FileAccessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ConfigError, DataError, ParameterError) as exc:

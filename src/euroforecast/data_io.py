@@ -18,13 +18,14 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .elo import DEFAULT_K_FACTORS, EloRating
 from .errors import ConfigError, DataError, FileAccessError, ParameterError
-from .regression import ALPHA_LENGTHS, FitDiagnostics, RegressionCoefficients, TeamModel
+from .forecast import DEFAULT_GRID_CAP
+from .regression import ALPHA_LENGTHS, FitConfig, FitDiagnostics, RegressionCoefficients, TeamModel
 from .tournament import (
     Fixture,
     SimulationAggregate,
@@ -76,8 +77,8 @@ class AppConfig:
     k_factors: Mapping[str, float] = field(
         default_factory=lambda: dict(DEFAULT_K_FACTORS)
     )
-    min_nested_obs: int = 10
-    grid_cap: int = 15
+    min_nested_obs: int = FitConfig.min_nested_obs
+    grid_cap: int = DEFAULT_GRID_CAP
 
     def weight_config(self) -> WeightConfig:
         return WeightConfig(
@@ -92,26 +93,39 @@ class AppConfig:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: str | Path):
-    """Yield (line_number, row) for data rows; comments/blanks skipped."""
-    path = Path(path)
-    if not path.exists():
-        raise FileAccessError("file not found", path=str(path))
+def _read_table(path: str | Path):
+    """Yield (line_number, cells) for the header row, then for each data row.
+
+    Comment and blank lines are skipped; every data row must have the
+    header's number of fields.
+    """
+    spath = str(path)
+    if not Path(path).exists():
+        raise FileAccessError("file not found", path=spath)
+    header = None
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         for row in reader:
-            if not row or (row[0].startswith("#") and len(row) >= 1):
+            if not row or row[0].startswith("#"):
                 continue
-            yield reader.line_num, [cell.strip() for cell in row]
+            row = [cell.strip() for cell in row]
+            if header is None:
+                header = row
+            elif len(row) != len(header):
+                raise DataError(
+                    f"expected {len(header)} fields, got {len(row)}",
+                    path=spath,
+                    line=reader.line_num,
+                )
+            yield reader.line_num, row
+    if header is None:
+        raise DataError("missing header row", path=spath)
 
 
 def _parse_table(path: str | Path, required: Sequence[str], optional: Sequence[str] = ()):
     """Parse a headed CSV into dict rows, validating the column set."""
-    rows = _read_rows(path)
-    try:
-        header_line, header = next(rows)
-    except StopIteration:
-        raise DataError("missing header row", path=str(path)) from None
+    rows = _read_table(path)
+    header_line, header = next(rows)
     missing = [c for c in required if c not in header]
     if missing:
         raise DataError(
@@ -125,12 +139,6 @@ def _parse_table(path: str | Path, required: Sequence[str], optional: Sequence[s
             f"unknown columns: {', '.join(unknown)}", path=str(path), line=header_line
         )
     for line, row in rows:
-        if len(row) != len(header):
-            raise DataError(
-                f"expected {len(header)} fields, got {len(row)}",
-                path=str(path),
-                line=line,
-            )
         yield line, dict(zip(header, row))
 
 
@@ -178,6 +186,15 @@ def _write_csv(
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(columns)
             writer.writerows(rows)
+    except OSError as exc:
+        raise FileAccessError(f"cannot write file: {exc}", path=str(path)) from exc
+
+
+def _write_json(path: str | Path, doc: Mapping) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f, indent=2, sort_keys=True)
+            f.write("\n")
     except OSError as exc:
         raise FileAccessError(f"cannot write file: {exc}", path=str(path)) from exc
 
@@ -351,22 +368,15 @@ def load_allocation(path: str | Path) -> dict[str, dict[str, str]]:
     each row sends one qualified group's third to each slot.
     """
     spath = str(path)
-    rows = _read_rows(path)
-    try:
-        header_line, header = next(rows)
-    except StopIteration:
-        raise DataError("missing header row", path=spath) from None
-    if not header or header[0] != "combination":
+    rows = _read_table(path)
+    header_line, header = next(rows)
+    if header[0] != "combination":
         raise DataError(
             "first column must be 'combination'", path=spath, line=header_line
         )
     slots = header[1:]
     table: dict[str, dict[str, str]] = {}
     for line, row in rows:
-        if len(row) != len(header):
-            raise DataError(
-                f"expected {len(header)} fields, got {len(row)}", path=spath, line=line
-            )
         combo = "".join(sorted(row[0]))
         if combo in table:
             raise DataError(f"duplicate combination {combo}", path=spath, line=line)
@@ -414,15 +424,7 @@ def load_config(path: str | Path) -> AppConfig:
         raise ConfigError(f"{spath}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{spath}: config must be a JSON object")
-    known = {
-        "reference_date",
-        "half_period_days",
-        "importance_table",
-        "k_factors",
-        "min_nested_obs",
-        "grid_cap",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(AppConfig)}
     if unknown:
         raise ConfigError(f"{spath}: unknown config keys: {sorted(unknown)}")
     if "reference_date" not in raw:
@@ -433,28 +435,20 @@ def load_config(path: str | Path) -> AppConfig:
         raise ConfigError(
             f"{spath}: reference_date must be an ISO date string"
         ) from None
+    # type() rather than isinstance(): JSON's true and false are not numbers here
     for key in ("importance_table", "k_factors"):
         if key in raw and not (
             isinstance(raw[key], dict)
-            and all(isinstance(v, (int, float)) for v in raw[key].values())
+            and all(
+                type(v) is int or (type(v) is float and math.isfinite(v))
+                for v in raw[key].values()
+            )
         ):
-            raise ConfigError(f"{spath}: {key} must map codes to numbers")
+            raise ConfigError(f"{spath}: {key} must map codes to finite numbers")
     for key in ("half_period_days", "min_nested_obs", "grid_cap"):
-        if key in raw and not isinstance(raw[key], int):
+        if key in raw and type(raw[key]) is not int:
             raise ConfigError(f"{spath}: {key} must be an integer")
-    try:
-        return AppConfig(
-            reference_date=reference_date,
-            half_period_days=raw.get("half_period_days", DEFAULT_HALF_PERIOD_DAYS),
-            importance_table=raw.get("importance_table", dict(DEFAULT_IMPORTANCE)),
-            k_factors=raw.get("k_factors", dict(DEFAULT_K_FACTORS)),
-            min_nested_obs=raw.get("min_nested_obs", 10),
-            grid_cap=raw.get("grid_cap", 15),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"{spath}: {exc}") from None
+    return AppConfig(**{**raw, "reference_date": reference_date})
 
 
 # ---------------------------------------------------------------------------
@@ -496,21 +490,10 @@ def save_models(
             "nested": _coeffs_to_json(m.nested),
             "nested_fallback": m.nested_fallback,
             "diagnostics": {
-                kind: {
-                    "statistic": d.statistic,
-                    "df": d.df,
-                    "p_value": d.p_value,
-                    "n_obs": d.n_obs,
-                }
-                for kind, d in sorted(m.diagnostics.items())
+                kind: asdict(d) for kind, d in sorted(m.diagnostics.items())
             },
         }
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
-    except OSError as exc:
-        raise FileAccessError(f"cannot write file: {exc}", path=str(path)) from exc
+    _write_json(path, doc)
 
 
 def load_models(path: str | Path) -> tuple[dict[str, TeamModel], dict]:
@@ -590,25 +573,12 @@ def export_group_table(
     )
 
 
-def export_stage_table(
-    path: str | Path,
-    agg: SimulationAggregate,
-    metadata: Mapping[str, object] | None = None,
-) -> None:
-    """Stage-reaching probabilities, champions first."""
-    order = sorted(
-        agg.teams, key=lambda t: (-agg.counts["champion"][t], t)
-    )
+def _write_stage_table(path, agg, cell, metadata) -> None:
+    """One row per team, champions first; ``cell`` maps a stage probability to its entry."""
+    order = sorted(agg.teams, key=lambda t: (-agg.counts["champion"][t], t))
+    stats = ("champion", "final", "sf", "qf", "r16")
     rows = [
-        (
-            team,
-            _prob(agg.probability("champion", team)),
-            _prob(agg.probability("final", team)),
-            _prob(agg.probability("sf", team)),
-            _prob(agg.probability("qf", team)),
-            _prob(agg.probability("r16", team)),
-        )
-        for team in order
+        (team,) + tuple(_prob(cell(agg.probability(s, team))) for s in stats) for team in order
     ]
     _write_csv(
         path,
@@ -618,8 +588,13 @@ def export_stage_table(
     )
 
 
-def _standard_error(p: float, n: int) -> float:
-    return (p * (1.0 - p) / n) ** 0.5
+def export_stage_table(
+    path: str | Path,
+    agg: SimulationAggregate,
+    metadata: Mapping[str, object] | None = None,
+) -> None:
+    """Stage-reaching probabilities, champions first."""
+    _write_stage_table(path, agg, lambda p: p, metadata)
 
 
 def export_stage_standard_errors(
@@ -628,21 +603,7 @@ def export_stage_standard_errors(
     metadata: Mapping[str, object] | None = None,
 ) -> None:
     """Monte Carlo standard errors matching the stage table's shape."""
-    order = sorted(agg.teams, key=lambda t: (-agg.counts["champion"][t], t))
-    stats = ("champion", "final", "sf", "qf", "r16")
-    rows = [
-        (team,)
-        + tuple(
-            _prob(_standard_error(agg.probability(s, team), agg.n_runs)) for s in stats
-        )
-        for team in order
-    ]
-    _write_csv(
-        path,
-        ("team", "champion", "final", "semifinal", "quarterfinal", "last16"),
-        rows,
-        metadata,
-    )
+    _write_stage_table(path, agg, lambda p: (p * (1.0 - p) / agg.n_runs) ** 0.5, metadata)
 
 
 def export_score_grid(
@@ -676,12 +637,7 @@ def export_score_grid_json(
         "cap": forecast.cap,
         "grid": [[round(float(p), 10) for p in row] for row in forecast.grid],
     }
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
-    except OSError as exc:
-        raise FileAccessError(f"cannot write file: {exc}", path=str(path)) from exc
+    _write_json(path, doc)
 
 
 def export_gof_report(

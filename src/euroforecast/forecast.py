@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .zigp import ZigpParams, _check_param_arrays, log_pmf_table, sample, sample_block
+from .zigp import HARD_CAP, ZigpParams, _check_param_arrays, log_pmf_table, sample, sample_block
 
 if TYPE_CHECKING:
     from .regression import TeamModel
@@ -136,8 +136,10 @@ def score_grid(
     Row i holds the stronger side scoring i times the weaker side's
     conditional pmf given i; the cap+1 conditional rows are one table.
     Probability mass above the cap is removed by renormalizing the
-    truncated grid to sum to one.
+    truncated grid to sum to one.  ``cap`` must lie in 1..HARD_CAP.
     """
+    if not 1 <= cap <= HARD_CAP:
+        raise ParameterError(f"grid cap must be in 1..{HARD_CAP}, got {cap}")
     stronger, weaker, swapped = order_by_strength(
         model_a.team, elo_a, model_b.team, elo_b
     )

@@ -45,7 +45,9 @@ if TYPE_CHECKING:
     from .data_io import MatchRecord
 
 _ETA_CLIP = 30.0  # guard against exp overflow during line-search excursions
-_BETA_BOUNDS = (-30.0, 5.0)
+# phi = 1 + e^beta is at most 149.4 here, so the pmf stays finite up to HARD_CAP
+BETA_MAX = 5.0
+_BETA_BOUNDS = (-30.0, BETA_MAX)
 _GAMMA_BOUNDS = (-30.0, 30.0)
 _ALPHA_BOUND = 50.0
 _GOF_MEAN_FLOOR = 1e-8
@@ -57,7 +59,6 @@ _NEWTON_GTOL = 1e-9
 # beta and gamma by about one unit per step.
 _NEWTON_MAX_ITER = 100
 ALPHA_LENGTHS = {"attack": 3, "defense": 3, "nested": 4}  # see build_observations
-BETA_MAX = 709.78  # a model's largest beta: e^beta stays below the largest double
 
 
 class DesignMatrixWarning(UserWarning):
@@ -69,8 +70,8 @@ class RegressionCoefficients:
     """One fitted coefficient set: linear predictor plus (beta, gamma).
 
     ``phi`` and ``omega`` are derived once, here.  A set is rejected
-    unless every alpha is finite, beta <= BETA_MAX (so that phi = 1 + e^beta
-    is finite) and omega = expit(gamma_log) is below 1.
+    unless every alpha is finite, beta <= BETA_MAX (the fitter's upper
+    bound) and omega = expit(gamma_log) is below 1.
     """
 
     alpha: tuple[float, ...]

@@ -36,6 +36,7 @@ from .forecast import ModelArrays, location_indicator, sample_match, sample_matc
 if TYPE_CHECKING:
     from .regression import TeamModel
 
+GROUPS = "ABCDEF"
 STAGES = ("GROUP", "R16", "QF", "SF", "FINAL")
 STAGE_COUNTS = {"GROUP": 36, "R16": 8, "QF": 4, "SF": 2, "FINAL": 1}
 EXTRA_TIME_MU_FACTOR = 1.0 / 3.0
@@ -127,8 +128,11 @@ def validate_fixtures(fixtures: Sequence[Fixture]) -> None:
                 f"expected {expected} {stage} fixtures, got {len(by_stage[stage])}"
             )
     teams = group_teams(fixtures)
-    if len(teams) != 6 or any(len(ts) != 4 for ts in teams.values()):
-        raise DataError("group stage must cover 6 groups of 4 teams")
+    if "".join(teams) != GROUPS or any(len(ts) != 4 for ts in teams.values()):
+        raise DataError(
+            f"group stage must cover groups {GROUPS[0]}-{GROUPS[-1]} of 4 teams each, "
+            f"got groups {', '.join(teams)}"
+        )
     for g, n_matches in Counter(f.group for f in by_stage["GROUP"]).items():
         if n_matches != 6:
             raise DataError(f"group {g} must have 6 fixtures")
@@ -158,11 +162,9 @@ def validate_fixtures(fixtures: Sequence[Fixture]) -> None:
                 raise DataError(f"match {f.match_id}: malformed slot {slot!r}")
 
 
-def validate_allocation(
-    allocation: Mapping[str, Mapping[str, str]], groups: Sequence[str] = "ABCDEF"
-) -> None:
-    """The third-place table must cover all 4-subsets bijectively."""
-    expected = {"".join(c) for c in combinations(sorted(groups), 4)}
+def validate_allocation(allocation: Mapping[str, Mapping[str, str]]) -> None:
+    """The third-place table must cover all 4-subsets of the groups bijectively."""
+    expected = {"".join(c) for c in combinations(GROUPS, 4)}
     if set(allocation) != expected:
         raise DataError(
             f"allocation table must have one row per 4-group combination "
@@ -417,10 +419,7 @@ def run_tournament(
     thirds = {g: positions[g][2] for g in sorted(teams)}
     all_results = [r for g in sorted(teams) for r in group_results[g]]
     qualified_groups = select_best_thirds(thirds, all_results, live, rng)
-    combo = "".join(qualified_groups)
-    if combo not in allocation:
-        raise DataError(f"allocation table has no row for combination {combo}")
-    third_assignment = allocation[combo]
+    third_assignment = allocation["".join(qualified_groups)]
 
     winners: dict[int, str] = {}
     reached: dict[str, list[str]] = {s: [] for s in ("R16", "QF", "SF", "FINAL")}

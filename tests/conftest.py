@@ -61,6 +61,19 @@ def build_team_model(team: str, elo: float) -> TeamModel:
     return TeamModel(team=team, attack=attack, defense=defense, nested=nested)
 
 
+def rename_groups(fixtures_csv: str, letters: str) -> str:
+    """A fixture CSV's text with groups A-F renamed to ``letters``, in the slots too."""
+    table = str.maketrans("ABCDEF", letters)
+    lines = []
+    for line in fixtures_csv.splitlines():
+        cells = line.split(",")
+        if cells[0].isdigit():
+            cells[2] = cells[2].translate(table)
+            cells[5:7] = [s[0] + s[1:].translate(table) if s[0] in "123" else s for s in cells[5:7]]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def euro_models(euro2020):
     ratings, _, _ = euro2020

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import datetime as dt
 import json
 import os
 import subprocess
@@ -9,12 +11,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import euroforecast
 from euroforecast import data_io, tournament
 from euroforecast.cli import CONFIG_DIR_ENV, EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, main
+from euroforecast.data_io import AppConfig
 
-from conftest import build_team_model
+from conftest import build_team_model, rename_groups
 
 
 def save_hand_models(path, teams_with_elo):
@@ -335,6 +340,24 @@ class TestForecast:
         assert code == EXIT_CONFIG
         assert "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-1", "201"])
+    def test_cap_outside_range_is_config_error(self, tmp_path, fitted_model_file, capsys, cap):
+        code = main(
+            [
+                "forecast",
+                "--model", str(fitted_model_file),
+                "--team-a", "FRA",
+                "--team-b", "BEL",
+                "--elo-a", "2000",
+                "--elo-b", "1900",
+                "--cap", cap,
+                "--out", str(tmp_path / "grid.csv"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "grid cap must be in 1..200" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_needs_some_elo_source(self, tmp_path, fitted_model_file, capsys):
         code = main(
             [
@@ -443,6 +466,27 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "fixtures.csv: match 37: slot W1" in capsys.readouterr().err
 
+    def test_groups_other_than_a_to_f_are_config_error(
+        self, tmp_path, euro2020_model_file, data_dir, capsys
+    ):
+        fixtures = tmp_path / "fixtures.csv"
+        fixtures.write_text(
+            rename_groups((data_dir / "euro2020_fixtures.csv").read_text(), "GHIJKL")
+        )
+        code = main(
+            [
+                "simulate",
+                "--model", str(euro2020_model_file),
+                "--fixtures", str(fixtures),
+                "--allocation", str(data_dir / "euro2020_allocation.csv"),
+                "--ratings", str(data_dir / "euro2020_ratings.csv"),
+                "--n-runs", "10",
+                "--out-dir", str(tmp_path / "sim"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "fixtures.csv: group stage must cover groups A-F" in capsys.readouterr().err
+
     def test_absurd_rating_is_config_error(self, tmp_path, euro2020_model_file, data_dir, capsys):
         ratings = tmp_path / "ratings.csv"
         ratings.write_text(
@@ -501,9 +545,11 @@ class TestSimulate:
 
 
 class TestOutOfRangeCoefficients:
-    """phi = 1 + e^beta must be finite and omega = expit(gamma_log) below 1."""
+    """beta must be at most the fitter's bound BETA_MAX and omega = expit(gamma_log) below 1."""
 
-    @pytest.mark.parametrize("field, value", [("beta", 1000), ("gamma_log", 800)])
+    @pytest.mark.parametrize(
+        "field, value", [("beta", 1000), ("gamma_log", 800), ("beta", 709), ("beta", 6)]
+    )
     @pytest.mark.parametrize("command", ["simulate", "forecast"])
     def test_is_config_error(
         self, tmp_path, euro2020_model_file, data_dir, capsys, command, field, value
@@ -529,6 +575,57 @@ class TestOutOfRangeCoefficients:
         err = capsys.readouterr().err
         assert "model.json: malformed coefficients at FRA.attack" in err
         assert "Traceback" not in err
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(AppConfig)]
+JSON_SCALARS = (
+    st.integers()
+    | st.floats()
+    | st.booleans()
+    | st.text(max_size=10)
+    | st.dates().map(dt.date.isoformat)
+)
+CONFIG_VALUES = JSON_SCALARS | st.dictionaries(st.text(max_size=6), JSON_SCALARS, max_size=4)
+
+
+class TestConfigValues:
+    """Whatever a config file holds, a command exits 0, 2 or 4, never with a traceback."""
+
+    @staticmethod
+    def forecast(tmp_path, model_file, config) -> int:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        return main(
+            [
+                "forecast",
+                "--model", str(model_file),
+                "--team-a", "FRA",
+                "--team-b", "BEL",
+                "--elo-a", "2000",
+                "--elo-b", "1900",
+                "--out", str(tmp_path / "grid.csv"),
+                "--config", str(path),
+            ]
+        )
+
+    @pytest.mark.parametrize("value", [-3, 0, 201, True])
+    def test_grid_cap_outside_range_is_config_error(
+        self, tmp_path, fitted_model_file, capsys, value
+    ):
+        config = {"reference_date": "2021-06-07", "grid_cap": value}
+        assert self.forecast(tmp_path, fitted_model_file, config) == EXIT_CONFIG
+        assert "grid" in capsys.readouterr().err
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(config=st.fixed_dictionaries({}, optional=dict.fromkeys(CONFIG_KEYS, CONFIG_VALUES)))
+    @example(config={"reference_date": "2021-06-07", "grid_cap": -3})
+    @example(config={"reference_date": "2021-06-07", "grid_cap": 10**40})
+    def test_any_config_exits_cleanly(self, tmp_path, fitted_model_file, capsys, config):
+        code = self.forecast(tmp_path, fitted_model_file, config)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestValidate:

@@ -46,7 +46,7 @@ from euroforecast.regression import (
 )
 from euroforecast.tournament import group_teams, monte_carlo
 
-from conftest import build_team_model
+from conftest import build_team_model, rename_groups
 
 GOOD_MATCHES = """\
 # source: unit test
@@ -239,6 +239,13 @@ class TestLoadFixtures:
         with pytest.raises(DataError, match=r"f\.csv"):
             load_fixtures(path)
 
+    def test_groups_must_be_a_to_f(self, tmp_path, data_dir):
+        # the allocation table and its format know groups A-F only
+        text = rename_groups((data_dir / "euro2020_fixtures.csv").read_text(), "GHIJKL")
+        path = write(tmp_path, "f.csv", text)
+        with pytest.raises(DataError, match=r"f\.csv: group stage must cover groups A-F"):
+            load_fixtures(path)
+
     def test_winner_slot_must_name_a_knockout_match(self, tmp_path, data_dir):
         # match 1 is a group match, so W1 names no knockout winner
         text = (data_dir / "euro2020_fixtures.csv").read_text()
@@ -311,6 +318,27 @@ class TestLoadConfig:
         assert cfg.importance_table["WC"] == 4.0
         assert cfg.k_factors["FRIENDLY"] == 20.0
         assert cfg.grid_cap == 15
+
+    def test_packaged_default_is_the_code_default(self, data_dir):
+        cfg = load_config(data_dir / "default_config.json")
+        assert cfg == AppConfig(reference_date=dt.date(2021, 6, 7))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("grid_cap", True),
+            ("half_period_days", False),
+            ("min_nested_obs", True),
+            ("k_factors", {"CONT": True}),
+            ("importance_table", {"WC": False}),
+            ("k_factors", {"CONT": math.nan}),
+            ("importance_table", {"WC": math.inf}),
+        ],
+    )
+    def test_booleans_and_non_finite_numbers_rejected(self, tmp_path, key, value):
+        path = write(tmp_path, "c.json", json.dumps({"reference_date": "2016-06-10", key: value}))
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
 
     def test_minimal(self, tmp_path):
         path = write(tmp_path, "c.json", '{"reference_date": "2016-06-10"}')

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from euroforecast.errors import ParameterError
 from euroforecast.forecast import (
     MatchForecast,
     ModelArrays,
@@ -18,7 +21,8 @@ from euroforecast.forecast import (
     sample_match_block,
     score_grid,
 )
-from euroforecast.zigp import pmf
+from euroforecast.regression import BETA_MAX
+from euroforecast.zigp import HARD_CAP, pmf
 
 from conftest import Uniforms, build_team_model
 
@@ -143,6 +147,26 @@ class TestScoreGrid:
         f = score_grid(strong, weak, 2087.0, 1936.0)
         win_a, _, win_b = f.outcome_probabilities()
         assert win_a > win_b
+
+    @pytest.mark.parametrize("cap", [0, -1, HARD_CAP + 1])
+    def test_cap_outside_range_rejected(self, strong, weak, cap):
+        with pytest.raises(ParameterError, match=f"grid cap must be in 1..{HARD_CAP}"):
+            score_grid(strong, weak, 2087.0, 1936.0, cap=cap)
+
+    def test_finite_at_the_largest_beta_and_cap(self, strong, weak):
+        # the most overdispersed model a file may hold, on the widest grid
+        def widest(model):
+            return dataclasses.replace(
+                model,
+                **{
+                    kind: dataclasses.replace(getattr(model, kind), beta=BETA_MAX)
+                    for kind in ("attack", "defense", "nested")
+                },
+            )
+
+        f = score_grid(widest(strong), widest(weak), 2087.0, 1936.0, cap=HARD_CAP)
+        assert np.all(np.isfinite(f.grid))
+        assert f.grid.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMatchForecast:
