@@ -71,12 +71,11 @@ def _manifest(args, command: str, **extra) -> dict:
     return manifest
 
 
-def _parse_window(args) -> tuple[dt.date | None, dt.date | None] | None:
-    start = dt.date.fromisoformat(args.start) if getattr(args, "start", None) else None
-    end = dt.date.fromisoformat(args.end) if getattr(args, "end", None) else None
-    if start is None and end is None:
-        return None
-    return (start, end)
+def _parse_window(args) -> tuple[dt.date | None, dt.date | None]:
+    try:
+        return tuple(dt.date.fromisoformat(d) if d else None for d in (args.start, args.end))
+    except ValueError:
+        raise ConfigError(f"not ISO dates: --start {args.start!r} --end {args.end!r}") from None
 
 
 def _annotated_matches(args, cfg: data_io.AppConfig):

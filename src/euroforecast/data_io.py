@@ -105,19 +105,22 @@ def _read_table(path: str | Path):
     header = None
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            row = [cell.strip() for cell in row]
-            if header is None:
-                header = row
-            elif len(row) != len(header):
-                raise DataError(
-                    f"expected {len(header)} fields, got {len(row)}",
-                    path=spath,
-                    line=reader.line_num,
-                )
-            yield reader.line_num, row
+        try:
+            for row in reader:
+                if not row or row[0].startswith("#"):
+                    continue
+                row = [cell.strip() for cell in row]
+                if header is None:
+                    header = row
+                elif len(row) != len(header):
+                    raise DataError(
+                        f"expected {len(header)} fields, got {len(row)}",
+                        path=spath,
+                        line=reader.line_num,
+                    )
+                yield reader.line_num, row
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"unreadable as UTF-8 CSV: {exc}", path=spath) from None
     if header is None:
         raise DataError("missing header row", path=spath)
 
@@ -197,6 +200,17 @@ def _write_json(path: str | Path, doc: Mapping) -> None:
             f.write("\n")
     except OSError as exc:
         raise FileAccessError(f"cannot write file: {exc}", path=str(path)) from exc
+
+
+def _read_json(path: str | Path, error: type[Exception]):
+    """The document in a UTF-8 JSON file; content that is not raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except FileNotFoundError:
+        raise FileAccessError("file not found", path=str(path)) from None
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from None
 
 
 def file_sha256(path: str | Path) -> str:
@@ -415,13 +429,7 @@ def load_realized_results(path: str | Path) -> dict[str, int]:
 def load_config(path: str | Path) -> AppConfig:
     """JSON run configuration; unknown keys are rejected."""
     spath = str(path)
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-    except FileNotFoundError:
-        raise FileAccessError("file not found", path=spath) from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{spath}: invalid JSON: {exc}") from None
+    raw = _read_json(path, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{spath}: config must be a JSON object")
     unknown = set(raw) - {f.name for f in fields(AppConfig)}
@@ -499,20 +507,19 @@ def save_models(
 def load_models(path: str | Path) -> tuple[dict[str, TeamModel], dict]:
     """Read a model file; returns (models, metadata)."""
     spath = str(path)
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise FileAccessError("file not found", path=spath) from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON: {exc}", path=spath) from None
+    doc = _read_json(path, DataError)
+    if not isinstance(doc, dict):
+        raise DataError("a model file must hold a JSON object", path=spath)
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(
             f"unsupported model format version {doc.get('format_version')!r}",
             path=spath,
         )
+    teams = doc.get("teams", {})
+    if not (isinstance(teams, dict) and all(isinstance(obj, dict) for obj in teams.values())):
+        raise DataError("'teams' must map each team code to an object", path=spath)
     models = {}
-    for team, obj in doc.get("teams", {}).items():
+    for team, obj in teams.items():
         try:
             diagnostics = {
                 kind: FitDiagnostics(
@@ -531,7 +538,7 @@ def load_models(path: str | Path) -> tuple[dict[str, TeamModel], dict]:
                 diagnostics=diagnostics,
                 nested_fallback=bool(obj.get("nested_fallback", False)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"malformed model for team {team}: {exc}", path=spath) from None
     return models, doc.get("metadata", {})
 

@@ -8,13 +8,11 @@ shootouts.  Elo ratings update after every simulated match and feed
 back into the score model, so early upsets propagate.
 
 Runs are independent and deterministic: run ``i`` under master seed
-``s`` always uses ``SeedSequence(s, spawn_key=(i,))``, which makes the
-aggregate counts bit-identical for any worker count.
-
-``run_tournament`` plays one run with scalar calls and is the reference.
+``s`` reads one row of uniforms from ``SeedSequence(s, spawn_key=(i,))``
+in the layout that :class:`Bracket` describes, which makes the
+aggregate counts bit-identical for any worker count and block size.
 ``monte_carlo`` compiles the bracket once and plays blocks of runs
-together on per-run arrays; every run takes its uniforms in the
-reference's order, so the counts are equal up to last-bit rounding.
+together, one row per run; ``run_tournament`` plays a block of one.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 from . import elo
 from .elo import DEFAULT_K_FACTORS
 from .errors import ConfigError, DataError
-from .forecast import ModelArrays, location_indicator, sample_match, sample_match_block
+from .forecast import ModelArrays, location_indicator, sample_match_block
 
 if TYPE_CHECKING:
     from .regression import TeamModel
@@ -152,10 +150,10 @@ def validate_fixtures(fixtures: Sequence[Fixture]) -> None:
                         f"match {f.match_id}: slot {slot} must reference an earlier "
                         "match of the knockout stage"
                     )
-            elif slot[0] in "12":
+            elif slot[:1] in ("1", "2"):
                 if slot[1:] not in teams:
                     raise DataError(f"match {f.match_id}: unknown group in slot {slot}")
-            elif slot[0] == "3":
+            elif slot[:1] == "3":
                 if not set(slot[1:]) <= set(teams):
                     raise DataError(f"match {f.match_id}: unknown groups in slot {slot}")
             else:
@@ -288,175 +286,6 @@ def select_best_thirds(
 
 
 # ---------------------------------------------------------------------------
-# knockout mechanics
-# ---------------------------------------------------------------------------
-
-
-def simulate_knockout_match(
-    model_a: "TeamModel",
-    model_b: "TeamModel",
-    elo_a: float,
-    elo_b: float,
-    venue_country: str,
-    rng: np.random.Generator,
-) -> tuple[str, tuple[int, int], bool]:
-    """Play one knockout tie; returns (winner, aggregate score, went_to_shootout).
-
-    Drawn matches continue into extra time sampled from the same model
-    with both means scaled by 1/3; a still-level tie goes to a shootout
-    that side A wins with its Elo expected score.
-    """
-    ga, gb = sample_match(model_a, model_b, elo_a, elo_b, rng, venue_country)
-    if ga == gb:
-        ea, eb = sample_match(
-            model_a, model_b, elo_a, elo_b, rng, venue_country,
-            mu_factor=EXTRA_TIME_MU_FACTOR,
-        )
-        ga, gb = ga + ea, gb + eb
-    shootout = ga == gb
-    if shootout:
-        p_a = elo.expected_score(elo_a, elo_b)
-        winner = model_a.team if rng.random() < p_a else model_b.team
-    else:
-        winner = model_a.team if ga > gb else model_b.team
-    return winner, (ga, gb), shootout
-
-
-# ---------------------------------------------------------------------------
-# one full tournament: the scalar reference engine
-# ---------------------------------------------------------------------------
-
-
-def _check_teams(
-    models: Mapping[str, "TeamModel"],
-    ratings: Mapping[str, float],
-    teams: Mapping[str, tuple[str, ...]],
-) -> None:
-    for g, ts in teams.items():
-        for t in ts:
-            if t not in models:
-                raise ConfigError(f"no fitted model for team {t} (group {g})")
-            if t not in ratings:
-                raise ConfigError(f"no Elo rating for team {t} (group {g})")
-
-
-def _k_factor(k_table: Mapping[str, float], fixture: Fixture) -> float:
-    k = k_table.get(fixture.match_type)
-    if k is None:
-        raise ConfigError(f"no K factor for match type {fixture.match_type!r}")
-    return k
-
-
-def _k_table(k_factors: Mapping[str, float] | None) -> dict[str, float]:
-    k_table = dict(DEFAULT_K_FACTORS)
-    if k_factors:
-        k_table.update(k_factors)
-    return k_table
-
-
-def _resolve_slot(
-    slot: str,
-    positions: Mapping[str, tuple[str, ...]],
-    third_assignment: Mapping[str, str],
-    winners: Mapping[int, str],
-    paired_slot: str,
-) -> str:
-    if slot.startswith("W"):
-        return winners[int(slot[1:])]
-    if slot[0] == "1":
-        return positions[slot[1:]][0]
-    if slot[0] == "2":
-        return positions[slot[1:]][1]
-    # best third: the allocation row keyed by the opposing winner slot
-    group = third_assignment[paired_slot]
-    if group not in slot[1:]:
-        raise DataError(_outside_pool(group, slot))
-    return positions[group][2]
-
-
-def _outside_pool(group: str, slot: str) -> str:
-    return (
-        f"allocation sends group {group} third into slot {slot}, "
-        "which is outside its candidate pool"
-    )
-
-
-def run_tournament(
-    models: Mapping[str, "TeamModel"],
-    ratings: Mapping[str, float],
-    fixtures: Sequence[Fixture],
-    allocation: Mapping[str, Mapping[str, str]],
-    rng: np.random.Generator,
-    k_factors: Mapping[str, float] | None = None,
-) -> TournamentResult:
-    """Simulate one complete tournament with in-run Elo updates.
-
-    This is the scalar reference: :func:`monte_carlo` plays blocks of
-    runs together and counts what this function returns for each run's
-    own generator, up to last-bit rounding in the goal sampler.
-    """
-    validate_fixtures(fixtures)
-    validate_allocation(allocation)
-    k_table = _k_table(k_factors)
-    teams = group_teams(fixtures)
-    _check_teams(models, ratings, teams)
-
-    live = {t: float(ratings[t]) for ts in teams.values() for t in ts}
-    ordered = sorted(fixtures, key=lambda f: f.match_id)
-    group_results: dict[str, list[tuple[str, str, int, int]]] = {
-        g: [] for g in teams
-    }
-
-    for f in (f for f in ordered if f.stage == "GROUP"):
-        a, b = f.slot_a, f.slot_b
-        ga, gb = sample_match(models[a], models[b], live[a], live[b], rng, f.venue_country)
-        live[a], live[b] = elo.update_pair(live[a], live[b], ga, gb, _k_factor(k_table, f))
-        group_results[f.group].append((a, b, ga, gb))
-
-    positions = {
-        g: rank_group(teams[g], group_results[g], live, rng) for g in sorted(teams)
-    }
-    thirds = {g: positions[g][2] for g in sorted(teams)}
-    all_results = [r for g in sorted(teams) for r in group_results[g]]
-    qualified_groups = select_best_thirds(thirds, all_results, live, rng)
-    third_assignment = allocation["".join(qualified_groups)]
-
-    winners: dict[int, str] = {}
-    reached: dict[str, list[str]] = {s: [] for s in ("R16", "QF", "SF", "FINAL")}
-    champion = ""
-    for f in (f for f in ordered if f.stage != "GROUP"):
-        a = _resolve_slot(f.slot_a, positions, third_assignment, winners, f.slot_b)
-        b = _resolve_slot(f.slot_b, positions, third_assignment, winners, f.slot_a)
-        reached[f.stage].extend((a, b))
-        winner, (ga, gb), _ = simulate_knockout_match(
-            models[a], models[b], live[a], live[b], f.venue_country, rng
-        )
-        # aggregate incl. extra time; a tie decided on penalties is a
-        # draw for rating purposes
-        live[a], live[b] = elo.update_pair(live[a], live[b], ga, gb, _k_factor(k_table, f))
-        winners[f.match_id] = winner
-        if f.stage == "FINAL":
-            champion = winner
-
-    return TournamentResult(
-        group_positions=positions,
-        qualified_thirds=tuple(thirds[g] for g in qualified_groups),
-        r16_teams=tuple(sorted(reached["R16"])),
-        qf_teams=tuple(sorted(reached["QF"])),
-        sf_teams=tuple(sorted(reached["SF"])),
-        final_teams=tuple(sorted(reached["FINAL"])),
-        champion=champion,
-    )
-
-
-def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
-    """The RNG for one run; independent of all other runs."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,))
-    )
-
-
-# ---------------------------------------------------------------------------
 # the compiled bracket
 # ---------------------------------------------------------------------------
 
@@ -467,16 +296,14 @@ KNOCKOUT_DRAWS = 5
 
 @dataclass(frozen=True)
 class _Knockout:
-    """One knockout fixture; each side is a column of the run's seat table.
-
-    The seat table holds every group place (group-major), then the
-    assigned thirds (one column per third slot), then the winner of each
-    knockout match.
-    """
+    """One knockout fixture; its sides and winner are columns of the seat
+    table: every group place (group-major), then the assigned thirds (one
+    column per third slot), then the winner of each knockout match."""
 
     stage: str
     seat_a: int
     seat_b: int
+    seat_winner: int
     venue: int  # team number of the host country, -1 when it is no team here
     k: float
 
@@ -486,9 +313,14 @@ class Bracket:
     """Fixtures, allocation, models and ratings compiled to index arrays.
 
     Teams are numbered in sorted code order, so comparing numbers
-    compares codes.  A run takes its uniforms in the scalar engine's
-    order: two per group match, the group lots, the best-third lots,
-    then up to ``KNOCKOUT_DRAWS`` per knockout match.
+    compares codes; groups are numbered in letter order.  A run takes
+    its uniforms from one row, in this order: two per group match in
+    match-id order (the stronger side's draw, then the weaker side's);
+    one lot per group place (groups in order, teams in code order); one
+    best-third lot per group; then, per knockout match in match-id
+    order, two for regular time, two more for extra time when it is
+    level and one more for a shootout when it is still level.  A run
+    that needs fewer than ``width`` uniforms leaves the rest unread.
     """
 
     teams: tuple[str, ...]
@@ -527,26 +359,32 @@ def compile_bracket(
     allocation: Mapping[str, Mapping[str, str]],
     k_factors: Mapping[str, float] | None = None,
 ) -> Bracket:
-    """Resolve names, slots and K factors once for a whole simulation.
+    """Validate the inputs and resolve names, slots and K factors once.
 
-    ``fixtures`` must have passed :func:`validate_fixtures`.  Raises the
-    ``ConfigError`` of a missing model, rating or K factor, and the
-    ``DataError`` of an allocation row that is missing or sends a third
-    outside its candidate pool.
+    Raises the ``DataError`` of :func:`validate_fixtures` and
+    :func:`validate_allocation` and of an allocation row that sends a
+    third outside its candidate pool, and the ``ConfigError`` of a
+    missing model, rating or K factor.
     """
-    k_table = _k_table(k_factors)
+    validate_fixtures(fixtures)
+    validate_allocation(allocation)
     by_group = group_teams(fixtures)
-    _check_teams(models, ratings, by_group)
+    for g, ts in by_group.items():
+        for t in ts:
+            if t not in models:
+                raise ConfigError(f"no fitted model for team {t} (group {g})")
+            if t not in ratings:
+                raise ConfigError(f"no Elo rating for team {t} (group {g})")
     teams = tuple(sorted(t for ts in by_group.values() for t in ts))
     number = {t: i for i, t in enumerate(teams)}
-    groups = sorted(by_group)
-    group_number = {g: i for i, g in enumerate(groups)}
 
     ordered = sorted(fixtures, key=lambda f: f.match_id)
+    k_table = {**DEFAULT_K_FACTORS, **(k_factors or {})}
+    for f in ordered:
+        if f.match_type not in k_table:
+            raise ConfigError(f"no K factor for match type {f.match_type!r}")
     group_fixtures = [f for f in ordered if f.stage == "GROUP"]
     knockout_fixtures = [f for f in ordered if f.stage != "GROUP"]
-    group_k = tuple(_k_factor(k_table, f) for f in group_fixtures)
-    knockout_k = [_k_factor(k_table, f) for f in knockout_fixtures]
 
     # the seat table's columns: every group place, each third slot, each winner
     third_slots = [
@@ -555,7 +393,7 @@ def compile_bracket(
         for slot, paired in ((f.slot_a, f.slot_b), (f.slot_b, f.slot_a))
         if slot[0] == "3"
     ]
-    columns = [f"{p + 1}{g}" for g in groups for p in range(len(by_group[g]))]
+    columns = [f"{p + 1}{g}" for g in GROUPS for p in range(len(by_group[g]))]
     columns += third_slots + [f"W{f.match_id}" for f in knockout_fixtures]
     seat = {column: i for i, column in enumerate(columns)}
 
@@ -564,30 +402,31 @@ def compile_bracket(
             stage=f.stage,
             seat_a=seat[(f.slot_a, f.slot_b) if f.slot_a[0] == "3" else f.slot_a],
             seat_b=seat[(f.slot_b, f.slot_a) if f.slot_b[0] == "3" else f.slot_b],
+            seat_winner=seat[f"W{f.match_id}"],
             venue=number.get(f.venue_country, -1),
-            k=k,
+            k=k_table[f.match_type],
         )
-        for f, k in zip(knockout_fixtures, knockout_k)
+        for f in knockout_fixtures
     )
 
-    thirds = np.zeros((2 ** len(groups), len(third_slots)), dtype=int)
-    for qualified in combinations(groups, 4):
-        combo = "".join(qualified)
-        row = allocation.get(combo)
-        if row is None:
-            raise DataError(f"allocation table has no row for combination {combo}")
-        mask = sum(1 << group_number[g] for g in qualified)
+    thirds = np.zeros((2 ** len(GROUPS), len(third_slots)), dtype=int)
+    for qualified in combinations(GROUPS, 4):
+        row = allocation["".join(qualified)]
+        mask = sum(1 << GROUPS.index(g) for g in qualified)
         for j, (slot, paired) in enumerate(third_slots):
             group = row.get(paired)
             if group is None or group not in slot[1:]:
-                raise DataError(_outside_pool(group, slot))
-            thirds[mask, j] = group_number[group]
+                raise DataError(
+                    f"allocation sends group {group} third into slot {slot}, "
+                    "which is outside its candidate pool"
+                )
+            thirds[mask, j] = GROUPS.index(group)
 
     return Bracket(
         teams=teams,
         models=ModelArrays.from_models([models[t] for t in teams]),
         ratings=np.array([float(ratings[t]) for t in teams]),
-        members=np.array([[number[t] for t in by_group[g]] for g in groups]),
+        members=np.array([[number[t] for t in by_group[g]] for g in GROUPS]),
         group_a=np.array([number[f.slot_a] for f in group_fixtures]),
         group_b=np.array([number[f.slot_b] for f in group_fixtures]),
         group_loc=np.array(
@@ -599,7 +438,7 @@ def compile_bracket(
                 for f in group_fixtures
             ]
         ),
-        group_k=group_k,
+        group_k=tuple(k_table[f.match_type] for f in group_fixtures),
         knockout=knockout,
         thirds=thirds,
     )
@@ -614,24 +453,71 @@ BLOCK_RUNS = 1024
 MAX_WORKERS = 64  # largest accepted n_workers: each is an OS process
 
 
-def _simulate_block(
-    bracket: Bracket, master_seed: int, run_indices: Sequence[int]
-) -> np.ndarray:
-    """Stage counts (stat x team) of the runs ``run_indices``, played together.
+def _knockout_tie(
+    models: ModelArrays,
+    a: np.ndarray,
+    b: np.ndarray,
+    elo_a: np.ndarray,
+    elo_b: np.ndarray,
+    loc_a: np.ndarray,
+    loc_b: np.ndarray,
+    u: np.ndarray,
+    k: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Play one knockout tie per row from its ``KNOCKOUT_DRAWS`` uniforms.
 
-    Every row is one run and draws its uniforms from ``run_rng(master_seed,
-    i)`` in the scalar engine's order, so the counts equal those of
-    :func:`run_tournament` run by run.
+    Regular time takes ``u[:, 0:2]``.  A level tie goes to extra time on
+    ``u[:, 2:4]``, sampled from the same model with both means scaled by
+    ``EXTRA_TIME_MU_FACTOR``; a tie still level goes to a shootout that
+    side A wins when ``u[:, 4]`` is below its Elo expected score.  Both
+    ratings then update on the aggregate score, so a tie decided on
+    penalties is a draw for rating purposes.
+
+    Returns (a_wins, goals_a, goals_b, elo_a, elo_b, used): the
+    aggregate score, the post-match ratings and the uniforms each row
+    took (2, 4 or 5).
     """
-    n = len(run_indices)
+    ga, gb = sample_match_block(models, a, b, elo_a, elo_b, loc_a, loc_b, u)
+    level = np.flatnonzero(ga == gb)
+    xa, xb = sample_match_block(
+        models, a[level], b[level], elo_a[level], elo_b[level],
+        loc_a[level], loc_b[level], u[level, 2:4],
+        mu_factor=EXTRA_TIME_MU_FACTOR,
+    )
+    ga[level] += xa
+    gb[level] += xb
+    shootout = level[ga[level] == gb[level]]
+    a_wins = ga > gb
+    a_wins[shootout] = u[shootout, 4] < elo.expected_scores(elo_a[shootout], elo_b[shootout])
+    used = np.full(len(a), 2)
+    used[level] += 2
+    used[shootout] += 1
+    return (a_wins, ga, gb, *elo.update_pairs(elo_a, elo_b, ga, gb, k), used)
+
+
+@dataclass(frozen=True)
+class _PlayedBlock:
+    """What a block of runs did, one row per run; teams and groups by number."""
+
+    positions: np.ndarray  # (runs, groups, places): each group best-first
+    qualified: np.ndarray  # (runs, 4): groups of the qualified thirds, best-first
+    seats: np.ndarray  # (runs, seats): the seat table, see ``_Knockout``
+    group_goals: np.ndarray  # (2, runs, group matches)
+    knockout_goals: np.ndarray  # (2, runs, knockout matches), extra time included
+    ratings: np.ndarray  # (runs, teams): live Elo after the final
+
+
+def _play_block(bracket: Bracket, u: np.ndarray) -> _PlayedBlock:
+    """Play one tournament per row of ``u``, a (runs, ``bracket.width``) array.
+
+    Each row is read in the layout that :class:`Bracket` describes.
+    Elo ratings update after every match and feed the next one's score
+    model and the group and best-third tiebreaks.
+    """
+    n = len(u)
     n_teams = len(bracket.teams)
     rows = np.arange(n)
-    u = np.stack([run_rng(master_seed, i).random(bracket.width) for i in run_indices])
     live = np.tile(bracket.ratings, (n, 1))
-    counts = np.zeros((len(STAT_NAMES), n_teams), dtype=np.int64)
-
-    def count(stat: str, team: np.ndarray) -> None:
-        counts[STAT_NAMES.index(stat)] += np.bincount(team.ravel(), minlength=n_teams)
 
     goals = np.empty((2, n, len(bracket.group_a)), dtype=np.int64)
     for m, (a, b) in enumerate(zip(bracket.group_a, bracket.group_b)):
@@ -650,18 +536,14 @@ def _simulate_block(
     lots = u[:, bracket.lots_start : bracket.thirds_start].reshape((n,) + members.shape)
     order = _tiebreak_order(overall[:, members], h2h[:, members], live[:, members], lots)
     positions = np.take_along_axis(members[None], order, axis=-1)
-    count("group_first", positions[:, :, 0])
-    count("group_second", positions[:, :, 1])
 
     third = positions[:, :, 2]
-    order = _tiebreak_order(
+    qualified = _tiebreak_order(
         np.take_along_axis(overall, third[:, :, None], axis=1),
         None,
         np.take_along_axis(live, third, axis=1),
         u[:, bracket.thirds_start : bracket.knockout_start],
-    )
-    qualified = order[:, :4]
-    count("third_qualified", np.take_along_axis(third, qualified, axis=1))
+    )[:, :4]
     mask = (1 << qualified).sum(axis=1)
     assigned_third = np.take_along_axis(third, bracket.thirds[mask], axis=1)
 
@@ -670,39 +552,49 @@ def _simulate_block(
         [positions.reshape(n, -1), assigned_third, np.empty((n, n_knockout), dtype=np.int64)],
         axis=1,
     )
+    knockout_goals = np.empty((2, n, n_knockout), dtype=np.int64)
     cursor = np.full(n, bracket.knockout_start)
-    for winner, match in enumerate(bracket.knockout, start=seats.shape[1] - n_knockout):
+    for j, match in enumerate(bracket.knockout):
         a, b = seats[:, match.seat_a], seats[:, match.seat_b]
-        loc_a = (a == match.venue) * 1.0 - (b == match.venue) * 1.0
-        loc_b = (b == match.venue) * 1.0 - (a == match.venue) * 1.0
-        elo_a, elo_b = live[rows, a], live[rows, b]
-        draws = u[rows[:, None], cursor[:, None] + np.arange(KNOCKOUT_DRAWS)]
-        ga, gb = sample_match_block(bracket.models, a, b, elo_a, elo_b, loc_a, loc_b, draws)
-        level = np.flatnonzero(ga == gb)
-        xa, xb = sample_match_block(
-            bracket.models, a[level], b[level], elo_a[level], elo_b[level],
-            loc_a[level], loc_b[level], draws[level, 2:4],
-            mu_factor=EXTRA_TIME_MU_FACTOR,
+        a_wins, ga, gb, elo_a, elo_b, used = _knockout_tie(
+            bracket.models, a, b, live[rows, a], live[rows, b],
+            (a == match.venue) * 1.0 - (b == match.venue) * 1.0,
+            (b == match.venue) * 1.0 - (a == match.venue) * 1.0,
+            u[rows[:, None], cursor[:, None] + np.arange(KNOCKOUT_DRAWS)],
+            match.k,
         )
-        ga[level] += xa
-        gb[level] += xb
-        shootout = level[ga[level] == gb[level]]
-        a_wins = ga > gb
-        a_wins[shootout] = draws[shootout, 4] < elo.expected_scores(
-            elo_a[shootout], elo_b[shootout]
-        )
-        seats[:, winner] = np.where(a_wins, a, b)
-        cursor += 2
-        cursor[level] += 2
-        cursor[shootout] += 1
-        # aggregate incl. extra time; a tie decided on penalties is a
-        # draw for rating purposes
-        live[rows, a], live[rows, b] = elo.update_pairs(elo_a, elo_b, ga, gb, match.k)
-        count(match.stage.lower(), np.stack([a, b]))
+        knockout_goals[:, :, j] = ga, gb
+        live[rows, a], live[rows, b] = elo_a, elo_b
+        seats[:, match.seat_winner] = np.where(a_wins, a, b)
+        cursor += used
+    return _PlayedBlock(positions, qualified, seats, goals, knockout_goals, live)
+
+
+def _stage_counts(bracket: Bracket, played: _PlayedBlock) -> np.ndarray:
+    """Stage counts (stat x team) over the runs of ``played``."""
+    n_teams = len(bracket.teams)
+    counts = np.zeros((len(STAT_NAMES), n_teams), dtype=np.int64)
+
+    def count(stat: str, team: np.ndarray) -> None:
+        counts[STAT_NAMES.index(stat)] += np.bincount(team.ravel(), minlength=n_teams)
+
+    positions, seats = played.positions, played.seats
+    count("group_first", positions[:, :, 0])
+    count("group_second", positions[:, :, 1])
+    count("third_qualified", np.take_along_axis(positions[:, :, 2], played.qualified, axis=1))
+    for match in bracket.knockout:
+        count(match.stage.lower(), seats[:, [match.seat_a, match.seat_b]])
         if match.stage == "FINAL":
-            count("champion", seats[:, winner])
-    counts[STAT_NAMES.index("eliminated_group")] = n - counts[STAT_NAMES.index("r16")]
+            count("champion", seats[:, match.seat_winner])
+    counts[STAT_NAMES.index("eliminated_group")] = len(seats) - counts[STAT_NAMES.index("r16")]
     return counts
+
+
+def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
+    """The RNG for one run; independent of all other runs."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,))
+    )
 
 
 def _run_chunk(
@@ -710,10 +602,51 @@ def _run_chunk(
 ) -> np.ndarray:
     counts = np.zeros((len(STAT_NAMES), len(bracket.teams)), dtype=np.int64)
     for start in range(0, len(run_indices), block_runs):
-        counts += _simulate_block(
-            bracket, master_seed, run_indices[start : start + block_runs]
+        u = np.stack(
+            [
+                run_rng(master_seed, i).random(bracket.width)
+                for i in run_indices[start : start + block_runs]
+            ]
         )
+        counts += _stage_counts(bracket, _play_block(bracket, u))
     return counts
+
+
+def run_tournament(
+    models: Mapping[str, "TeamModel"],
+    ratings: Mapping[str, float],
+    fixtures: Sequence[Fixture],
+    allocation: Mapping[str, Mapping[str, str]],
+    rng: np.random.Generator,
+    k_factors: Mapping[str, float] | None = None,
+) -> TournamentResult:
+    """Simulate one complete tournament with in-run Elo updates.
+
+    The run is one row of the block engine: it takes ``width`` uniforms
+    from ``rng``, so run ``i`` of :func:`monte_carlo` is this function
+    called with ``run_rng(master_seed, i)``.
+    """
+    bracket = compile_bracket(models, ratings, fixtures, allocation, k_factors)
+    played = _play_block(bracket, rng.random(bracket.width)[None])
+    teams, seats = bracket.teams, played.seats[0]
+    positions = {
+        g: tuple(teams[t] for t in places) for g, places in zip(GROUPS, played.positions[0])
+    }
+    reached: dict[str, list[str]] = {s: [] for s in STAGES[1:]}
+    champion = ""
+    for match in bracket.knockout:
+        reached[match.stage] += (teams[seats[match.seat_a]], teams[seats[match.seat_b]])
+        if match.stage == "FINAL":
+            champion = teams[seats[match.seat_winner]]
+    return TournamentResult(
+        group_positions=positions,
+        qualified_thirds=tuple(positions[GROUPS[g]][2] for g in sorted(played.qualified[0])),
+        r16_teams=tuple(sorted(reached["R16"])),
+        qf_teams=tuple(sorted(reached["QF"])),
+        sf_teams=tuple(sorted(reached["SF"])),
+        final_teams=tuple(sorted(reached["FINAL"])),
+        champion=champion,
+    )
 
 
 def monte_carlo(
@@ -735,8 +668,6 @@ def monte_carlo(
         raise ConfigError("n_runs must be positive")
     if not 1 <= n_workers <= MAX_WORKERS:
         raise ConfigError(f"n_workers must lie in [1, {MAX_WORKERS}], got {n_workers}")
-    validate_fixtures(fixtures)
-    validate_allocation(allocation)
     bracket = compile_bracket(models, ratings, fixtures, allocation, k_factors)
     indices = range(n_runs)
     if n_workers == 1:

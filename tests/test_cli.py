@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import datetime as dt
+import io
 import json
 import os
 import subprocess
@@ -146,6 +148,23 @@ class TestReplayElo:
         )
         assert code == EXIT_IO
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["replay-elo", "fit"])
+    @pytest.mark.parametrize("flag", ["--start", "--end"])
+    def test_malformed_window_date_is_config_error(
+        self, tmp_path, demo_history, capsys, command, flag
+    ):
+        matches_path, ratings_path = demo_history
+        args = [
+            command,
+            "--matches", str(matches_path),
+            "--ratings", str(ratings_path),
+            "--out", str(tmp_path / "out"),
+            flag, "2016-13-01",
+        ]
+        assert main(args + (["--teams", "FRA"] if command == "fit" else [])) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "not ISO dates" in err and "Traceback" not in err
 
 
     def test_non_finite_rating_is_config_error(self, tmp_path, demo_history, capsys):
@@ -748,3 +767,119 @@ class TestConfigResolution:
         assert code == EXIT_OK
         _, metadata = data_io.load_models(out)
         assert metadata["reference_date"] == "2020-02-02"
+
+
+HISTORY_2016 = """\
+date,team_a,team_b,goals_a,goals_b,match_type,venue_country
+2015-09-04,FRA,POR,1,0,FRIENDLY,POR
+2015-10-08,GER,IRL,0,1,QUAL,IRL
+2016-03-26,ENG,GER,2,3,FRIENDLY,GER
+2016-06-01,ITA,SWE,1,1,FRIENDLY,NEUTRAL
+"""
+
+# the input files each command reads, by flag
+COMMAND_FILES = {
+    "replay-elo": ("matches", "ratings", "config"),
+    "fit": ("matches", "ratings", "fixtures", "config"),
+    "forecast": ("model", "ratings", "config"),
+    "simulate": ("model", "fixtures", "allocation", "ratings", "config"),
+    "validate": ("model", "fixtures", "allocation", "ratings", "results", "config"),
+    "gof": ("model",),
+}
+
+
+@pytest.fixture(scope="module")
+def good_files(euro2016_model_file, data_dir):
+    """The bytes of a valid EURO 2016 input file, by flag."""
+    return {
+        "matches": HISTORY_2016.encode(),
+        "ratings": (data_dir / "euro2016_ratings.csv").read_bytes(),
+        "fixtures": (data_dir / "euro2016_fixtures.csv").read_bytes(),
+        "allocation": (data_dir / "euro2016_allocation.csv").read_bytes(),
+        "results": (data_dir / "euro2016_results.csv").read_bytes(),
+        "config": (data_dir / "default_config.json").read_bytes(),
+        "model": euro2016_model_file.read_bytes(),
+    }
+
+
+def run_on_files(root, command, files):
+    """``main`` for ``command`` on input files of the given bytes; (exit code, stderr)."""
+    args = [command]
+    for flag in COMMAND_FILES[command]:
+        path = root / flag
+        path.write_bytes(files[flag])
+        args += [f"--{flag}", str(path)]
+    args += {
+        "replay-elo": ["--out", str(root / "annotated.csv")],
+        "fit": ["--out", str(root / "fitted.json")],
+        "forecast": ["--team-a", "FRA", "--team-b", "GER", "--out", str(root / "grid.csv")],
+        "simulate": ["--n-runs", "2", "--out-dir", str(root / "sim")],
+        "validate": ["--n-runs", "2", "--out", str(root / "metrics.csv")],
+        "gof": ["--out", str(root / "gof.csv")],
+    }[command]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, err.getvalue()
+
+
+class TestHostileFiles:
+    """A file that is not what its flag expects exits 2 and names the file."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("replay-elo", "matches"),
+            ("fit", "fixtures"),
+            ("forecast", "config"),
+            ("simulate", "ratings"),
+            ("simulate", "allocation"),
+            ("validate", "results"),
+            ("gof", "model"),
+        ],
+    )
+    def test_not_utf8_is_config_error(self, tmp_path, good_files, command, flag):
+        files = {**good_files, flag: b"\xff\xfe" + good_files[flag]}
+        code, err = run_on_files(tmp_path, command, files)
+        assert code == EXIT_CONFIG
+        assert f"{tmp_path / flag}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "[1]",
+            '"x"',
+            '{"format_version": 1, "teams": []}',
+            '{"format_version": 1, "teams": {"FRA": []}}',
+        ],
+    )
+    @pytest.mark.parametrize("command", ["gof", "simulate"])
+    def test_model_of_the_wrong_shape_is_config_error(self, tmp_path, good_files, command, doc):
+        code, err = run_on_files(tmp_path, command, {**good_files, "model": doc.encode()})
+        assert code == EXIT_CONFIG
+        assert f"{tmp_path / 'model'}: " in err
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=st.data(), command=st.sampled_from(sorted(COMMAND_FILES)))
+    def test_any_bytes_exit_cleanly(self, tmp_path, good_files, data, command):
+        flag = data.draw(st.sampled_from(COMMAND_FILES[command]), label="flag")
+        good = good_files[flag]
+        start = data.draw(st.integers(0, len(good)), label="start")
+        end = data.draw(st.integers(start, min(len(good), start + 64)), label="end")
+        noise = data.draw(st.binary(max_size=64), label="noise")
+        lines = good.split(b"\n")
+        line = data.draw(st.integers(0, len(lines) - 1), label="line")
+        cells = lines[line].split(b",")
+        cells[data.draw(st.integers(0, len(cells) - 1), label="cell")] = noise
+        lines[line] = b",".join(cells)
+        hostile = data.draw(
+            st.sampled_from([noise, good[:start] + noise + good[end:], b"\n".join(lines)])
+        )
+        code, err = run_on_files(tmp_path, command, {**good_files, flag: hostile})
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_FIT, EXIT_IO)
+        assert "Traceback" not in err

@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -547,6 +548,69 @@ def data_lines(path):
         for line in path.read_text(encoding="utf-8").splitlines()
         if line and not line.startswith("#")
     ]
+
+
+LOADERS = [
+    (load_matches, DataError),
+    (load_ratings, DataError),
+    (load_fixtures, DataError),
+    (load_allocation, DataError),
+    (load_realized_results, DataError),
+    (load_config, ConfigError),
+    (load_models, DataError),
+]
+
+
+class TestUnreadableContent:
+    @pytest.mark.parametrize("loader, error", LOADERS)
+    def test_not_utf8(self, tmp_path, loader, error):
+        path = tmp_path / "input"
+        path.write_bytes(b"team,elo\nFRA,\xff\n")
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+            loader(path)
+
+    @pytest.mark.parametrize("loader, error", LOADERS[:5])
+    def test_field_beyond_the_csv_limit(self, tmp_path, loader, error):
+        path = tmp_path / "input"
+        path.write_text("9" * 200_000 + "\n")
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+            loader(path)
+
+    @pytest.mark.parametrize("loader, error", LOADERS[5:])
+    def test_nesting_beyond_the_json_limit(self, tmp_path, loader, error):
+        path = tmp_path / "input"
+        path.write_text("[" * 100_000)
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+            loader(path)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "[1]",
+            '"x"',
+            '{"format_version": 1, "teams": []}',
+            '{"format_version": 1, "teams": {"FRA": []}}',
+        ],
+    )
+    def test_model_file_of_the_wrong_shape(self, tmp_path, doc):
+        path = write(tmp_path, "models.json", doc)
+        with pytest.raises(DataError, match=r"models\.json: "):
+            load_models(path)
+
+    def test_diagnostics_of_the_wrong_shape(self, tmp_path):
+        path = tmp_path / "models.json"
+        save_models(path, two_models())
+        doc = json.loads(path.read_text())
+        doc["teams"]["FRA"]["diagnostics"] = []
+        infinite_df = {"statistic": 1, "df": math.inf, "p_value": 1, "n_obs": 1}
+        doc["teams"]["GER"]["diagnostics"] = {"attack": infinite_df}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed model for team FRA"):
+            load_models(path)
+        del doc["teams"]["FRA"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed model for team GER"):
+            load_models(path)
 
 
 class TestExports:

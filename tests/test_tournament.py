@@ -12,12 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from euroforecast import data_io, tournament
+from euroforecast.elo import DEFAULT_K_FACTORS, expected_score, update_pair
 from euroforecast.errors import ConfigError, DataError
+from euroforecast.forecast import (
+    ModelArrays,
+    combined_params,
+    conditional_params,
+    location_indicator,
+    order_by_strength,
+)
 from euroforecast.tournament import (
+    EXTRA_TIME_MU_FACTOR,
+    GROUPS,
+    KNOCKOUT_DRAWS,
     STAT_NAMES,
-    Fixture,
-    SimulationAggregate,
     TournamentResult,
+    _knockout_tie,
+    _play_block,
     compile_bracket,
     group_teams,
     monte_carlo,
@@ -25,12 +36,12 @@ from euroforecast.tournament import (
     run_rng,
     run_tournament,
     select_best_thirds,
-    simulate_knockout_match,
     validate_allocation,
     validate_fixtures,
 )
+from euroforecast.zigp import pmf
 
-from conftest import build_team_model
+from conftest import Uniforms, build_team_model
 
 
 class TestValidateFixtures:
@@ -88,6 +99,13 @@ class TestValidateFixtures:
             for f in fixtures
         ]
         with pytest.raises(DataError, match="slot"):
+            validate_fixtures(broken)
+
+    @pytest.mark.parametrize("side", ["slot_a", "slot_b"])
+    def test_empty_slot_rejected(self, euro2020, side):
+        _, fixtures, _ = euro2020
+        broken = [dataclasses.replace(f, **{side: ""}) if f.match_id == 39 else f for f in fixtures]
+        with pytest.raises(DataError, match="match 39: malformed slot ''"):
             validate_fixtures(broken)
 
     def test_unknown_group_in_slot_rejected(self, euro2020):
@@ -288,41 +306,101 @@ class TestRankingProperties:
         assert set(picked) <= set(teams)
 
 
+def exact_tie(model_a, model_b, elo_a, elo_b, venue, cap=60):
+    """(P(A advances), P(extra time), P(shootout)) of one knockout tie.
+
+    Each period's joint score law is built from the closed-form ZIGP pmf
+    of the two-stage model: the stronger side's goals, then the weaker
+    side's given them.  The mass beyond ``cap`` is below 1e-12.
+    """
+
+    def period(mu_factor):
+        stronger, _, swapped = order_by_strength(model_a.team, elo_a, model_b.team, elo_b)
+        strong, weak = (model_b, model_a) if swapped else (model_a, model_b)
+        elo_strong, elo_weak = (elo_b, elo_a) if swapped else (elo_a, elo_b)
+        ks = np.arange(cap + 1)
+        first = pmf(combined_params(strong, weak, elo_strong, elo_weak, venue, mu_factor), ks)
+        grid = np.array(
+            [
+                pmf(conditional_params(weak, stronger, elo_strong, venue, i, mu_factor), ks)
+                for i in ks
+            ]
+        ) * first[:, None]
+        assert 1.0 - grid.sum() < 1e-12
+        return grid.T if swapped else grid
+
+    regular, extra = period(1.0), period(EXTRA_TIME_MU_FACTOR)
+    p_extra = np.trace(regular)
+    p_shootout = p_extra * np.trace(extra)
+    p_advance = (
+        np.tril(regular, -1).sum()
+        + p_extra * np.tril(extra, -1).sum()
+        + p_shootout * expected_score(elo_a, elo_b)
+    )
+    return p_advance, p_extra, p_shootout
+
+
+def play_ties(elo_a, elo_b, venue, u, k=50.0):
+    """``_knockout_tie`` for AAA against BBB on every row of ``u``."""
+    models = [build_team_model("AAA", elo_a), build_team_model("BBB", elo_b)]
+    n = len(u)
+    return _knockout_tie(
+        ModelArrays.from_models(models),
+        np.zeros(n, dtype=int),
+        np.ones(n, dtype=int),
+        np.full(n, elo_a),
+        np.full(n, elo_b),
+        np.full(n, location_indicator("AAA", "BBB", venue)),
+        np.full(n, location_indicator("BBB", "AAA", venue)),
+        u,
+        k,
+    )
+
+
 class TestKnockoutMatch:
+    """The knockout tie, driven directly with rows of uniforms."""
+
     def test_deterministic(self):
-        a = build_team_model("AAA", 2000.0)
-        b = build_team_model("BBB", 1900.0)
-        r1 = simulate_knockout_match(a, b, 2000.0, 1900.0, "NEUTRAL", np.random.default_rng(4))
-        r2 = simulate_knockout_match(a, b, 2000.0, 1900.0, "NEUTRAL", np.random.default_rng(4))
-        assert r1 == r2
+        u = np.random.default_rng(4).random((50, KNOCKOUT_DRAWS))
+        first = play_ties(2000.0, 1900.0, "NEUTRAL", u)
+        again = play_ties(2000.0, 1900.0, "NEUTRAL", u.copy())
+        for x, y in zip(first, again):
+            np.testing.assert_array_equal(x, y)
 
     def test_winner_consistent_with_score(self):
-        a = build_team_model("AAA", 2000.0)
-        b = build_team_model("BBB", 1900.0)
-        saw_shootout = saw_decided = False
-        for seed in range(120):
-            winner, (ga, gb), shootout = simulate_knockout_match(
-                a, b, 2000.0, 1900.0, "NEUTRAL", np.random.default_rng(seed)
-            )
-            assert winner in ("AAA", "BBB")
-            if shootout:
-                assert ga == gb
-                saw_shootout = True
-            else:
-                assert ga != gb
-                assert winner == ("AAA" if ga > gb else "BBB")
-                saw_decided = True
-        assert saw_shootout and saw_decided
+        u = np.random.default_rng(0).random((2000, KNOCKOUT_DRAWS))
+        a_wins, ga, gb, _, _, used = play_ties(2000.0, 1900.0, "NEUTRAL", u)
+        shootout = used == 5
+        assert shootout.any() and (used == 4).any() and (used == 2).any()
+        assert np.all(ga[shootout] == gb[shootout])
+        assert np.all(a_wins[~shootout] == (ga > gb)[~shootout])
+        assert np.all(ga[~shootout] != gb[~shootout])
+        assert np.all(a_wins[shootout] == (u[shootout, 4] < expected_score(2000.0, 1900.0)))
 
     def test_stronger_side_wins_more_often(self):
-        a = build_team_model("AAA", 2100.0)
-        b = build_team_model("BBB", 1700.0)
-        rng = np.random.default_rng(0)
-        wins = sum(
-            simulate_knockout_match(a, b, 2100.0, 1700.0, "NEUTRAL", rng)[0] == "AAA"
-            for _ in range(400)
+        u = np.random.default_rng(0).random((400, KNOCKOUT_DRAWS))
+        assert play_ties(2100.0, 1700.0, "NEUTRAL", u)[0].sum() > 280
+
+    @pytest.mark.parametrize(
+        "elo_a, elo_b, venue", [(2050.0, 1800.0, "NEUTRAL"), (1850.0, 1950.0, "AAA")]
+    )
+    def test_frequencies_match_the_exact_tie(self, elo_a, elo_b, venue):
+        """Criterion 7's 4-sigma rule on 200k ties, against the closed form."""
+        n = 200_000
+        u = np.random.default_rng(31).random((n, KNOCKOUT_DRAWS))
+        a_wins, _, _, _, _, used = play_ties(elo_a, elo_b, venue, u)
+        exact = exact_tie(
+            build_team_model("AAA", elo_a), build_team_model("BBB", elo_b), elo_a, elo_b, venue
         )
-        assert wins > 280
+        for p, hits in zip(exact, (a_wins.sum(), (used >= 4).sum(), (used == 5).sum())):
+            assert abs(hits - n * p) <= 4.0 * np.sqrt(n * p * (1.0 - p))
+
+    def test_ratings_update_on_the_aggregate_score(self):
+        u = np.random.default_rng(2).random((3000, KNOCKOUT_DRAWS))
+        _, ga, gb, new_a, new_b, used = play_ties(1990.0, 1900.0, "BBB", u, k=60.0)
+        assert (used == 4).any()
+        for row in range(len(u)):
+            assert (new_a[row], new_b[row]) == update_pair(1990.0, 1900.0, ga[row], gb[row], 60.0)
 
 
 class TestRunTournament:
@@ -464,13 +542,13 @@ class TestMonteCarlo:
 
     def test_runs_are_independent_of_batching(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
-        single = run_tournament(
-            euro_models, ratings, fixtures, allocation, run_rng(9, 17)
-        )
-        batch = monte_carlo(
-            euro_models, ratings, fixtures, allocation, n_runs=18, master_seed=9
-        )
-        assert batch.counts["champion"][single.champion] >= 1
+        single = run_tournament(euro_models, ratings, fixtures, allocation, run_rng(9, 17))
+        runs = [
+            monte_carlo(euro_models, ratings, fixtures, allocation, n_runs=n, master_seed=9)
+            for n in (17, 18)
+        ]
+        last = {stat: runs[1].counts[stat] - runs[0].counts[stat] for stat in STAT_NAMES}
+        assert last == counted(single)
 
     def test_nonpositive_runs_rejected(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
@@ -482,42 +560,24 @@ class TestMonteCarlo:
         assert p == pytest.approx(1.0)
 
 
-def _empty_aggregate(teams) -> SimulationAggregate:
-    counts = {stat: Counter({t: 0 for t in teams}) for stat in STAT_NAMES}
-    return SimulationAggregate(n_runs=0, teams=tuple(teams), counts=counts)
-
-
-def _count_result(agg: SimulationAggregate, result: TournamentResult) -> None:
+def counted(result: TournamentResult) -> dict[str, Counter]:
+    """The stage counts of one run, as ``monte_carlo`` keeps them."""
+    counts = {stat: Counter() for stat in STAT_NAMES}
     qualified = set(result.r16_teams)
     for positions in result.group_positions.values():
-        agg.counts["group_first"][positions[0]] += 1
-        agg.counts["group_second"][positions[1]] += 1
-        for t in positions:
-            if t not in qualified:
-                agg.counts["eliminated_group"][t] += 1
-    for t in result.qualified_thirds:
-        agg.counts["third_qualified"][t] += 1
-    for stat, reached in (
+        counts["group_first"][positions[0]] += 1
+        counts["group_second"][positions[1]] += 1
+        counts["eliminated_group"].update(t for t in positions if t not in qualified)
+    for stat, teams in (
+        ("third_qualified", result.qualified_thirds),
         ("r16", result.r16_teams),
         ("qf", result.qf_teams),
         ("sf", result.sf_teams),
         ("final", result.final_teams),
+        ("champion", (result.champion,)),
     ):
-        for t in reached:
-            agg.counts[stat][t] += 1
-    agg.counts["champion"][result.champion] += 1
-    agg.n_runs += 1
-
-
-def scalar_counts(models, ratings, fixtures, allocation, n_runs, seed):
-    """Counts of the scalar reference engine, one run at a time."""
-    teams = sorted(t for ts in group_teams(fixtures).values() for t in ts)
-    agg = _empty_aggregate(teams)
-    for i in range(n_runs):
-        _count_result(
-            agg, run_tournament(models, ratings, fixtures, allocation, run_rng(seed, i))
-        )
-    return agg
+        counts[stat].update(teams)
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -535,8 +595,8 @@ UNEVEN_RUNS = 50  # three full blocks of SMALL_BLOCK and a partial one
 
 
 class TestBlockEngine:
-    """``monte_carlo`` plays blocks of runs together; its counts must equal
-    the scalar ``run_tournament`` counted run by run."""
+    """``monte_carlo`` plays blocks of runs together; the counts must not
+    depend on how the runs are split into blocks and workers."""
 
     @pytest.fixture(scope="class")
     def reference(self, euro2020, euro_models, euro2016):
@@ -545,35 +605,41 @@ class TestBlockEngine:
         def counts(bracket, seed):
             if (bracket, seed) not in cache:
                 inputs = euro2016 if bracket == 2016 else (euro_models, *euro2020)
-                cache[bracket, seed] = scalar_counts(*inputs, UNEVEN_RUNS, seed)
+                cache[bracket, seed] = monte_carlo(*inputs, n_runs=UNEVEN_RUNS, master_seed=seed)
             return cache[bracket, seed]
 
         return counts
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("seed", [42, 9])
-    def test_euro2020_counts_equal_scalar_engine(
+    def test_euro2020_counts_independent_of_block_size(
         self, euro2020, euro_models, reference, monkeypatch, seed, workers
     ):
+        expect = reference(2020, seed)
         monkeypatch.setattr(tournament, "BLOCK_RUNS", SMALL_BLOCK)
         ratings, fixtures, allocation = euro2020
         agg = monte_carlo(
             euro_models, ratings, fixtures, allocation,
             n_runs=UNEVEN_RUNS, master_seed=seed, n_workers=workers,
         )
-        expect = reference(2020, seed)
         assert agg.n_runs == expect.n_runs
         assert agg.teams == expect.teams
         assert agg.counts == expect.counts
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_euro2016_counts_equal_scalar_engine(self, euro2016, reference, monkeypatch, workers):
+    def test_euro2016_counts_independent_of_block_size(
+        self, euro2016, reference, monkeypatch, workers
+    ):
+        expect = reference(2016, 42)
         monkeypatch.setattr(tournament, "BLOCK_RUNS", SMALL_BLOCK)
         agg = monte_carlo(*euro2016, n_runs=UNEVEN_RUNS, master_seed=42, n_workers=workers)
-        assert agg.counts == reference(2016, 42).counts
+        assert agg.counts == expect.counts
 
-    def test_default_block_size(self, euro2020, euro_models, aggregate):
-        assert aggregate.counts == scalar_counts(euro_models, *euro2020, 60, 9).counts
+    def test_default_block_size(self, euro2020, euro_models, aggregate, monkeypatch):
+        # every run a block of its own
+        monkeypatch.setattr(tournament, "BLOCK_RUNS", 1)
+        single = monte_carlo(euro_models, *euro2020, n_runs=60, master_seed=9)
+        assert aggregate.counts == single.counts
 
     def test_block_width_covers_the_longest_run(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
@@ -605,7 +671,7 @@ class TestBlockEngine:
     def test_allocation_errors_raised_at_compile_time(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
         missing = {combo: row for combo, row in allocation.items() if combo != "CDEF"}
-        with pytest.raises(DataError, match="no row for combination CDEF"):
+        with pytest.raises(DataError, match="one row per 4-group combination"):
             compile_bracket(euro_models, ratings, fixtures, missing)
         # one row sends a third outside its pool, however rarely it is reached
         row = allocation["CDEF"]
@@ -630,3 +696,161 @@ class TestBlockEngine:
         ratings, fixtures, allocation = euro2020
         with pytest.raises(ConfigError, match="n_workers"):
             monte_carlo(euro_models, ratings, fixtures, allocation, n_runs=5, n_workers=workers)
+
+
+ORACLE_ROWS = 2000
+
+
+def in_match_order(fixtures, stage_group: bool):
+    """The group-stage fixtures, or the knockout ones, in match-id order."""
+    chosen = (f for f in fixtures if (f.stage == "GROUP") == stage_group)
+    return sorted(chosen, key=lambda f: f.match_id)
+
+
+@pytest.fixture(scope="module")
+def played(euro2020, euro_models):
+    """(bracket, uniforms, block) for ORACLE_ROWS runs of the EURO 2020 bracket."""
+    ratings, fixtures, allocation = euro2020
+    bracket = compile_bracket(euro_models, ratings, fixtures, allocation)
+    u = np.random.default_rng(12).random((ORACLE_ROWS, bracket.width))
+    return bracket, u, _play_block(bracket, u)
+
+
+def replay_groups(fixtures, block, row, ratings):
+    """One run's group results by name, and its Elo after them by ``update_pair``."""
+    live = dict(ratings)
+    results = []
+    for m, f in enumerate(in_match_order(fixtures, True)):
+        ga, gb = (int(g) for g in block.group_goals[:, row, m])
+        k = DEFAULT_K_FACTORS[f.match_type]
+        live[f.slot_a], live[f.slot_b] = update_pair(live[f.slot_a], live[f.slot_b], ga, gb, k)
+        results.append((f.slot_a, f.slot_b, ga, gb))
+    return results, live
+
+
+class TestEngineOracles:
+    """The block kernel against oracles that do not share its code."""
+
+    def test_thirds_seated_by_the_allocation_csv(self, euro2020, played):
+        _, fixtures, allocation = euro2020
+        bracket, _, block = played
+        names = bracket.teams
+        seen = set()
+        for row in range(ORACLE_ROWS):
+            place = {
+                f"{p + 1}{g}": names[t]
+                for g, places in zip(GROUPS, block.positions[row])
+                for p, t in enumerate(places)
+            }
+            combo = "".join(sorted(GROUPS[g] for g in block.qualified[row]))
+            seen.add(combo)
+            for f, match in zip(in_match_order(fixtures, False), bracket.knockout):
+                for slot, paired, seat in (
+                    (f.slot_a, f.slot_b, match.seat_a),
+                    (f.slot_b, f.slot_a, match.seat_b),
+                ):
+                    if slot[0] == "3":
+                        slot = "3" + allocation[combo][paired]
+                    if slot[0] != "W":
+                        assert names[block.seats[row, seat]] == place[slot]
+        assert len(seen) == len(allocation)
+
+    def test_ratings_replay_with_update_pair(self, euro2020, played):
+        ratings, fixtures, _ = euro2020
+        bracket, _, block = played
+        names = bracket.teams
+        for row in range(300):
+            _, live = replay_groups(fixtures, block, row, ratings)
+            for j, (f, match) in enumerate(zip(in_match_order(fixtures, False), bracket.knockout)):
+                a, b, winner = (
+                    names[block.seats[row, seat]]
+                    for seat in (match.seat_a, match.seat_b, match.seat_winner)
+                )
+                ga, gb = (int(g) for g in block.knockout_goals[:, row, j])
+                assert winner == (a if ga > gb else b) or ga == gb
+                k = DEFAULT_K_FACTORS[f.match_type]
+                live[a], live[b] = update_pair(live[a], live[b], ga, gb, k)
+            assert [live[t] for t in names] == block.ratings[row].tolist()
+
+    def test_rankings_reapply_with_rank_group(self, euro2020, played):
+        ratings, fixtures, _ = euro2020
+        bracket, u, block = played
+        names = bracket.teams
+        by_group = group_teams(fixtures)
+        for row in range(1000):
+            results, live = replay_groups(fixtures, block, row, ratings)
+            lots = u[row, bracket.lots_start : bracket.thirds_start].reshape(len(GROUPS), -1)
+            positions = {}
+            for g, group_lots, places in zip(GROUPS, lots, block.positions[row]):
+                positions[g] = rank_group(by_group[g], results, live, Uniforms([group_lots]))
+                assert positions[g] == tuple(names[t] for t in places)
+            picked = select_best_thirds(
+                {g: p[2] for g, p in positions.items()},
+                results,
+                live,
+                Uniforms([u[row, bracket.thirds_start : bracket.knockout_start]]),
+            )
+            assert picked == tuple(sorted(GROUPS[g] for g in block.qualified[row]))
+
+    def test_live_elo_breaks_ties(self, euro2020):
+        """A hand-built run where live and pre-tournament Elo break ties differently.
+
+        Group A: SUI and TUR finish level on points, head-to-head, goal
+        difference and goals.  SUI starts a point ahead; TUR's 2-0 over
+        ITA lifts it past SUI.  Groups B-F draw every match 0-0, so Elo
+        ranks them and their thirds: the third of B (1700) climbs past
+        the third of C (1710) by drawing with two far stronger sides,
+        and takes the last best-third place.  The uniforms come from
+        inverting the closed-form CDF at the chosen scores.
+        """
+        _, fixtures, allocation = euro2020
+        ratings = dict(zip(("ITA", "SUI", "TUR", "WAL"), (1900.0, 1800.0, 1799.0, 1600.0)))
+        for teams, elos in (
+            ("BEL DEN FIN RUS", (2000.0, 1990.0, 1700.0, 1400.0)),
+            ("AUT MKD NED UKR", (1720.0, 1712.0, 1710.0, 1705.0)),
+            ("CRO CZE ENG SCO", (2100.0, 2000.0, 1900.0, 1800.0)),
+            ("ESP POL SVK SWE", (2090.0, 1990.0, 1890.0, 1790.0)),
+            ("FRA GER HUN POR", (1700.0, 1600.0, 1500.0, 1400.0)),
+        ):
+            ratings.update(zip(teams.split(), elos))
+        scores = {
+            ("SUI", "TUR"): (0, 0),
+            ("TUR", "ITA"): (2, 0),
+            ("WAL", "TUR"): (1, 0),
+            ("SUI", "WAL"): (2, 0),
+            ("ITA", "SUI"): (1, 0),
+            ("ITA", "WAL"): (1, 0),
+        }
+        models = {t: build_team_model(t, e) for t, e in ratings.items()}
+        bracket = compile_bracket(models, ratings, fixtures, allocation)
+
+        def uniform_for(params, k):
+            """A uniform that inversion by sequential search turns into ``k``."""
+            cdf = np.cumsum(pmf(params, np.arange(k + 1)))
+            return 0.5 * (cdf[k] + (cdf[k - 1] if k else 0.0))
+
+        u = np.full(bracket.width, 0.5)
+        live = dict(ratings)
+        expected_goals = []
+        for m, f in enumerate(in_match_order(fixtures, True)):
+            a, b, venue = f.slot_a, f.slot_b, f.venue_country
+            ga, gb = scores.get((a, b)) or scores.get((b, a), (0, 0))[::-1]
+            strong, weak, swapped = order_by_strength(a, live[a], b, live[b])
+            gs, gw = (gb, ga) if swapped else (ga, gb)
+            first = combined_params(models[strong], models[weak], live[strong], live[weak], venue)
+            second = conditional_params(models[weak], strong, live[strong], venue, gs)
+            u[2 * m : 2 * m + 2] = uniform_for(first, gs), uniform_for(second, gw)
+            k = DEFAULT_K_FACTORS[f.match_type]
+            live[a], live[b] = update_pair(live[a], live[b], ga, gb, k)
+            expected_goals.append((ga, gb))
+        # the ties that live Elo breaks, pre-tournament Elo breaks the other way
+        assert ratings["SUI"] > ratings["TUR"] and live["TUR"] > live["SUI"]
+        assert ratings["NED"] > ratings["FIN"] and live["FIN"] > live["NED"]
+
+        block = _play_block(bracket, u[None])
+        names = bracket.teams
+        assert block.group_goals[:, 0].T.tolist() == [list(g) for g in expected_goals]
+        assert [names[t] for t in block.positions[0, 0]] == ["ITA", "TUR", "SUI", "WAL"]
+        thirds = [names[t] for t in block.positions[0, :, 2]]
+        assert thirds == ["SUI", "FIN", "NED", "ENG", "SVK", "HUN"]
+        assert sorted(GROUPS[g] for g in block.qualified[0]) == list("ABDE")
