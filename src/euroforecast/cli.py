@@ -219,7 +219,8 @@ def cmd_simulate(args) -> int:
         out_dir / "stage_standard_errors.csv", agg, manifest
     )
     print(f"{agg.n_runs} runs -> {out_dir}")
-    top = sorted(agg.teams, key=lambda t: -agg.counts["champion"][t])[:5]
+    champion = agg.counts["champion"]
+    top = sorted(agg.teams, key=lambda t: -champion[t])[:5]
     for team in top:
         print(f"  P(champion {team}) = {agg.probability('champion', team):.4f}")
     return EXIT_OK

@@ -468,13 +468,24 @@ def _coeffs_to_json(c: RegressionCoefficients) -> dict:
     return {"alpha": list(c.alpha), "beta": c.beta, "gamma_log": c.gamma_log}
 
 
+def _json_number(value, name: str) -> float:
+    # type() rather than isinstance(): JSON's true and false are not numbers here
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _coeffs_from_json(obj: dict, team: str, kind: str, path: str) -> RegressionCoefficients:
     """One coefficient block; out-of-range values (a ``ParameterError``) are malformed too."""
     try:
-        alpha = tuple(float(a) for a in obj["alpha"])
+        if not isinstance(obj["alpha"], list):
+            raise TypeError(f"alpha must be a list of numbers, got {obj['alpha']!r}")
+        alpha = tuple(_json_number(a, "alpha") for a in obj["alpha"])
         if len(alpha) != ALPHA_LENGTHS[kind]:
             raise ValueError(f"{len(alpha)} alpha values, expected {ALPHA_LENGTHS[kind]}")
-        return RegressionCoefficients(alpha, float(obj["beta"]), float(obj["gamma_log"]))
+        return RegressionCoefficients(
+            alpha, _json_number(obj["beta"], "beta"), _json_number(obj["gamma_log"], "gamma_log")
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed coefficients at {team}.{kind}: {exc}", path=path) from None
 
@@ -510,7 +521,8 @@ def load_models(path: str | Path) -> tuple[dict[str, TeamModel], dict]:
     doc = _read_json(path, DataError)
     if not isinstance(doc, dict):
         raise DataError("a model file must hold a JSON object", path=spath)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
+    # type() rather than ==: JSON's true equals 1
+    if type(doc.get("format_version")) is not int or doc["format_version"] != MODEL_FORMAT_VERSION:
         raise DataError(
             f"unsupported model format version {doc.get('format_version')!r}",
             path=spath,
@@ -582,7 +594,8 @@ def export_group_table(
 
 def _write_stage_table(path, agg, cell, metadata) -> None:
     """One row per team, champions first; ``cell`` maps a stage probability to its entry."""
-    order = sorted(agg.teams, key=lambda t: (-agg.counts["champion"][t], t))
+    champion = agg.counts["champion"]
+    order = sorted(agg.teams, key=lambda t: (-champion[t], t))
     stats = ("champion", "final", "sf", "qf", "r16")
     rows = [
         (team,) + tuple(_prob(cell(agg.probability(s, team))) for s in stats) for team in order

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .zigp import HARD_CAP, ZigpParams, _check_param_arrays, log_pmf_table, sample, sample_block
+from .zigp import HARD_CAP, ZigpParams, log_pmf_table, sample, sample_block
 
 if TYPE_CHECKING:
     from .regression import TeamModel
@@ -155,7 +155,6 @@ def score_grid(
     loc = location_indicator(weak_model.team, stronger, venue_country)
     alpha = np.broadcast_to(nested.alpha, (n, len(nested.alpha)))
     mu = _predict_mu(alpha, np.full(n, elo_strong), np.full(n, loc), ks)
-    _check_param_arrays(mu, np.full(n, nested.phi), np.full(n, nested.omega))
     grid = p_strong[:, None] * np.exp(log_pmf_table(mu[:, None], nested.phi, nested.omega, ks))
     grid /= grid.sum()
 
@@ -233,16 +232,19 @@ def _predict_mu(alpha: np.ndarray, *covariates: np.ndarray) -> np.ndarray:
     """``RegressionCoefficients.predict_mu`` per row, added in its order.
 
     eta is the intercept plus each coefficient times its covariate,
-    added left to right; mu is its exponential.
+    added left to right; mu is its exponential.  Raises ``ParameterError``
+    when a mean overflows or underflows to 0, the only checks the
+    samplers' parameters get.
     """
     eta = alpha[:, 0].copy()
     for j, x in zip(range(1, alpha.shape[1]), covariates, strict=True):
         eta += alpha[:, j] * x
-    try:
-        with np.errstate(over="raise"):
-            return np.exp(eta)
-    except FloatingPointError:
-        raise ParameterError(f"mu = exp({eta.max():.6g}) overflows") from None
+    with np.errstate(over="ignore"):
+        mu = np.exp(eta)
+    if len(mu) and not 0.0 < mu.min() <= mu.max() < np.inf:
+        bad = eta[~((mu > 0.0) & (mu < np.inf))][0]
+        raise ParameterError(f"mu = exp({bad:.6g}) {'overflows' if bad > 0 else 'underflows'}")
+    return mu
 
 
 def sample_match_block(

@@ -58,12 +58,13 @@ def distributions_from_aggregate(
     """Per-team result-rank distributions implied by simulation counts."""
     out = {}
     n = agg.n_runs
+    counts = agg.counts
     for team in agg.teams:
-        c = agg.counts["champion"][team]
-        f = agg.counts["final"][team]
-        s = agg.counts["sf"][team]
-        q = agg.counts["qf"][team]
-        r = agg.counts["r16"][team]
+        c = counts["champion"][team]
+        f = counts["final"][team]
+        s = counts["sf"][team]
+        q = counts["qf"][team]
+        r = counts["r16"][team]
         p = (c, f - c, s - f, q - s, r - q, n - r)
         out[team] = OutcomeDistribution(team=team, p=tuple(x / n for x in p))
     return out

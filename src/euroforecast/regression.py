@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 from scipy.special import chdtrc, expit, gammaln
 
-from .errors import DataError, FitError, InsufficientDataError, ParameterError
+from .errors import ConfigError, DataError, FitError, InsufficientDataError, ParameterError
 from .forecast import location_indicator
 from .weights import WeightConfig, match_weight
 
@@ -95,9 +95,12 @@ class RegressionCoefficients:
         for a, x in zip(self.alpha, covariates, strict=True):
             eta += a * x
         try:
-            return math.exp(eta)
+            mu = math.exp(eta)
         except OverflowError:
             raise ParameterError(f"mu = exp({eta:.6g}) overflows") from None
+        if mu == 0.0:
+            raise ParameterError(f"mu = exp({eta:.6g}) underflows")
+        return mu
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,12 @@ class TeamModel:
 @dataclass(frozen=True)
 class FitConfig:
     weights: WeightConfig
-    seed: int = 0
+    seed: int = 0  # non-negative: the entropy of each team's SeedSequence
     min_nested_obs: int = 10
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"the fit seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -8,19 +8,23 @@ shootouts.  Elo ratings update after every simulated match and feed
 back into the score model, so early upsets propagate.
 
 Runs are independent and deterministic: run ``i`` under master seed
-``s`` reads one row of uniforms from ``SeedSequence(s, spawn_key=(i,))``
-in the layout that :class:`Bracket` describes, which makes the
-aggregate counts bit-identical for any worker count and block size.
-``monte_carlo`` compiles the bracket once and plays blocks of runs
-together, one row per run; ``run_tournament`` plays a block of one.
+``s`` reads one row of uniforms from ``run_rng(s, i)``, a ``PCG64``
+seeded by ``SeedSequence(s, spawn_key=(i,))``, in the layout that
+:class:`Bracket` describes, which makes the aggregate counts
+bit-identical for any worker count and block size.  ``monte_carlo``
+compiles the bracket once and plays blocks of runs together, one row
+per run; ``run_tournament`` plays a block of one.  A block plays each
+wave of group matches (a matchday: no team twice) as one batched draw,
+and seeds its runs in one vectorised pass of the ``SeedSequence`` hash.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import operator
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -86,14 +90,26 @@ class TournamentResult:
 
 @dataclass
 class SimulationAggregate:
-    """Integer stage counts per team over ``n_runs`` tournaments."""
+    """Integer stage counts per team over ``n_runs`` tournaments.
+
+    ``table[s, t]`` counts the runs in which ``teams[t]`` reached stat
+    ``STAT_NAMES[s]``.
+    """
 
     n_runs: int
     teams: tuple[str, ...]
-    counts: dict[str, Counter] = field(default_factory=dict)
+    table: np.ndarray  # (stats, teams), int64
+
+    @property
+    def counts(self) -> dict[str, Counter]:
+        """The table as one ``Counter`` by team code per stat, built on access."""
+        return {
+            stat: Counter(dict(zip(self.teams, row.tolist())))
+            for stat, row in zip(STAT_NAMES, self.table)
+        }
 
     def probability(self, stat: str, team: str) -> float:
-        return self.counts[stat][team] / self.n_runs
+        return int(self.table[STAT_NAMES.index(stat), self.teams.index(team)]) / self.n_runs
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +337,13 @@ class Bracket:
     order, two for regular time, two more for extra time when it is
     level and one more for a shootout when it is still level.  A run
     that needs fewer than ``width`` uniforms leaves the rest unread.
+
+    ``waves`` splits the group matches into matchdays that are played
+    as one draw each: a match joins the wave after the last one of
+    either of its teams, so no team plays twice in a wave and each team
+    meets its opponents in match-id order, on the same Elo as when the
+    matches are played one by one.  EURO 2016 and 2020 have 3 waves of
+    12 matches.
     """
 
     teams: tuple[str, ...]
@@ -330,7 +353,8 @@ class Bracket:
     group_a: np.ndarray  # group matches in match-id order
     group_b: np.ndarray
     group_loc: np.ndarray  # (matches, 2): location indicator of each side
-    group_k: tuple[float, ...]
+    group_k: np.ndarray
+    waves: tuple[np.ndarray, ...]  # group match numbers of each wave, ascending
     knockout: tuple[_Knockout, ...]
     thirds: np.ndarray  # (2**groups, third slots): group by qualified-group mask
 
@@ -414,13 +438,25 @@ def compile_bracket(
         row = allocation["".join(qualified)]
         mask = sum(1 << GROUPS.index(g) for g in qualified)
         for j, (slot, paired) in enumerate(third_slots):
-            group = row.get(paired)
-            if group is None or group not in slot[1:]:
+            if paired not in row:
+                raise DataError(
+                    f"allocation table has no column {paired}, the winner slot that "
+                    f"meets third slot {slot}; its columns are {', '.join(row)}"
+                )
+            group = row[paired]
+            if group not in slot[1:]:
                 raise DataError(
                     f"allocation sends group {group} third into slot {slot}, "
                     "which is outside its candidate pool"
                 )
             thirds[mask, j] = GROUPS.index(group)
+
+    last_wave: dict[str, int] = {}
+    wave_of = []
+    for f in group_fixtures:
+        wave = 1 + max(last_wave.get(f.slot_a, -1), last_wave.get(f.slot_b, -1))
+        last_wave[f.slot_a] = last_wave[f.slot_b] = wave
+        wave_of.append(wave)
 
     return Bracket(
         teams=teams,
@@ -438,7 +474,8 @@ def compile_bracket(
                 for f in group_fixtures
             ]
         ),
-        group_k=tuple(k_table[f.match_type] for f in group_fixtures),
+        group_k=np.array([k_table[f.match_type] for f in group_fixtures]),
+        waves=tuple(np.flatnonzero(np.equal(wave_of, w)) for w in range(max(wave_of) + 1)),
         knockout=knockout,
         thirds=thirds,
     )
@@ -520,16 +557,18 @@ def _play_block(bracket: Bracket, u: np.ndarray) -> _PlayedBlock:
     live = np.tile(bracket.ratings, (n, 1))
 
     goals = np.empty((2, n, len(bracket.group_a)), dtype=np.int64)
-    for m, (a, b) in enumerate(zip(bracket.group_a, bracket.group_b)):
-        elo_a, elo_b = live[:, a], live[:, b]
-        goals[:, :, m] = sample_match_block(
-            bracket.models, np.full(n, a), np.full(n, b), elo_a, elo_b,
-            np.full(n, bracket.group_loc[m, 0]), np.full(n, bracket.group_loc[m, 1]),
-            u[:, 2 * m : 2 * m + 2],
+    for wave in bracket.waves:
+        # one row per (run, match of the wave), runs major
+        a, b = bracket.group_a[wave], bracket.group_b[wave]
+        elo_a, elo_b = live[:, a].ravel(), live[:, b].ravel()
+        ga, gb = sample_match_block(
+            bracket.models, np.tile(a, n), np.tile(b, n), elo_a, elo_b,
+            np.tile(bracket.group_loc[wave, 0], n), np.tile(bracket.group_loc[wave, 1], n),
+            u[:, 2 * wave[:, None] + np.arange(2)].reshape(-1, 2),
         )
-        live[:, a], live[:, b] = elo.update_pairs(
-            elo_a, elo_b, goals[0, :, m], goals[1, :, m], bracket.group_k[m]
-        )
+        elo_a, elo_b = elo.update_pairs(elo_a, elo_b, ga, gb, np.tile(bracket.group_k[wave], n))
+        live[:, a], live[:, b] = elo_a.reshape(n, -1), elo_b.reshape(n, -1)
+        goals[0][:, wave], goals[1][:, wave] = ga.reshape(n, -1), gb.reshape(n, -1)
 
     members = bracket.members
     overall, h2h = _standings(bracket.group_a, bracket.group_b, goals[0], goals[1], n_teams)
@@ -597,17 +636,100 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     )
 
 
+# The hash of numpy's SeedSequence (pool of 4 uint32 words) and the
+# seeding of its PCG64, both stream-stable in numpy: the constants of
+# ``numpy/random/bit_generator.pyx`` and PCG64's 128-bit multiplier.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK_32, _MASK_128 = (1 << 32) - 1, (1 << 128) - 1
+MAX_RUNS = 2**32  # a run index is one uint32 word of the spawn key
+
+
+def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One step of the SeedSequence hash; returns the hash and the next constant."""
+    const_next = const * mult & _MASK_32
+    value = (value ^ np.uint32(const)) * np.uint32(const_next)
+    return value ^ (value >> np.uint32(16)), const_next
+
+
+def _pcg_seeds(master_seed: int, run_indices: np.ndarray) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64)``
+    for each ``i`` of ``run_indices`` (all below ``MAX_RUNS``): (4, runs) uint64.
+
+    The entropy words are the seed's little-endian uint32 words, padded
+    with zeros to the pool size, then the run index; the seed's words
+    are hashed as (1,) arrays that broadcast against the indices.
+    """
+    words = [master_seed & _MASK_32]
+    while master_seed >> 32 * len(words):
+        words.append(master_seed >> 32 * len(words) & _MASK_32)
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append(np.asarray(run_indices, dtype=np.uint32))
+
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value, const = _hash(value, const, _MULT_A)
+        return value
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const = _INIT_B
+    state = []
+    for j in range(2 * _POOL_SIZE):
+        value, const = _hash(pool[j % _POOL_SIZE], const, _MULT_B)
+        state.append(np.broadcast_to(value, len(run_indices)).astype(np.uint64))
+    return np.array([state[j] | state[j + 1] << np.uint64(32) for j in range(0, 8, 2)])
+
+
+def _block_uniforms(master_seed: int, run_indices: np.ndarray, width: int) -> np.ndarray:
+    """``np.stack([run_rng(master_seed, i).random(width) for i in run_indices])``.
+
+    The spawn keys are hashed in one pass (:func:`_pcg_seeds`); each
+    row then sets one reused ``PCG64`` to the state that seeding with
+    its words leaves (the 128-bit seed and increment, one LCG step) and
+    draws from it.
+    """
+    seeds = _pcg_seeds(master_seed, run_indices).tolist()
+    bit_generator = np.random.PCG64(0)
+    draw = np.random.Generator(bit_generator).random
+    u = np.empty((len(run_indices), width))
+    for row, s_high, s_low, i_high, i_low in zip(u, *seeds):
+        inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK_128
+        state = ((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK_128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        draw(out=row)
+    return u
+
+
 def _run_chunk(
     bracket: Bracket, master_seed: int, run_indices: Sequence[int], block_runs: int
 ) -> np.ndarray:
     counts = np.zeros((len(STAT_NAMES), len(bracket.teams)), dtype=np.int64)
     for start in range(0, len(run_indices), block_runs):
-        u = np.stack(
-            [
-                run_rng(master_seed, i).random(bracket.width)
-                for i in run_indices[start : start + block_runs]
-            ]
-        )
+        block = np.asarray(run_indices[start : start + block_runs])
+        u = _block_uniforms(master_seed, block, bracket.width)
         counts += _stage_counts(bracket, _play_block(bracket, u))
     return counts
 
@@ -666,6 +788,11 @@ def monte_carlo(
     """
     if n_runs <= 0:
         raise ConfigError("n_runs must be positive")
+    if n_runs > MAX_RUNS:
+        raise ConfigError(f"n_runs must be at most {MAX_RUNS}, got {n_runs}")
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ConfigError(f"the master seed must be non-negative, got {master_seed}")
     if not 1 <= n_workers <= MAX_WORKERS:
         raise ConfigError(f"n_workers must lie in [1, {MAX_WORKERS}], got {n_workers}")
     bracket = compile_bracket(models, ratings, fixtures, allocation, k_factors)
@@ -681,11 +808,4 @@ def monte_carlo(
                 if chunk
             ]
             counts = sum(fut.result() for fut in futures)
-    return SimulationAggregate(
-        n_runs=n_runs,
-        teams=bracket.teams,
-        counts={
-            stat: Counter(dict(zip(bracket.teams, row.tolist())))
-            for stat, row in zip(STAT_NAMES, counts)
-        },
-    )
+    return SimulationAggregate(n_runs=n_runs, teams=bracket.teams, table=counts)

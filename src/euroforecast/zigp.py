@@ -149,17 +149,6 @@ def sample(params: ZigpParams, rng: np.random.Generator, size: int | None = None
     return k
 
 
-def _check_param_arrays(mu: np.ndarray, phi: np.ndarray, omega: np.ndarray) -> None:
-    """The checks of :class:`ZigpParams`, once over whole parameter arrays."""
-    for name, values, ok, rule in (
-        ("mu", mu, (mu > 0) & np.isfinite(mu), "positive and finite"),
-        ("phi", phi, (phi >= 1) & np.isfinite(phi), ">= 1 and finite"),
-        ("omega", omega, (omega >= 0) & (omega < 1), "in [0, 1)"),
-    ):
-        if not ok.all():
-            raise ParameterError(f"{name} must be {rule}, got {values[~ok][0]}")
-
-
 def sample_block(
     mu: np.ndarray, phi: np.ndarray, omega: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
@@ -170,8 +159,10 @@ def sample_block(
     active.  A row stops at the first k whose cumulative mass exceeds
     ``u`` or reaches 1 - TAIL_EPS, and at HARD_CAP at the latest; the
     stop point takes the remaining mass, so nothing is renormalized.
+    The parameters are not checked here: callers pass means from
+    ``forecast._predict_mu`` (positive and finite) or from
+    :class:`ZigpParams`, and phi and omega valid by construction.
     """
-    _check_param_arrays(mu, phi, omega)
     draws = np.zeros(len(u), dtype=np.int64)
     cum = np.exp(log_pmf_table(mu, phi, omega, 0.0))
     rows = np.flatnonzero((cum <= u) & (cum < 1.0 - TAIL_EPS))

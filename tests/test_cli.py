@@ -248,6 +248,25 @@ class TestFit:
         models, _ = data_io.load_models(out)
         assert "FRA" in models
 
+    def test_negative_seed_is_config_error(self, tmp_path, demo_history, capsys):
+        matches_path, ratings_path = demo_history
+        out = tmp_path / "model.json"
+        code = main(
+            [
+                "fit",
+                "--matches", str(matches_path),
+                "--ratings", str(ratings_path),
+                "--teams", "FRA,BEL",
+                "--seed", "-1",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "fit seed must be non-negative, got -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_needs_team_source(self, tmp_path, demo_history, capsys):
         matches_path, ratings_path = demo_history
         code = main(
@@ -541,6 +560,66 @@ class TestSimulate:
         return args + ["--results", str(data_dir / "euro2016_results.csv"),
                        "--out", str(tmp_path / "metrics.csv")]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_negative_seed_is_config_error(
+        self, tmp_path, euro2016_model_file, data_dir, capsys, command, workers
+    ):
+        args = self.worker_args(command, workers, tmp_path, euro2016_model_file, data_dir)
+        assert main([*args, "--seed", "-3"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "master seed must be non-negative, got -3" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["attack", "nested"])
+    def test_underflowing_mean_is_config_error(
+        self, tmp_path, euro2020_model_file, data_dir, capsys, kind
+    ):
+        doc = json.loads(euro2020_model_file.read_text())
+        doc["teams"]["FRA"][kind]["alpha"][0] = -800.0
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = main(
+            [
+                "simulate",
+                "--model", str(model),
+                "--fixtures", str(data_dir / "euro2020_fixtures.csv"),
+                "--allocation", str(data_dir / "euro2020_allocation.csv"),
+                "--ratings", str(data_dir / "euro2020_ratings.csv"),
+                "--n-runs", "10",
+                "--out-dir", str(tmp_path / "sim"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "underflows" in err
+        assert "Traceback" not in err
+
+    def test_allocation_without_a_winner_column_is_config_error(
+        self, tmp_path, euro2020_model_file, data_dir, capsys
+    ):
+        allocation = tmp_path / "allocation.csv"
+        allocation.write_text(
+            (data_dir / "euro2020_allocation.csv")
+            .read_text()
+            .replace("combination,1B,1C,1E,1F", "combination,1B,1C,1E,1A")
+        )
+        code = main(
+            [
+                "simulate",
+                "--model", str(euro2020_model_file),
+                "--fixtures", str(data_dir / "euro2020_fixtures.csv"),
+                "--allocation", str(allocation),
+                "--ratings", str(data_dir / "euro2020_ratings.csv"),
+                "--n-runs", "10",
+                "--out-dir", str(tmp_path / "sim"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "allocation table has no column 1F" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_worker_count_below_one_is_config_error(
         self, tmp_path, euro2016_model_file, data_dir, capsys, command
@@ -687,6 +766,30 @@ class TestGof:
             ["gof", "--model", str(tmp_path / "absent.json"), "--out", str(tmp_path / "g.csv")]
         )
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(format_version=True), "unsupported model format version"),
+            (
+                lambda doc: doc["teams"]["FRA"]["attack"].update(alpha="123"),
+                "malformed coefficients at FRA.attack: alpha must be a list",
+            ),
+        ],
+        ids=["format_version_true", "alpha_string"],
+    )
+    def test_model_values_of_the_wrong_json_type_are_config_errors(
+        self, tmp_path, fitted_model_file, capsys, edit, message
+    ):
+        doc = json.loads(fitted_model_file.read_text())
+        edit(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = main(["gof", "--model", str(model), "--out", str(tmp_path / "g.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"model.json: {message}" in err
+        assert "Traceback" not in err
 
 
 class TestConfigResolution:

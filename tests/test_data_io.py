@@ -477,6 +477,30 @@ class TestModelFiles:
         with pytest.raises(DataError, match=r"models\.json: malformed coefficients at FRA\.attack"):
             load_models(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", "123"), ("alpha", [0.1, "2", 0.0]), ("alpha", [True, 0.0, 0.0]),
+         ("beta", "-2"), ("gamma_log", False)],
+    )
+    def test_coefficients_that_are_not_json_numbers_rejected(self, tmp_path, field, value):
+        path = tmp_path / "models.json"
+        save_models(path, two_models())
+        doc = json.loads(path.read_text())
+        doc["teams"]["FRA"]["attack"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=rf"models\.json: malformed coefficients at FRA\.attack: {field}"):
+            load_models(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_format_version_must_be_the_integer_1(self, tmp_path, version):
+        path = tmp_path / "models.json"
+        save_models(path, two_models())
+        doc = json.loads(path.read_text())
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"models\.json: unsupported model format version"):
+            load_models(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileAccessError):
             load_models(tmp_path / "absent.json")

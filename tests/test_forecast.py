@@ -96,6 +96,16 @@ class TestLinearPredictor:
         with pytest.raises(ValueError, match="zip"):
             _predict_mu(alpha, *(np.full(2, x) for x in covariates[1:]))
 
+    @pytest.mark.parametrize("intercept, word", [(-800.0, "underflows"), (800.0, "overflows")])
+    def test_mean_outside_the_floats_rejected(self, weak, intercept, word):
+        # the samplers take their means from here unchecked
+        alpha = np.array([weak.attack.alpha, (intercept, 0.0, 0.0)])
+        with pytest.raises(ParameterError, match=rf"mu = exp\({intercept:g}\) {word}"):
+            _predict_mu(alpha, np.full(2, 1900.0), np.zeros(2))
+
+    def test_no_rows(self, weak):
+        assert _predict_mu(np.empty((0, 3)), np.empty(0), np.empty(0)).shape == (0,)
+
 
 class TestConditionalParams:
     def test_nested_covariates(self, weak):

@@ -559,6 +559,44 @@ class TestMonteCarlo:
         p = sum(aggregate.probability("champion", t) for t in aggregate.teams)
         assert p == pytest.approx(1.0)
 
+    def test_counts_are_one_int64_table(self, aggregate):
+        table = aggregate.table
+        assert table.dtype == np.int64
+        assert table.shape == (len(STAT_NAMES), len(aggregate.teams))
+        counts = aggregate.counts
+        for s, stat in enumerate(STAT_NAMES):
+            for t, team in enumerate(aggregate.teams):
+                assert counts[stat][team] == table[s, t]
+                assert aggregate.probability(stat, team) == table[s, t] / 60
+
+    def test_negative_seed_rejected(self, euro2020, euro_models):
+        with pytest.raises(ConfigError, match="master seed must be non-negative, got -1"):
+            monte_carlo(euro_models, *euro2020, n_runs=5, master_seed=-1)
+
+    def test_runs_beyond_one_index_word_rejected(self, euro2020, euro_models, monkeypatch):
+        def no_bracket(*args, **kwargs):
+            raise AssertionError("the bracket was compiled")
+
+        monkeypatch.setattr(tournament, "compile_bracket", no_bracket)
+        with pytest.raises(ConfigError, match=f"at most {2**32}"):
+            monte_carlo(euro_models, *euro2020, n_runs=2**32 + 1)
+
+
+class TestBlockSeeding:
+    """A block's rows are seeded in one pass; each must be ``run_rng``'s stream."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 11])
+    def test_rows_equal_run_rng(self, seed):
+        indices = np.array([0, 1, 7, 1023, 2**31, 2**32 - 1])
+        expect = np.stack([run_rng(seed, int(i)).random(177) for i in indices])
+        assert np.array_equal(tournament._block_uniforms(seed, indices, 177), expect)
+
+    def test_a_worker_stride(self):
+        # a worker's runs are every n_workers-th index
+        indices = range(3, 200, 7)
+        expect = np.stack([run_rng(9, i).random(40) for i in indices])
+        assert np.array_equal(tournament._block_uniforms(9, np.asarray(indices), 40), expect)
+
 
 def counted(result: TournamentResult) -> dict[str, Counter]:
     """The stage counts of one run, as ``monte_carlo`` keeps them."""
@@ -668,6 +706,15 @@ class TestBlockEngine:
         with pytest.raises(DataError, match="candidate pool"):
             monte_carlo(euro_models, ratings, fixtures, swapped, n_runs=20)
 
+    def test_allocation_without_a_paired_column_rejected(self, euro2020, euro_models):
+        ratings, fixtures, allocation = euro2020
+        renamed = {
+            combo: {("1A" if slot == "1F" else slot): group for slot, group in row.items()}
+            for combo, row in allocation.items()
+        }
+        with pytest.raises(DataError, match="allocation table has no column 1F"):
+            compile_bracket(euro_models, ratings, fixtures, renamed)
+
     def test_allocation_errors_raised_at_compile_time(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
         missing = {combo: row for combo, row in allocation.items() if combo != "CDEF"}
@@ -714,6 +761,34 @@ def played(euro2020, euro_models):
     bracket = compile_bracket(euro_models, ratings, fixtures, allocation)
     u = np.random.default_rng(12).random((ORACLE_ROWS, bracket.width))
     return bracket, u, _play_block(bracket, u)
+
+
+class TestWaves:
+    """Group matches are played a wave (a matchday) at a time."""
+
+    @pytest.mark.parametrize("edition", [2020, 2016])
+    def test_three_waves_of_twelve_disjoint_matches(self, euro2020, euro_models, euro2016, edition):
+        inputs = euro2016 if edition == 2016 else (euro_models, *euro2020)
+        bracket = compile_bracket(*inputs)
+        assert [len(wave) for wave in bracket.waves] == [12, 12, 12]
+        assert sorted(np.concatenate(bracket.waves).tolist()) == list(range(36))
+        for wave in bracket.waves:
+            assert wave.tolist() == sorted(wave.tolist())
+            sides = np.concatenate([bracket.group_a[wave], bracket.group_b[wave]])
+            assert len(set(sides.tolist())) == 24
+        wave_of = {m: w for w, wave in enumerate(bracket.waves) for m in wave.tolist()}
+        for team in range(24):
+            played = np.flatnonzero((bracket.group_a == team) | (bracket.group_b == team))
+            assert [wave_of[m] for m in played] == [0, 1, 2]
+
+    def test_equal_to_one_match_at_a_time(self, played):
+        bracket, u, block = played
+        single = dataclasses.replace(
+            bracket, waves=tuple(np.array([m]) for m in range(len(bracket.group_a)))
+        )
+        one_by_one = _play_block(single, u)
+        for f in dataclasses.fields(block):
+            assert np.array_equal(getattr(block, f.name), getattr(one_by_one, f.name)), f.name
 
 
 def replay_groups(fixtures, block, row, ratings):

@@ -252,13 +252,3 @@ class TestBlockSampling:
             assert x < cum[k] or cum[k] >= 1.0 - TAIL_EPS - SLACK or k == HARD_CAP
             checked += 1
         assert checked == n
-
-    @pytest.mark.parametrize(
-        "column, value, name",
-        [(0, 0.0, "mu"), (0, np.inf, "mu"), (1, 0.9, "phi"), (2, 1.0, "omega"), (2, -0.1, "omega")],
-    )
-    def test_invalid_row_rejected(self, column, value, name):
-        params = [np.array([1.0, 1.2]), np.array([1.0, 1.1]), np.array([0.0, 0.1])]
-        params[column][1] = value
-        with pytest.raises(ParameterError, match=name):
-            sample_block(*params, np.array([0.5, 0.5]))
