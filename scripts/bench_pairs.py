@@ -16,8 +16,10 @@ acceptance criteria 6 and 7.
 The JSON file written to ``--out`` holds, per workload and end-to-end
 metric, every pair's two values, both sides' medians and quartiles, and
 in how many pairs the change was better; plus both commit ids, both
-sides' ``src/**/*.py`` line counts and the machine (CPUs, library
-versions, BLAS thread settings).
+sides' ``src/**/*.py`` line counts, each side's cold start (the wall
+time of a fresh interpreter running ``import euroforecast.cli``, 10
+runs per side, alternating, after one run that writes the bytecode
+caches) and the machine (CPUs, library versions, BLAS thread settings).
 """
 
 from __future__ import annotations
@@ -111,6 +113,20 @@ def tier1_times(tree: Path) -> dict:
     return times
 
 
+def cold_imports(trees: dict[str, Path], runs: int = 10) -> dict:
+    """Each side's wall times of ``import euroforecast.cli`` in fresh interpreters."""
+    times: dict[str, list[float]] = {side: [] for side in trees}
+    for i in range(runs + 1):
+        for side in sorted(trees, reverse=i % 2 == 1):
+            env = dict(os.environ, PYTHONPATH=str(trees[side] / "src"), OPENBLAS_NUM_THREADS="1")
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", "import euroforecast.cli"],
+                           cwd=trees[side], env=env, check=True)
+            if i:  # the first run writes the bytecode caches
+                times[side].append(round(time.perf_counter() - start, 4))
+    return {side: {"median_s": statistics.median(t), "runs_s": t} for side, t in times.items()}
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -174,6 +190,7 @@ def main(argv=None) -> int:
     try:
         trees = {side: export(commit, scratch) for side, commit in commits.items()}
         report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        report["cold_import"] = cold_imports(trees)
         for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
             for i, seed in enumerate(seeds):

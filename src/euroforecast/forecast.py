@@ -148,7 +148,7 @@ def score_grid(
 
     strong = combined_params(strong_model, weak_model, elo_strong, elo_weak, venue_country)
     n = cap + 1
-    ks = np.arange(n, dtype=float)
+    ks = np.arange(n)
     p_strong = np.exp(log_pmf_table(strong.mu, strong.phi, strong.omega, ks))
 
     nested = weak_model.nested

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import chdtrc, expit, gammaln
 
 from .errors import ConfigError, DataError, FitError, InsufficientDataError, ParameterError
 from .forecast import location_indicator
@@ -71,7 +70,9 @@ class RegressionCoefficients:
 
     ``phi`` and ``omega`` are derived once, here.  A set is rejected
     unless every alpha is finite, beta <= BETA_MAX (the fitter's upper
-    bound) and omega = expit(gamma_log) is below 1.
+    bound) and omega = expit(gamma_log) is below 1.  omega is computed
+    as 1 / (1 + e^-gamma_log), which is scipy's ``expit`` bit for bit;
+    below gamma_log = -709.78 e^-gamma_log overflows and omega is 0.
     """
 
     alpha: tuple[float, ...]
@@ -81,7 +82,10 @@ class RegressionCoefficients:
     omega: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        omega = float(expit(self.gamma_log))
+        try:
+            omega = 1.0 / (1.0 + math.exp(-self.gamma_log))
+        except OverflowError:
+            omega = 0.0
         if not (all(map(math.isfinite, self.alpha)) and self.beta <= BETA_MAX and omega < 1.0):
             raise ParameterError(
                 f"need finite alpha, beta <= {BETA_MAX} and expit(gamma_log) < 1; got "
@@ -150,43 +154,70 @@ class FitSummary:
 # ---------------------------------------------------------------------------
 
 
-def build_observations(
-    team: str, matches: Sequence["MatchRecord"], cfg: WeightConfig
-) -> tuple[list[FitObservation], list[FitObservation], list[FitObservation]]:
-    """The attack, defense and nested observations of ``team``, in one pass.
+Observations = tuple[list[FitObservation], list[FitObservation], list[FitObservation]]
 
-    attack: goals scored by ``team`` against (1, opponent Elo, location);
+
+def observations_by_team(
+    teams: Sequence[str], matches: Sequence["MatchRecord"], cfg: WeightConfig
+) -> dict[str, Observations | DataError | InsufficientDataError]:
+    """The attack, defense and nested observations of each of ``teams``, in one pass.
+
+    attack: goals scored by the team against (1, opponent Elo, location);
     defense: goals conceded, same covariates; nested: underdog matches
     only (strictly lower Elo before kickoff; equal ratings have no
     strict ordering), goals scored with the opponent's goals as a fourth
-    covariate.  Every row carries the match's weight.
+    covariate.  Every row carries the match's weight.  Rows keep the
+    order of ``matches``.  A team's entry is the error in place of its
+    rows when one of its matches lacks Elo annotations (the first such
+    match is named; the team's later matches are not read) or when it
+    has no matches; the other teams keep theirs.
     """
-    attack, defense, nested = [], [], []
+    rows: dict[str, Observations] = {team: ([], [], []) for team in teams}
+    failed: dict[str, DataError | InsufficientDataError] = {}
     for m in matches:
-        if team != m.team_a and team != m.team_b:
+        sides = [t for t in (m.team_a, m.team_b) if t in rows and t not in failed]
+        if not sides:
             continue
         if m.elo_a_before is None or m.elo_b_before is None:
-            raise DataError(
-                f"match {m.date} {m.team_a}-{m.team_b} lacks Elo annotations; "
-                "replay history first"
-            )
-        if m.team_a == team:
-            opponent, own_elo, opp_elo = m.team_b, m.elo_a_before, m.elo_b_before
-            goals, conceded = m.goals_a, m.goals_b
-        else:
-            opponent, own_elo, opp_elo = m.team_a, m.elo_b_before, m.elo_a_before
-            goals, conceded = m.goals_b, m.goals_a
-        loc = location_indicator(team, opponent, m.venue_country)
+            for team in sides:
+                failed[team] = DataError(
+                    f"match {m.date} {m.team_a}-{m.team_b} lacks Elo annotations; "
+                    "replay history first"
+                )
+            continue
         weight = match_weight(m, cfg)
-        attack.append(FitObservation(goals, (1.0, opp_elo, loc), weight))
-        defense.append(FitObservation(conceded, (1.0, opp_elo, loc), weight))
-        if own_elo < opp_elo:
-            nested.append(
-                FitObservation(goals, (1.0, opp_elo, loc, float(conceded)), weight)
+        for team in sides:
+            if team == m.team_a:
+                opponent, own_elo, opp_elo = m.team_b, m.elo_a_before, m.elo_b_before
+                goals, conceded = m.goals_a, m.goals_b
+            else:
+                opponent, own_elo, opp_elo = m.team_a, m.elo_b_before, m.elo_a_before
+                goals, conceded = m.goals_b, m.goals_a
+            loc = location_indicator(team, opponent, m.venue_country)
+            attack, defense, nested = rows[team]
+            attack.append(FitObservation(goals, (1.0, opp_elo, loc), weight))
+            defense.append(FitObservation(conceded, (1.0, opp_elo, loc), weight))
+            if own_elo < opp_elo:
+                nested.append(
+                    FitObservation(goals, (1.0, opp_elo, loc, float(conceded)), weight)
+                )
+    for team, (attack, _, _) in rows.items():
+        if not attack and team not in failed:
+            failed[team] = InsufficientDataError(
+                f"team {team!r} has no matches in the data window"
             )
-    if not attack:
-        raise InsufficientDataError(f"team {team!r} has no matches in the data window")
-    return attack, defense, nested
+    return {team: failed.get(team, observations) for team, observations in rows.items()}
+
+
+def build_observations(
+    team: str, matches: Sequence["MatchRecord"], cfg: WeightConfig
+) -> Observations:
+    """The attack, defense and nested observations of ``team`` (see
+    :func:`observations_by_team`); raises its error if it has one."""
+    observations = observations_by_team([team], matches, cfg)[team]
+    if isinstance(observations, Exception):
+        raise observations
+    return observations
 
 
 def design_matrix(observations: Sequence[FitObservation]):
@@ -223,6 +254,9 @@ class _Sample(NamedTuple):
 
 def _sample(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> _Sample:
     """One regression's rows (``X`` is observations by columns)."""
+    # scipy is imported by the fitter alone, which keeps it off every other command's start-up
+    from scipy.special import gammaln
+
     Xt = np.ascontiguousarray(X.T, dtype=float)
     i, j = np.triu_indices(len(Xt))
     k = y.astype(float)
@@ -260,6 +294,8 @@ def _loglik_derivatives(theta: np.ndarray, s: _Sample):
     other regressions of ``s``.  Returns (L, dL/dtheta, d2L/dtheta2),
     shaped (m,), (m, p+2) and (m, p+2, p+2).
     """
+    from scipy.special import expit
+
     Xt, w, zero, k = s.Xt, s.w, s.zero, s.k
     p = len(Xt)
     beta, gamma = theta[:, p], theta[:, p + 1]
@@ -592,6 +628,8 @@ def chi_square_gof(
     clamped to at least 1.  Means are floored at 1e-8 (with a warning)
     to keep the statistic finite.
     """
+    from scipy.special import chdtrc
+
     X, y, _ = design_matrix(observations)
     mu = np.exp(np.clip(X @ np.array(coefficients.alpha), -_ETA_CLIP, _ETA_CLIP))
     means = (1.0 - coefficients.omega) * mu
@@ -635,16 +673,20 @@ def fit_team_models(
     failures: dict[str, str] = {}
     jobs = []  # (team, observations, index of its first problem, problem count)
     problems: list[_Problem] = []
+    by_team = observations_by_team(teams, matches, cfg.weights)
     for idx, team in enumerate(sorted(teams)):
         base_seed = np.random.SeedSequence(
             entropy=cfg.seed, spawn_key=(idx,)
         ).generate_state(3)
+        observations = by_team[team]
+        if isinstance(observations, Exception):
+            failures[team] = str(observations)
+            continue
         try:
-            observations = build_observations(team, matches, cfg.weights)
             # attack and defense share their rows, so both have enough or neither
             fits = [_prepare(observations[0], int(base_seed[0])),
                     _prepare(observations[1], int(base_seed[1]))]
-        except (FitError, DataError) as exc:
+        except InsufficientDataError as exc:
             failures[team] = str(exc)
             continue
         if len(observations[2]) >= cfg.min_nested_obs:

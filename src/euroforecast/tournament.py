@@ -23,7 +23,6 @@ from __future__ import annotations
 import datetime as dt
 import operator
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -800,6 +799,9 @@ def monte_carlo(
     if n_workers == 1:
         counts = _run_chunk(bracket, master_seed, indices, BLOCK_RUNS)
     else:
+        # imported here: the pool's modules would add to every command's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [indices[i::n_workers] for i in range(n_workers)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [

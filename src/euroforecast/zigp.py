@@ -13,9 +13,9 @@ distribution.  Closed-form moments:
     E[X]   = (1-omega) * mu
     Var[X] = (1-omega) * mu * (phi^2 + omega*mu)
 
-All likelihood-facing evaluation happens in log space (log-gamma for
-the factorial); the plain pmf is exp() of that, so large k underflows
-gracefully to 0 instead of overflowing.
+All likelihood-facing evaluation happens in log space, with log k!
+read from one table of ``math.lgamma(k + 1)``; the plain pmf is exp()
+of that, so large k underflows gracefully to 0 instead of overflowing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError
 
@@ -34,6 +33,12 @@ from .errors import ParameterError
 # is below 1e-7, so the induced bias is negligible.
 HARD_CAP = 200
 TAIL_EPS = 1e-9
+
+# log k! for k = 0..HARD_CAP, the only source of the factorial term.
+# ``log_pmf`` extends it for larger counts; the scalar sampler reads the
+# Python-float copy, which stops at HARD_CAP like its draws.
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(HARD_CAP + 1)])
+_LOG_FACTORIAL_FLOATS = _LOG_FACTORIAL.tolist()
 
 
 @dataclass(frozen=True)
@@ -59,21 +64,30 @@ class ZigpParams:
         return (1.0 - self.omega) * self.mu * (self.phi**2 + self.omega * self.mu)
 
 
-def _check_k(k) -> None:
+def _counts(k) -> np.ndarray:
+    """``k`` as a 1-d int64 array, with log k! in the table for each count."""
+    global _LOG_FACTORIAL
     arr = np.asarray(k)
     if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
+        if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
             raise ParameterError(f"k must be integer, got {k}")
     if np.any(arr < 0):
         raise ParameterError(f"k must be non-negative, got {k}")
+    ks = np.atleast_1d(arr.astype(np.int64))
+    size = len(_LOG_FACTORIAL)
+    if ks.size and ks.max() >= size:
+        more = [math.lgamma(j + 1.0) for j in range(size, int(ks.max()) + 1)]
+        _LOG_FACTORIAL = np.concatenate([_LOG_FACTORIAL, more])
+    return ks
 
 
 def log_pmf_table(mu, phi, omega, k):
-    """log P[X=k] for float counts ``k``; broadcasts the parameters against ``k``.
+    """log P[X=k] for integer counts ``k``; broadcasts the parameters against ``k``.
 
     The pmf, the block sampler's columns and the score grid all evaluate
     their terms here.  The zero-inflated k = 0 term is computed unless
-    ``k`` is one nonzero count, and picked where k == 0.
+    ``k`` is one nonzero count, and picked where k == 0.  Counts must be
+    at most HARD_CAP, or covered by an earlier :func:`log_pmf` call.
     """
     log1m_omega = np.log1p(-omega)
     m = mu + (phi - 1.0) * k
@@ -81,7 +95,7 @@ def log_pmf_table(mu, phi, omega, k):
         log1m_omega
         + np.log(mu)
         + (k - 1.0) * np.log(m)
-        - gammaln(k + 1.0)
+        - _LOG_FACTORIAL[k]
         - k * np.log(phi)
         - m / phi
     )
@@ -99,9 +113,7 @@ def log_pmf(params: ZigpParams, k):
     Returns a float for a count and an array for an array; -inf where the
     pmf underflows.
     """
-    _check_k(k)
-    ks = np.atleast_1d(np.asarray(k, dtype=float))
-    values = log_pmf_table(params.mu, params.phi, params.omega, ks)
+    values = log_pmf_table(params.mu, params.phi, params.omega, _counts(k))
     return values if np.ndim(k) else float(values[0])
 
 
@@ -139,12 +151,13 @@ def sample(params: ZigpParams, rng: np.random.Generator, size: int | None = None
     cum = omega + (1.0 - omega) * math.exp(-mu / phi)
     base = math.log1p(-omega) + math.log(mu)
     log_phi = math.log(phi)
+    log_factorial = _LOG_FACTORIAL_FLOATS
     k = 0
     while cum <= u and cum < 1.0 - TAIL_EPS and k < HARD_CAP:
         k += 1
         m = mu + (phi - 1.0) * k
         cum += math.exp(
-            base + (k - 1.0) * math.log(m) - math.lgamma(k + 1.0) - k * log_phi - m / phi
+            base + (k - 1.0) * math.log(m) - log_factorial[k] - k * log_phi - m / phi
         )
     return k
 
@@ -164,13 +177,13 @@ def sample_block(
     :class:`ZigpParams`, and phi and omega valid by construction.
     """
     draws = np.zeros(len(u), dtype=np.int64)
-    cum = np.exp(log_pmf_table(mu, phi, omega, 0.0))
+    cum = np.exp(log_pmf_table(mu, phi, omega, 0))
     rows = np.flatnonzero((cum <= u) & (cum < 1.0 - TAIL_EPS))
     cum = cum[rows]
     for k in range(1, HARD_CAP + 1):
         if not rows.size:
             break
-        cum += np.exp(log_pmf_table(mu[rows], phi[rows], omega[rows], float(k)))
+        cum += np.exp(log_pmf_table(mu[rows], phi[rows], omega[rows], k))
         draws[rows] = k
         going = (cum <= u[rows]) & (cum < 1.0 - TAIL_EPS)
         rows, cum = rows[going], cum[going]

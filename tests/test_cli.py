@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import datetime as dt
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import euroforecast
-from euroforecast import data_io, tournament
+from euroforecast import data_io
 from euroforecast.cli import CONFIG_DIR_ENV, EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, main
 from euroforecast.data_io import AppConfig
 
@@ -63,20 +64,50 @@ def fitted_model_file(tmp_path_factory, demo_history):
 
 
 class TestParser:
-    def test_import_skips_heavy_scipy_modules(self):
-        # scipy.stats and scipy.optimize would add about a second to every command
+    def test_cold_start_loads_neither_scipy_nor_the_process_pool(
+        self, euro2020_model_file, demo_history, data_dir
+    ):
+        # scipy and the pool's modules would add about 0.35 s to every command;
+        # only a fit loads scipy, and only a run on several workers the pool
         src = str(Path(euroforecast.__file__).resolve().parent.parent)
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         env = dict(os.environ, PYTHONPATH=path)
-        code = (
-            "import sys, euroforecast.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
-        )
+        matches_path, ratings_path = demo_history
+        code = f"""
+import datetime, sys
+import euroforecast.cli
+from euroforecast import data_io, elo
+from euroforecast.forecast import score_grid
+from euroforecast.regression import FitConfig, fit_team_models
+from euroforecast.tournament import monte_carlo
+from euroforecast.weights import WeightConfig
+
+def loaded():
+    print([m for m in ("scipy", "concurrent.futures.process") if m in sys.modules])
+
+models, _ = data_io.load_models({str(euro2020_model_file)!r})
+data = {str(data_dir)!r}
+ratings = data_io.rating_table(data_io.load_ratings(data + "/euro2020_ratings.csv"))
+fixtures = data_io.load_fixtures(data + "/euro2020_fixtures.csv")
+allocation = data_io.load_allocation(data + "/euro2020_allocation.csv")
+score_grid(models["FRA"], models["GER"], ratings["FRA"], ratings["GER"])
+monte_carlo(models, ratings, fixtures, allocation, n_runs=20)
+loaded()
+history = data_io.load_matches({str(matches_path)!r})
+annotated, _ = elo.replay_history(data_io.load_ratings({str(ratings_path)!r}), history)
+cfg = FitConfig(weights=WeightConfig(reference_date=datetime.date(2021, 6, 7)))
+assert fit_team_models(annotated, ["FRA"], cfg).models
+loaded()
+monte_carlo(models, ratings, fixtures, allocation, n_runs=20, n_workers=2)
+loaded()
+"""
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
             check=True,
         ).stdout
-        assert out.strip() == "[]"
+        assert out.splitlines() == [
+            "[]", "['scipy']", "['scipy', 'concurrent.futures.process']"
+        ]
 
     def test_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -636,7 +667,7 @@ class TestSimulate:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(tournament, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         args = self.worker_args(command, workers, tmp_path, euro2016_model_file, data_dir)
         assert main(args) == EXIT_CONFIG
         assert "n_workers" in capsys.readouterr().err

@@ -477,6 +477,15 @@ class TestModelFiles:
         with pytest.raises(DataError, match=r"models\.json: malformed coefficients at FRA\.attack"):
             load_models(path)
 
+    def test_gamma_log_below_the_exp_range_loads_as_omega_zero(self, tmp_path):
+        path = tmp_path / "models.json"
+        save_models(path, two_models())
+        doc = json.loads(path.read_text())
+        doc["teams"]["FRA"]["attack"]["gamma_log"] = -800
+        path.write_text(json.dumps(doc))
+        loaded, _ = load_models(path)
+        assert loaded["FRA"].attack.omega == 0.0
+
     @pytest.mark.parametrize(
         "field, value",
         [("alpha", "123"), ("alpha", [0.1, "2", 0.0]), ("alpha", [True, 0.0, 0.0]),

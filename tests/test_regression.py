@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import expit
 
 from euroforecast.data_io import MatchRecord, load_config, load_matches, load_ratings
 from euroforecast.elo import replay_history
@@ -26,9 +27,11 @@ from euroforecast.regression import (
     fit_team_models,
     fit_zigp,
     loglik_and_grad,
+    observations_by_team,
 )
+from euroforecast.forecast import location_indicator
 from euroforecast.tournament import group_teams
-from euroforecast.weights import WeightConfig
+from euroforecast.weights import WeightConfig, match_weight
 from euroforecast.zigp import ZigpParams, sample
 
 REF = dt.date(2021, 6, 7)
@@ -99,6 +102,50 @@ class TestBuilders:
     def test_no_matches_is_insufficient(self, wcfg):
         with pytest.raises(InsufficientDataError):
             build_observations("ZZZ", self.matches, wcfg)
+
+    def test_failures_stay_with_their_team(self, wcfg):
+        plain = MatchRecord(
+            date=dt.date(2021, 4, 1), team_a="CCC", team_b="DDD",
+            goals_a=1, goals_b=0, match_type="FRIENDLY", venue_country="NEUTRAL",
+        )
+        by_team = observations_by_team(["AAA", "CCC", "DDD", "ZZZ"], self.matches + [plain], wcfg)
+        assert by_team["AAA"] == build_observations("AAA", self.matches, wcfg)
+        for team in ("CCC", "DDD"):
+            assert isinstance(by_team[team], DataError)
+            assert str(by_team[team]) == (
+                "match 2021-04-01 CCC-DDD lacks Elo annotations; replay history first"
+            )
+        assert isinstance(by_team["ZZZ"], InsufficientDataError)
+        assert str(by_team["ZZZ"]) == "team 'ZZZ' has no matches in the data window"
+
+
+def scan_observations(team, matches, cfg):
+    """One team's observations by a scan of the whole history, the reference
+    for the one-pass ``observations_by_team``; raises as it would report."""
+    attack, defense, nested = [], [], []
+    for m in matches:
+        if team not in (m.team_a, m.team_b):
+            continue
+        if m.elo_a_before is None or m.elo_b_before is None:
+            raise DataError(
+                f"match {m.date} {m.team_a}-{m.team_b} lacks Elo annotations; "
+                "replay history first"
+            )
+        if m.team_a == team:
+            opponent, own_elo, opp_elo = m.team_b, m.elo_a_before, m.elo_b_before
+            goals, conceded = m.goals_a, m.goals_b
+        else:
+            opponent, own_elo, opp_elo = m.team_a, m.elo_b_before, m.elo_a_before
+            goals, conceded = m.goals_b, m.goals_a
+        loc = location_indicator(team, opponent, m.venue_country)
+        weight = match_weight(m, cfg)
+        attack.append(FitObservation(goals, (1.0, opp_elo, loc), weight))
+        defense.append(FitObservation(conceded, (1.0, opp_elo, loc), weight))
+        if own_elo < opp_elo:
+            nested.append(FitObservation(goals, (1.0, opp_elo, loc, float(conceded)), weight))
+    if not attack:
+        raise InsufficientDataError(f"team {team!r} has no matches in the data window")
+    return attack, defense, nested
 
 
 def synth_observations(seed, n=600, alpha=(0.9, -0.25, 0.2), phi=1.5, omega=0.15,
@@ -435,6 +482,26 @@ class TestFitter:
             fit_zigp(obs, seed=0)
 
 
+class TestOmega:
+    """omega = 1 / (1 + e^-gamma_log) in plain floats is scipy's expit bit for bit."""
+
+    @staticmethod
+    def omega(gamma_log):
+        return RegressionCoefficients(alpha=(0.0,), beta=0.0, gamma_log=gamma_log).omega
+
+    @pytest.mark.parametrize("gamma_log", [-800.0, -745.0, -709.8, -30.0, 0.0, 30.0, 36.73])
+    def test_equals_expit(self, gamma_log):
+        assert self.omega(gamma_log).hex() == float(expit(gamma_log)).hex()
+
+    def test_random_sweep_equals_expit(self):
+        rng = np.random.default_rng(14)
+        gamma_log = np.concatenate(
+            [rng.uniform(-800.0, 36.73, 20_000), np.clip(rng.normal(0.0, 5.0, 20_000), -40, 36)]
+        )
+        omegas = np.array([self.omega(float(g)) for g in gamma_log])
+        assert np.array_equal(omegas, expit(gamma_log))
+
+
 class TestGof:
     def test_single_observation_df_clamp(self):
         # mean (1-omega)*mu ~= 1, observation 2 -> statistic 1, df clamped to 1
@@ -582,6 +649,27 @@ class TestBatchedFits:
             weights=cfg.weight_config(), seed=0, min_nested_obs=cfg.min_nested_obs
         )
         return annotated, teams, fit_cfg
+
+    def test_one_pass_equals_a_scan_per_team(self, demo):
+        matches, teams, cfg = demo
+        # FRA loses the annotation of its tenth match, after which its
+        # later matches are not read; XXX has no matches
+        tenth = [i for i, m in enumerate(matches) if "FRA" in (m.team_a, m.team_b)][9]
+        matches = list(matches)
+        matches[tenth] = dataclasses.replace(matches[tenth], elo_b_before=None)
+        by_team = observations_by_team(teams + ["XXX"], matches, cfg.weights)
+        assert list(by_team) == teams + ["XXX"]
+        failed = 0
+        for team, observations in by_team.items():
+            try:
+                expected = scan_observations(team, matches, cfg.weights)
+            except (DataError, InsufficientDataError) as exc:
+                failed += 1
+                assert type(observations) is type(exc)
+                assert str(observations) == str(exc), team
+                continue
+            assert observations == expected, team
+        assert failed == 3  # FRA, its tenth opponent and XXX
 
     @pytest.mark.parametrize("max_iter", [regression._NEWTON_MAX_ITER, 20])
     def test_batch_equals_fits_alone(self, demo, monkeypatch, max_iter):

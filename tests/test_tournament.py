@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 from collections import Counter
 from itertools import combinations
@@ -739,7 +740,7 @@ class TestBlockEngine:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(tournament, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         ratings, fixtures, allocation = euro2020
         with pytest.raises(ConfigError, match="n_workers"):
             monte_carlo(euro_models, ratings, fixtures, allocation, n_runs=5, n_workers=workers)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from euroforecast import zigp
 from euroforecast.errors import ParameterError
 from euroforecast.zigp import (
     HARD_CAP,
@@ -113,6 +115,31 @@ class TestPmf:
         base = pmf(ZigpParams(2.0, 1.5, 0.0), 0)
         inflated = pmf(ZigpParams(2.0, 1.5, 0.3), 0)
         assert inflated == pytest.approx(0.3 + 0.7 * base)
+
+
+class TestLogFactorial:
+    def test_table_is_math_lgamma(self):
+        expected = [math.lgamma(k + 1.0) for k in range(HARD_CAP + 1)]
+        assert zigp._LOG_FACTORIAL[: HARD_CAP + 1].tolist() == expected
+        assert zigp._LOG_FACTORIAL_FLOATS == expected
+
+    @pytest.mark.parametrize("k", [250, 1000])
+    def test_counts_above_the_cap_match_mpmath(self, k):
+        mu, phi, omega = 2.0, 1.4, 0.1
+        with mpmath.workdps(50):
+            m = mpmath.mpf(mu) + (mpmath.mpf(phi) - 1) * k
+            expected = float(
+                mpmath.log(1 - mpmath.mpf(omega)) + mpmath.log(mu) + (k - 1) * mpmath.log(m)
+                - mpmath.loggamma(k + 1) - k * mpmath.log(phi) - m / phi
+            )
+        p = ZigpParams(mu, phi, omega)
+        assert log_pmf(p, k) == pytest.approx(expected, rel=1e-13)
+        assert log_pmf(p, np.array([0, k]))[1] == log_pmf(p, k)
+        assert zigp._LOG_FACTORIAL[k] == math.lgamma(k + 1.0)
+
+    def test_non_finite_count_rejected(self):
+        with pytest.raises(ParameterError):
+            log_pmf(ZigpParams(1.0, 1.0, 0.0), np.array([np.inf]))
 
 
 class TestTruncation:
