@@ -35,8 +35,10 @@ HARD_CAP = 200
 TAIL_EPS = 1e-9
 
 # log k! for k = 0..HARD_CAP, the only source of the factorial term.
-# ``log_pmf`` extends it for larger counts; the scalar sampler reads the
-# Python-float copy, which stops at HARD_CAP like its draws.
+# ``log_pmf`` extends it for larger counts, up to MAX_COUNT (an 8 MB
+# table); the scalar sampler reads the Python-float copy, which stops at
+# HARD_CAP like its draws.
+MAX_COUNT = 10**6
 _LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(HARD_CAP + 1)])
 _LOG_FACTORIAL_FLOATS = _LOG_FACTORIAL.tolist()
 
@@ -73,6 +75,8 @@ def _counts(k) -> np.ndarray:
             raise ParameterError(f"k must be integer, got {k}")
     if np.any(arr < 0):
         raise ParameterError(f"k must be non-negative, got {k}")
+    if np.any(arr > MAX_COUNT):
+        raise ParameterError(f"k must be at most {MAX_COUNT}, got {k}")
     ks = np.atleast_1d(arr.astype(np.int64))
     size = len(_LOG_FACTORIAL)
     if ks.size and ks.max() >= size:

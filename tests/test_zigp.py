@@ -137,9 +137,10 @@ class TestLogFactorial:
         assert log_pmf(p, np.array([0, k]))[1] == log_pmf(p, k)
         assert zigp._LOG_FACTORIAL[k] == math.lgamma(k + 1.0)
 
-    def test_non_finite_count_rejected(self):
+    @pytest.mark.parametrize("k", [np.inf, 1e19, zigp.MAX_COUNT + 1, 2**63 - 1])
+    def test_count_that_is_infinite_or_above_max_count_rejected(self, k):
         with pytest.raises(ParameterError):
-            log_pmf(ZigpParams(1.0, 1.0, 0.0), np.array([np.inf]))
+            log_pmf(ZigpParams(1.0, 1.0, 0.0), np.array([k]))
 
 
 class TestTruncation:
