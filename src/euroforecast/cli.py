@@ -61,6 +61,8 @@ def _manifest(args, command: str, **extra) -> dict:
         "workers",
         "team_a",
         "team_b",
+        "elo_a",
+        "elo_b",
         "venue",
         "cap",
     ):
@@ -142,16 +144,17 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _elo_pair(args, models) -> tuple[float, float]:
-    if args.elo_a is not None and args.elo_b is not None:
-        return args.elo_a, args.elo_b
-    if args.ratings:
-        table = data_io.rating_table(data_io.load_ratings(args.ratings))
-        missing = [t for t in (args.team_a, args.team_b) if t not in table]
-        if missing:
-            raise ConfigError(f"no rating for: {', '.join(missing)}")
-        return table[args.team_a], table[args.team_b]
-    raise ConfigError("forecast needs --ratings or both --elo-a and --elo-b")
+def _elo_pair(args) -> tuple[float, float]:
+    """Each team's Elo: its ``--elo-a``/``--elo-b`` override, else its ``--ratings`` row."""
+    pair = [(args.team_a, args.elo_a), (args.team_b, args.elo_b)]
+    needed = [t for t, override in pair if override is None]
+    if needed and not args.ratings:
+        raise ConfigError("forecast needs --ratings or both --elo-a and --elo-b")
+    table = data_io.rating_table(data_io.load_ratings(args.ratings)) if needed else {}
+    missing = [t for t in needed if t not in table]
+    if missing:
+        raise ConfigError(f"no rating for: {', '.join(missing)}")
+    return tuple(table[t] if override is None else override for t, override in pair)
 
 
 def cmd_forecast(args) -> int:
@@ -160,7 +163,7 @@ def cmd_forecast(args) -> int:
     for t in (args.team_a, args.team_b):
         if t not in models:
             raise ConfigError(f"model file has no team {t!r}")
-    elo_a, elo_b = _elo_pair(args, models)
+    elo_a, elo_b = _elo_pair(args)
     cap = args.cap if args.cap is not None else cfg.grid_cap
     forecast = score_grid(
         models[args.team_a],

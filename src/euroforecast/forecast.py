@@ -11,13 +11,14 @@ scores conditionally on the stronger side's goals through its nested
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .zigp import HARD_CAP, ZigpParams, log_pmf_table, sample, sample_block
+from .zigp import HARD_CAP, ZigpParams, log_pmf_table, sample_block, sample_one
 
 if TYPE_CHECKING:
     from .regression import TeamModel
@@ -47,6 +48,33 @@ def order_by_strength(
     return team_b, team_a, True
 
 
+def _stronger_stage(
+    strong: "TeamModel", weak: "TeamModel", elo_strong: float, elo_weak: float,
+    loc: float, mu_factor: float,
+) -> tuple[float, float, float]:
+    """(mu, phi, omega) of ``strong``'s goals, each the mean of its attack fit
+    (location ``loc``) and ``weak``'s defense fit (location ``-loc``)."""
+    attack, defense = strong.attack, weak.defense
+    mu_att = attack.predict_mu((1.0, elo_weak, loc))
+    mu_def = defense.predict_mu((1.0, elo_strong, -loc))
+    mu = 0.5 * (mu_att + mu_def) * mu_factor
+    if not 0.0 < mu < math.inf:
+        raise ParameterError(f"mu must be positive and finite, got {mu}")
+    return mu, 0.5 * (attack.phi + defense.phi), 0.5 * (attack.omega + defense.omega)
+
+
+def _weaker_stage(
+    weak: "TeamModel", elo_strong: float, loc: float, strong_goals: int, mu_factor: float
+) -> tuple[float, float, float]:
+    """(mu, phi, omega) of ``weak``'s goals given the stronger side's, from its
+    nested fit at location ``loc``."""
+    nested = weak.nested
+    mu = nested.predict_mu((1.0, elo_strong, loc, float(strong_goals))) * mu_factor
+    if not 0.0 < mu < math.inf:
+        raise ParameterError(f"mu must be positive and finite, got {mu}")
+    return mu, nested.phi, nested.omega
+
+
 def combined_params(
     attack_side: "TeamModel",
     defense_side: "TeamModel",
@@ -62,14 +90,9 @@ def combined_params(
     defender's defense fit (covariates: attacker Elo, defender
     location).
     """
-    loc_att = location_indicator(attack_side.team, defense_side.team, venue_country)
-    loc_def = location_indicator(defense_side.team, attack_side.team, venue_country)
-    mu_att = attack_side.attack.predict_mu((1.0, elo_defense, loc_att))
-    mu_def = defense_side.defense.predict_mu((1.0, elo_attack, loc_def))
-    mu = 0.5 * (mu_att + mu_def) * mu_factor
-    phi = 0.5 * (attack_side.attack.phi + defense_side.defense.phi)
-    omega = 0.5 * (attack_side.attack.omega + defense_side.defense.omega)
-    return ZigpParams(mu, phi, omega)
+    loc = location_indicator(attack_side.team, defense_side.team, venue_country)
+    stage = _stronger_stage(attack_side, defense_side, elo_attack, elo_defense, loc, mu_factor)
+    return ZigpParams(*stage)
 
 
 def conditional_params(
@@ -82,10 +105,7 @@ def conditional_params(
 ) -> ZigpParams:
     """ZIGP for the weaker side's goals given the stronger side's tally."""
     loc = location_indicator(weaker.team, stronger_team, venue_country)
-    mu = weaker.nested.predict_mu(
-        (1.0, elo_stronger, loc, float(stronger_goals))
-    )
-    return ZigpParams(mu * mu_factor, weaker.nested.phi, weaker.nested.omega)
+    return ZigpParams(*_weaker_stage(weaker, elo_stronger, loc, stronger_goals, mu_factor))
 
 
 @dataclass(frozen=True)
@@ -140,21 +160,19 @@ def score_grid(
     """
     if not 1 <= cap <= HARD_CAP:
         raise ParameterError(f"grid cap must be in 1..{HARD_CAP}, got {cap}")
-    stronger, weaker, swapped = order_by_strength(
-        model_a.team, elo_a, model_b.team, elo_b
-    )
+    stronger, weaker, swapped = order_by_strength(model_a.team, elo_a, model_b.team, elo_b)
     strong_model, weak_model = (model_b, model_a) if swapped else (model_a, model_b)
     elo_strong, elo_weak = (elo_b, elo_a) if swapped else (elo_a, elo_b)
 
-    strong = combined_params(strong_model, weak_model, elo_strong, elo_weak, venue_country)
+    loc = location_indicator(stronger, weaker, venue_country)
     n = cap + 1
     ks = np.arange(n)
-    p_strong = np.exp(log_pmf_table(strong.mu, strong.phi, strong.omega, ks))
+    strong = _stronger_stage(strong_model, weak_model, elo_strong, elo_weak, loc, 1.0)
+    p_strong = np.exp(log_pmf_table(*strong, ks))
 
     nested = weak_model.nested
-    loc = location_indicator(weak_model.team, stronger, venue_country)
     alpha = np.broadcast_to(nested.alpha, (n, len(nested.alpha)))
-    mu = _predict_mu(alpha, np.full(n, elo_strong), np.full(n, loc), ks)
+    mu = _predict_mu(alpha, np.full(n, elo_strong), np.full(n, -loc), ks)
     grid = p_strong[:, None] * np.exp(log_pmf_table(mu[:, None], nested.phi, nested.omega, ks))
     grid /= grid.sum()
 
@@ -179,20 +197,15 @@ def sample_match(
     mu_factor: float = 1.0,
 ) -> tuple[int, int]:
     """Draw one exact score by the two-stage mechanism (no grid cap)."""
-    stronger, weaker, swapped = order_by_strength(
-        model_a.team, elo_a, model_b.team, elo_b
-    )
+    stronger, weaker, swapped = order_by_strength(model_a.team, elo_a, model_b.team, elo_b)
     strong_model, weak_model = (model_b, model_a) if swapped else (model_a, model_b)
     elo_strong, elo_weak = (elo_b, elo_a) if swapped else (elo_a, elo_b)
 
-    strong_params = combined_params(
-        strong_model, weak_model, elo_strong, elo_weak, venue_country, mu_factor
-    )
-    goals_strong = int(sample(strong_params, rng))
-    cond = conditional_params(
-        weak_model, stronger, elo_strong, venue_country, goals_strong, mu_factor
-    )
-    goals_weak = int(sample(cond, rng))
+    loc = location_indicator(stronger, weaker, venue_country)
+    strong = _stronger_stage(strong_model, weak_model, elo_strong, elo_weak, loc, mu_factor)
+    goals_strong = sample_one(*strong, rng.random())
+    weak = _weaker_stage(weak_model, elo_strong, -loc, goals_strong, mu_factor)
+    goals_weak = sample_one(*weak, rng.random())
     if swapped:
         return goals_weak, goals_strong
     return goals_strong, goals_weak
@@ -233,8 +246,7 @@ def _predict_mu(alpha: np.ndarray, *covariates: np.ndarray) -> np.ndarray:
 
     eta is the intercept plus each coefficient times its covariate,
     added left to right; mu is its exponential.  Raises ``ParameterError``
-    when a mean overflows or underflows to 0, the only checks the
-    samplers' parameters get.
+    when a mean overflows or underflows to 0.
     """
     eta = alpha[:, 0].copy()
     for j, x in zip(range(1, alpha.shape[1]), covariates, strict=True):
@@ -247,6 +259,14 @@ def _predict_mu(alpha: np.ndarray, *covariates: np.ndarray) -> np.ndarray:
     return mu
 
 
+def _positive_finite(mu: np.ndarray) -> np.ndarray:
+    """``mu``, once every value is checked to be positive and finite."""
+    if len(mu) and not 0.0 < mu.min() <= mu.max() < np.inf:
+        bad = mu[~((mu > 0.0) & (mu < np.inf))][0]
+        raise ParameterError(f"mu must be positive and finite, got {bad}")
+    return mu
+
+
 def sample_match_block(
     models: ModelArrays,
     team_a: np.ndarray,
@@ -254,7 +274,6 @@ def sample_match_block(
     elo_a: np.ndarray,
     elo_b: np.ndarray,
     loc_a: np.ndarray,
-    loc_b: np.ndarray,
     u: np.ndarray,
     mu_factor: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -262,22 +281,25 @@ def sample_match_block(
 
     ``team_a`` and ``team_b`` index ``models``, whose rows must be in
     team-code order so that an Elo tie still goes to the smaller code.
-    ``loc_a`` and ``loc_b`` are each side's :func:`location_indicator`.
-    ``u`` holds two uniforms per row, for the stronger side's draw and
-    then the weaker side's, as :func:`sample_match` takes them.
+    ``loc_a`` is side A's :func:`location_indicator`, and side B's is
+    ``-loc_a``.  ``u`` holds each row's two uniforms in the order
+    :func:`sample_match` takes them.  Raises ``ParameterError`` unless
+    every mean a draw uses is positive and finite.
     """
     swapped = ~((elo_a > elo_b) | ((elo_a == elo_b) & (team_a < team_b)))
     strong = np.where(swapped, team_b, team_a)
     weak = np.where(swapped, team_a, team_b)
     elo_strong = np.where(swapped, elo_b, elo_a)
     elo_weak = np.where(swapped, elo_a, elo_b)
-    loc_strong = np.where(swapped, loc_b, loc_a)
-    loc_weak = np.where(swapped, loc_a, loc_b)
+    loc_strong = np.where(swapped, -loc_a, loc_a)
+    loc_weak = -loc_strong
 
     mu_att = _predict_mu(models.attack_alpha[strong], elo_weak, loc_strong)
     mu_def = _predict_mu(models.defense_alpha[weak], elo_strong, loc_weak)
+    with np.errstate(over="ignore"):  # _positive_finite reports an overflow
+        mu_strong = _positive_finite(0.5 * (mu_att + mu_def) * mu_factor)
     goals_strong = sample_block(
-        0.5 * (mu_att + mu_def) * mu_factor,
+        mu_strong,
         0.5 * (models.attack_phi[strong] + models.defense_phi[weak]),
         0.5 * (models.attack_omega[strong] + models.defense_omega[weak]),
         u[:, 0],
@@ -285,9 +307,8 @@ def sample_match_block(
     mu_cond = _predict_mu(
         models.nested_alpha[weak], elo_strong, loc_weak, goals_strong.astype(float)
     )
-    goals_weak = sample_block(
-        mu_cond * mu_factor, models.nested_phi[weak], models.nested_omega[weak], u[:, 1]
-    )
+    mu_weak = _positive_finite(mu_cond * mu_factor)
+    goals_weak = sample_block(mu_weak, models.nested_phi[weak], models.nested_omega[weak], u[:, 1])
     return (
         np.where(swapped, goals_weak, goals_strong),
         np.where(swapped, goals_strong, goals_weak),

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
+from . import zigp
 from .errors import ConfigError, DataError, FitError, InsufficientDataError, ParameterError
 from .forecast import location_indicator
 from .weights import WeightConfig, match_weight
@@ -254,15 +255,12 @@ class _Sample(NamedTuple):
 
 def _sample(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> _Sample:
     """One regression's rows (``X`` is observations by columns)."""
-    # scipy is imported by the fitter alone, which keeps it off every other command's start-up
-    from scipy.special import gammaln
-
     Xt = np.ascontiguousarray(X.T, dtype=float)
     i, j = np.triu_indices(len(Xt))
-    k = y.astype(float)
+    counts = zigp._counts(y)  # extends zigp's log k! table to the largest count
     starts = np.zeros(1, dtype=np.intp)
     return _Sample(
-        Xt, Xt[i] * Xt[j], w, y == 0, k, gammaln(k + 1.0),
+        Xt, Xt[i] * Xt[j], w, y == 0, y.astype(float), zigp._LOG_FACTORIAL[counts],
         np.zeros(len(w), dtype=np.intp), starts, np.add.reduceat(w, starts),
     )
 
@@ -294,6 +292,7 @@ def _loglik_derivatives(theta: np.ndarray, s: _Sample):
     other regressions of ``s``.  Returns (L, dL/dtheta, d2L/dtheta2),
     shaped (m,), (m, p+2) and (m, p+2, p+2).
     """
+    # scipy is imported by the fitter alone, which keeps it off every other command's start-up
     from scipy.special import expit
 
     Xt, w, zero, k = s.Xt, s.w, s.zero, s.k

@@ -351,7 +351,7 @@ class Bracket:
     members: np.ndarray  # (groups, teams per group), sorted
     group_a: np.ndarray  # group matches in match-id order
     group_b: np.ndarray
-    group_loc: np.ndarray  # (matches, 2): location indicator of each side
+    group_loc: np.ndarray  # location indicator of side A; side B's is its negation
     group_k: np.ndarray
     waves: tuple[np.ndarray, ...]  # group match numbers of each wave, ascending
     knockout: tuple[_Knockout, ...]
@@ -465,13 +465,7 @@ def compile_bracket(
         group_a=np.array([number[f.slot_a] for f in group_fixtures]),
         group_b=np.array([number[f.slot_b] for f in group_fixtures]),
         group_loc=np.array(
-            [
-                (
-                    location_indicator(f.slot_a, f.slot_b, f.venue_country),
-                    location_indicator(f.slot_b, f.slot_a, f.venue_country),
-                )
-                for f in group_fixtures
-            ]
+            [location_indicator(f.slot_a, f.slot_b, f.venue_country) for f in group_fixtures]
         ),
         group_k=np.array([k_table[f.match_type] for f in group_fixtures]),
         waves=tuple(np.flatnonzero(np.equal(wave_of, w)) for w in range(max(wave_of) + 1)),
@@ -496,7 +490,6 @@ def _knockout_tie(
     elo_a: np.ndarray,
     elo_b: np.ndarray,
     loc_a: np.ndarray,
-    loc_b: np.ndarray,
     u: np.ndarray,
     k: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -513,11 +506,10 @@ def _knockout_tie(
     aggregate score, the post-match ratings and the uniforms each row
     took (2, 4 or 5).
     """
-    ga, gb = sample_match_block(models, a, b, elo_a, elo_b, loc_a, loc_b, u)
+    ga, gb = sample_match_block(models, a, b, elo_a, elo_b, loc_a, u)
     level = np.flatnonzero(ga == gb)
     xa, xb = sample_match_block(
-        models, a[level], b[level], elo_a[level], elo_b[level],
-        loc_a[level], loc_b[level], u[level, 2:4],
+        models, a[level], b[level], elo_a[level], elo_b[level], loc_a[level], u[level, 2:4],
         mu_factor=EXTRA_TIME_MU_FACTOR,
     )
     ga[level] += xa
@@ -562,7 +554,7 @@ def _play_block(bracket: Bracket, u: np.ndarray) -> _PlayedBlock:
         elo_a, elo_b = live[:, a].ravel(), live[:, b].ravel()
         ga, gb = sample_match_block(
             bracket.models, np.tile(a, n), np.tile(b, n), elo_a, elo_b,
-            np.tile(bracket.group_loc[wave, 0], n), np.tile(bracket.group_loc[wave, 1], n),
+            np.tile(bracket.group_loc[wave], n),
             u[:, 2 * wave[:, None] + np.arange(2)].reshape(-1, 2),
         )
         elo_a, elo_b = elo.update_pairs(elo_a, elo_b, ga, gb, np.tile(bracket.group_k[wave], n))
@@ -597,7 +589,6 @@ def _play_block(bracket: Bracket, u: np.ndarray) -> _PlayedBlock:
         a_wins, ga, gb, elo_a, elo_b, used = _knockout_tie(
             bracket.models, a, b, live[rows, a], live[rows, b],
             (a == match.venue) * 1.0 - (b == match.venue) * 1.0,
-            (b == match.venue) * 1.0 - (a == match.venue) * 1.0,
             u[rows[:, None], cursor[:, None] + np.arange(KNOCKOUT_DRAWS)],
             match.k,
         )

@@ -142,16 +142,19 @@ def truncated_pmf(params: ZigpParams, cap: int = HARD_CAP) -> np.ndarray:
 def sample(params: ZigpParams, rng: np.random.Generator, size: int | None = None):
     """Draw from ZIGP by inversion by sequential search.
 
-    With ``size=None`` returns a single int, drawn in plain Python floats
-    by the stop rule and summation order of :func:`sample_block`;
+    With ``size=None`` returns a single int from :func:`sample_one`;
     otherwise an int64 array of ``size`` draws from :func:`sample_block`.
     Deterministic given the generator state.
     """
     mu, phi, omega = params.mu, params.phi, params.omega
-    if size is not None:
-        u = rng.random(size)
-        return sample_block(*(np.full(size, v) for v in (mu, phi, omega)), u)
-    u = rng.random()
+    if size is None:
+        return sample_one(mu, phi, omega, rng.random())
+    return sample_block(*(np.full(size, v) for v in (mu, phi, omega)), rng.random(size))
+
+
+def sample_one(mu: float, phi: float, omega: float, u: float) -> int:
+    """:func:`sample_block` for one row, in plain Python floats: the same stop
+    rule and summation order.  The parameters are not checked here."""
     cum = omega + (1.0 - omega) * math.exp(-mu / phi)
     base = math.log1p(-omega) + math.log(mu)
     log_phi = math.log(phi)
@@ -176,9 +179,9 @@ def sample_block(
     active.  A row stops at the first k whose cumulative mass exceeds
     ``u`` or reaches 1 - TAIL_EPS, and at HARD_CAP at the latest; the
     stop point takes the remaining mass, so nothing is renormalized.
-    The parameters are not checked here: callers pass means from
-    ``forecast._predict_mu`` (positive and finite) or from
-    :class:`ZigpParams`, and phi and omega valid by construction.
+    The parameters are not checked here: callers pass means that
+    ``forecast.sample_match_block`` checked or a :class:`ZigpParams`'
+    values, and phi and omega valid by construction.
     """
     draws = np.zeros(len(u), dtype=np.int64)
     cum = np.exp(log_pmf_table(mu, phi, omega, 0))

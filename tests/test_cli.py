@@ -359,6 +359,50 @@ class TestForecast:
         ][0]
         assert header == "goals_a," + ",".join(f"b{j}" for j in range(9))
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_lone_override_replaces_its_own_team(
+        self, tmp_path, fitted_model_file, demo_history, side
+    ):
+        _, ratings_path = demo_history
+        table = data_io.rating_table(data_io.load_ratings(ratings_path))
+        other = {"a": ("b", "BEL"), "b": ("a", "FRA")}[side]
+
+        def grid(name, *flags):
+            out = tmp_path / name
+            args = ["forecast", "--model", str(fitted_model_file), "--team-a", "FRA",
+                    "--team-b", "BEL", "--cap", "8", "--out", str(out), *flags]
+            assert main(args) == EXIT_OK
+            return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+        lone = grid("lone.csv", "--ratings", str(ratings_path), f"--elo-{side}", "1500")
+        both = grid(
+            "both.csv", f"--elo-{side}", "1500", f"--elo-{other[0]}", repr(table[other[1]])
+        )
+        rated = grid("rated.csv", "--ratings", str(ratings_path))
+        assert lone == both
+        assert lone != rated
+
+    def test_manifest_records_the_overrides(self, tmp_path, fitted_model_file, demo_history):
+        _, ratings_path = demo_history
+        out, json_out = tmp_path / "grid.csv", tmp_path / "grid.json"
+        code = main(
+            [
+                "forecast",
+                "--model", str(fitted_model_file),
+                "--team-a", "FRA",
+                "--team-b", "BEL",
+                "--ratings", str(ratings_path),
+                "--elo-b", "1750.5",
+                "--out", str(out),
+                "--json-out", str(json_out),
+            ]
+        )
+        assert code == EXIT_OK
+        header = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        assert "# elo_b: 1750.5" in header
+        assert not any(line.startswith("# elo_a") for line in header)
+        assert json.loads(json_out.read_text())["metadata"]["elo_b"] == 1750.5
+
     def test_team_missing_from_model(self, tmp_path, fitted_model_file, capsys):
         code = main(
             [
@@ -624,6 +668,34 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "underflows" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("intercept, got", [(709.5, "inf"), (-744.5, "0.0")])
+    def test_stage_mean_outside_the_floats_is_config_error(
+        self, tmp_path, euro2020_model_file, data_dir, capsys, intercept, got
+    ):
+        # each regression's mean is a float; at 709.5 the stronger side's blend
+        # overflows, and at -744.5 the extra-time factor rounds it to 0
+        doc = json.loads(euro2020_model_file.read_text())
+        for team in doc["teams"].values():
+            for kind in ("attack", "defense", "nested"):
+                team[kind]["alpha"] = [intercept] + [0.0] * (len(team[kind]["alpha"]) - 1)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = main(
+            [
+                "simulate",
+                "--model", str(model),
+                "--fixtures", str(data_dir / "euro2020_fixtures.csv"),
+                "--allocation", str(data_dir / "euro2020_allocation.csv"),
+                "--ratings", str(data_dir / "euro2020_ratings.csv"),
+                "--n-runs", "10",
+                "--out-dir", str(tmp_path / "sim"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"mu must be positive and finite, got {got}" in err
         assert "Traceback" not in err
 
     def test_allocation_without_a_winner_column_is_config_error(

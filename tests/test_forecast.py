@@ -273,10 +273,9 @@ class TestBlockSampling:
         elo_b[::7] = elo_a[::7]  # ties go to the smaller code
         venue = rng.integers(-1, 4, n)
         loc_a = (a == venue) * 1.0 - (b == venue) * 1.0
-        loc_b = (b == venue) * 1.0 - (a == venue) * 1.0
         u = rng.random((n, 2))
         got_a, got_b = sample_match_block(
-            ModelArrays.from_models(models), a, b, elo_a, elo_b, loc_a, loc_b, u,
+            ModelArrays.from_models(models), a, b, elo_a, elo_b, loc_a, u,
             mu_factor=mu_factor,
         )
         for i in range(n):
@@ -295,7 +294,7 @@ class TestBlockSampling:
         a, b = np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
         u = np.random.default_rng(7100).random((n, 2))
         ga, gb = sample_match_block(
-            ModelArrays.from_models(models), a, b, 2087.0 * ones, 1936.0 * ones, -ones, ones, u
+            ModelArrays.from_models(models), a, b, 2087.0 * ones, 1936.0 * ones, -ones, u
         )
         forecast = score_grid(*models, 2087.0, 1936.0, "GER")
         cap = forecast.cap

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from euroforecast import data_io, tournament
 from euroforecast.elo import DEFAULT_K_FACTORS, expected_score, update_pair
-from euroforecast.errors import ConfigError, DataError
+from euroforecast.errors import ConfigError, DataError, ParameterError
 from euroforecast.forecast import (
     ModelArrays,
     combined_params,
@@ -352,7 +352,6 @@ def play_ties(elo_a, elo_b, venue, u, k=50.0):
         np.full(n, elo_a),
         np.full(n, elo_b),
         np.full(n, location_indicator("AAA", "BBB", venue)),
-        np.full(n, location_indicator("BBB", "AAA", venue)),
         u,
         k,
     )
@@ -550,6 +549,26 @@ class TestMonteCarlo:
         ]
         last = {stat: runs[1].counts[stat] - runs[0].counts[stat] for stat in STAT_NAMES}
         assert last == counted(single)
+
+    @pytest.mark.parametrize("intercept, got", [(709.5, "inf"), (-744.5, "0.0")])
+    def test_stage_mean_outside_the_floats_rejected(self, euro2020, intercept, got):
+        """Each regression's mean is a float, but at 709.5 the stronger side's
+        blend overflows, and at -744.5 (every match 0-0) the extra-time
+        factor rounds it to 0."""
+        ratings, fixtures, allocation = euro2020
+        models = {}
+        for team in ratings:
+            model = build_team_model(team, 1800.0)
+            flat = {
+                kind: dataclasses.replace(
+                    getattr(model, kind),
+                    alpha=(intercept,) + (0.0,) * (len(getattr(model, kind).alpha) - 1),
+                )
+                for kind in ("attack", "defense", "nested")
+            }
+            models[team] = dataclasses.replace(model, **flat)
+        with pytest.raises(ParameterError, match=f"mu must be positive and finite, got {got}"):
+            monte_carlo(models, ratings, fixtures, allocation, n_runs=4)
 
     def test_nonpositive_runs_rejected(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
@@ -804,6 +823,43 @@ def replay_groups(fixtures, block, row, ratings):
     return results, live
 
 
+def tally(teams, results):
+    """[points, goal difference, goals] of each of ``teams`` over the matches
+    of ``results`` between two of them."""
+    table = {t: [0, 0, 0] for t in teams}
+    for a, b, ga, gb in results:
+        if a in table and b in table:
+            for team, scored, conceded in ((a, ga, gb), (b, gb, ga)):
+                table[team][0] += 3 if scored > conceded else scored == conceded
+                table[team][1] += scored - conceded
+                table[team][2] += scored
+    return table
+
+
+def regulation_group_order(teams, results, live, lots):
+    """``teams`` best-first: points; head-to-head points, goal difference and
+    goals among the teams level on points; overall goal difference and
+    goals; live Elo; the lot (higher first).  ``lots`` is in ``teams``' order."""
+    overall = tally(teams, results)
+
+    def key(i):
+        team = teams[i]
+        level = [t for t in teams if overall[t][0] == overall[team][0]]
+        h2h = tally(level, results)[team]
+        return (overall[team][0], *h2h, *overall[team][1:], live[team], lots[i])
+
+    return [teams[i] for i in sorted(range(len(teams)), key=key, reverse=True)]
+
+
+def regulation_best_thirds(thirds, overall, live, lots):
+    """The groups of the four best thirds, sorted: points, goal difference,
+    goals, live Elo, the lot.  ``thirds`` and ``lots`` are in group order."""
+    def key(g):
+        return (*overall[thirds[g]], live[thirds[g]], lots[g])
+
+    return sorted(sorted(range(len(thirds)), key=key, reverse=True)[:4])
+
+
 class TestEngineOracles:
     """The block kernel against oracles that do not share its code."""
 
@@ -867,6 +923,27 @@ class TestEngineOracles:
                 Uniforms([u[row, bracket.thirds_start : bracket.knockout_start]]),
             )
             assert picked == tuple(sorted(GROUPS[g] for g in block.qualified[row]))
+
+    def test_rankings_follow_the_regulations(self, euro2020, played):
+        """Group places and best thirds against a plain-Python reading of the
+        tiebreak chain that uses none of the engine's code."""
+        ratings, fixtures, _ = euro2020
+        bracket, u, block = played
+        names = bracket.teams
+        by_group = group_teams(fixtures)
+        for row in range(ORACLE_ROWS):
+            results, live = replay_groups(fixtures, block, row, ratings)
+            lots = u[row, bracket.lots_start : bracket.thirds_start].reshape(len(GROUPS), -1)
+            thirds, overall = [], {}
+            for g, group_lots, places in zip(GROUPS, lots, block.positions[row]):
+                order = regulation_group_order(by_group[g], results, live, group_lots)
+                assert order == [names[t] for t in places]
+                thirds.append(order[2])
+                overall.update(tally(by_group[g], results))
+            best = regulation_best_thirds(
+                thirds, overall, live, u[row, bracket.thirds_start : bracket.knockout_start]
+            )
+            assert best == sorted(block.qualified[row].tolist())
 
     def test_live_elo_breaks_ties(self, euro2020):
         """A hand-built run where live and pre-tournament Elo break ties differently.
