@@ -930,7 +930,10 @@ class TestEngineOracles:
         ratings, fixtures, _ = euro2020
         bracket, u, block = played
         names = bracket.teams
-        by_group = group_teams(fixtures)
+        by_group = {}
+        for f in in_match_order(fixtures, True):
+            by_group.setdefault(f.group, set()).update((f.slot_a, f.slot_b))
+        by_group = {g: sorted(teams) for g, teams in by_group.items()}
         for row in range(ORACLE_ROWS):
             results, live = replay_groups(fixtures, block, row, ratings)
             lots = u[row, bracket.lots_start : bracket.thirds_start].reshape(len(GROUPS), -1)
