@@ -33,6 +33,7 @@ from .tournament import (
     validate_fixtures,
 )
 from .weights import DEFAULT_HALF_PERIOD_DAYS, DEFAULT_IMPORTANCE, WeightConfig
+from .zigp import HARD_CAP
 
 if TYPE_CHECKING:
     from .forecast import MatchForecast
@@ -59,9 +60,10 @@ class MatchRecord:
     def __post_init__(self):
         if self.team_a == self.team_b:
             raise ParameterError(f"a team cannot play itself: {self.team_a}")
-        if self.goals_a < 0 or self.goals_b < 0:
+        if not (0 <= self.goals_a <= HARD_CAP and 0 <= self.goals_b <= HARD_CAP):
             raise ParameterError(
-                f"goals must be non-negative, got {self.goals_a}:{self.goals_b}"
+                f"goals must be non-negative and at most {HARD_CAP}, "
+                f"got {self.goals_a}:{self.goals_b}"
             )
 
 

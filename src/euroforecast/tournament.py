@@ -8,14 +8,14 @@ shootouts.  Elo ratings update after every simulated match and feed
 back into the score model, so early upsets propagate.
 
 Runs are independent and deterministic: run ``i`` under master seed
-``s`` reads one row of uniforms from ``run_rng(s, i)``, a ``PCG64``
-seeded by ``SeedSequence(s, spawn_key=(i,))``, in the layout that
+``s`` reads the ``width`` uniforms at offset ``i * width`` of the one
+stream of ``np.random.default_rng(s)``, in the layout that
 :class:`Bracket` describes, which makes the aggregate counts
 bit-identical for any worker count and block size.  ``monte_carlo``
 compiles the bracket once and plays blocks of runs together, one row
 per run; ``run_tournament`` plays a block of one.  A block plays each
 wave of group matches (a matchday: no team twice) as one batched draw,
-and seeds its runs in one vectorised pass of the ``SeedSequence`` hash.
+and reaches its first run by ``PCG64``'s jump-ahead.
 """
 
 from __future__ import annotations
@@ -335,7 +335,8 @@ class Bracket:
     best-third lot per group; then, per knockout match in match-id
     order, two for regular time, two more for extra time when it is
     level and one more for a shootout when it is still level.  A run
-    that needs fewer than ``width`` uniforms leaves the rest unread.
+    that needs fewer than ``width`` uniforms leaves the rest unread, so
+    run ``i`` of a simulation starts at offset ``i * width`` of its stream.
 
     ``waves`` splits the group matches into matchdays that are played
     as one draw each: a match joins the wave after the last one of
@@ -481,6 +482,7 @@ def compile_bracket(
 # Runs played together; bounds the engine's memory whatever n_runs is.
 BLOCK_RUNS = 1024
 MAX_WORKERS = 64  # largest accepted n_workers: each is an OS process
+MAX_RUNS = 2**32  # largest accepted n_runs: the documented range of --n-runs
 
 
 def _knockout_tie(
@@ -619,107 +621,21 @@ def _stage_counts(bracket: Bracket, played: _PlayedBlock) -> np.ndarray:
     return counts
 
 
-def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
-    """The RNG for one run; independent of all other runs."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,))
-    )
-
-
-# The hash of numpy's SeedSequence (pool of 4 uint32 words) and the
-# seeding of its PCG64, both stream-stable in numpy: the constants of
-# ``numpy/random/bit_generator.pyx`` and PCG64's 128-bit multiplier.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK_32, _MASK_128 = (1 << 32) - 1, (1 << 128) - 1
-MAX_RUNS = 2**32  # a run index is one uint32 word of the spawn key
-
-
-def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """One step of the SeedSequence hash; returns the hash and the next constant."""
-    const_next = const * mult & _MASK_32
-    value = (value ^ np.uint32(const)) * np.uint32(const_next)
-    return value ^ (value >> np.uint32(16)), const_next
-
-
-def _pcg_seeds(master_seed: int, run_indices: np.ndarray) -> np.ndarray:
-    """``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64)``
-    for each ``i`` of ``run_indices`` (all below ``MAX_RUNS``): (4, runs) uint64.
-
-    The entropy words are the seed's little-endian uint32 words, padded
-    with zeros to the pool size, then the run index; the seed's words
-    are hashed as (1,) arrays that broadcast against the indices.
+def _block_uniforms(master_seed: int, first_run: int, n_runs: int, width: int) -> np.ndarray:
+    """Rows ``first_run`` to ``first_run + n_runs - 1`` of
+    ``np.random.default_rng(master_seed).random((MAX_RUNS, width))``,
+    reached by ``PCG64``'s O(log n) jump-ahead: row ``i`` depends only on
+    the seed, ``i`` and ``width``.
     """
-    words = [master_seed & _MASK_32]
-    while master_seed >> 32 * len(words):
-        words.append(master_seed >> 32 * len(words) & _MASK_32)
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.array([w], dtype=np.uint32) for w in words]
-    entropy.append(np.asarray(run_indices, dtype=np.uint32))
-
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value, const = _hash(value, const, _MULT_A)
-        return value
-
-    def mix(x, y):
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ (result >> np.uint32(16))
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    const = _INIT_B
-    state = []
-    for j in range(2 * _POOL_SIZE):
-        value, const = _hash(pool[j % _POOL_SIZE], const, _MULT_B)
-        state.append(np.broadcast_to(value, len(run_indices)).astype(np.uint64))
-    return np.array([state[j] | state[j + 1] << np.uint64(32) for j in range(0, 8, 2)])
+    bit_generator = np.random.PCG64(master_seed).advance(first_run * width)
+    return np.random.Generator(bit_generator).random((n_runs, width))
 
 
-def _block_uniforms(master_seed: int, run_indices: np.ndarray, width: int) -> np.ndarray:
-    """``np.stack([run_rng(master_seed, i).random(width) for i in run_indices])``.
-
-    The spawn keys are hashed in one pass (:func:`_pcg_seeds`); each
-    row then sets one reused ``PCG64`` to the state that seeding with
-    its words leaves (the 128-bit seed and increment, one LCG step) and
-    draws from it.
-    """
-    seeds = _pcg_seeds(master_seed, run_indices).tolist()
-    bit_generator = np.random.PCG64(0)
-    draw = np.random.Generator(bit_generator).random
-    u = np.empty((len(run_indices), width))
-    for row, s_high, s_low, i_high, i_low in zip(u, *seeds):
-        inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK_128
-        state = ((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK_128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        draw(out=row)
-    return u
-
-
-def _run_chunk(
-    bracket: Bracket, master_seed: int, run_indices: Sequence[int], block_runs: int
-) -> np.ndarray:
+def _run_chunk(bracket: Bracket, master_seed: int, runs: range, block_runs: int) -> np.ndarray:
     counts = np.zeros((len(STAT_NAMES), len(bracket.teams)), dtype=np.int64)
-    for start in range(0, len(run_indices), block_runs):
-        block = np.asarray(run_indices[start : start + block_runs])
-        u = _block_uniforms(master_seed, block, bracket.width)
+    for start in range(runs.start, runs.stop, block_runs):
+        n = min(block_runs, runs.stop - start)
+        u = _block_uniforms(master_seed, start, n, bracket.width)
         counts += _stage_counts(bracket, _play_block(bracket, u))
     return counts
 
@@ -735,8 +651,10 @@ def run_tournament(
     """Simulate one complete tournament with in-run Elo updates.
 
     The run is one row of the block engine: it takes ``width`` uniforms
-    from ``rng``, so run ``i`` of :func:`monte_carlo` is this function
-    called with ``run_rng(master_seed, i)``.
+    from ``rng`` (:attr:`Bracket.width`).  To replay run ``i`` of
+    :func:`monte_carlo`, advance the bit generator of
+    ``np.random.default_rng(master_seed)`` by ``i * width`` and pass that
+    generator in.
     """
     bracket = compile_bracket(models, ratings, fixtures, allocation, k_factors)
     played = _play_block(bracket, rng.random(bracket.width)[None])
@@ -773,8 +691,9 @@ def monte_carlo(
 ) -> SimulationAggregate:
     """Aggregate stage counts over ``n_runs`` independent tournaments.
 
-    Results are identical for any ``n_workers``: every run draws from
-    its own seed stream and the merged counts are plain integer sums.
+    Results are identical for any ``n_workers``: each worker plays a
+    contiguous range of runs, each run its own segment of one stream
+    (:func:`_block_uniforms`), and the counts merge as integer sums.
     """
     if n_runs <= 0:
         raise ConfigError("n_runs must be positive")
@@ -786,14 +705,14 @@ def monte_carlo(
     if not 1 <= n_workers <= MAX_WORKERS:
         raise ConfigError(f"n_workers must lie in [1, {MAX_WORKERS}], got {n_workers}")
     bracket = compile_bracket(models, ratings, fixtures, allocation, k_factors)
-    indices = range(n_runs)
     if n_workers == 1:
-        counts = _run_chunk(bracket, master_seed, indices, BLOCK_RUNS)
+        counts = _run_chunk(bracket, master_seed, range(n_runs), BLOCK_RUNS)
     else:
         # imported here: the pool's modules would add to every command's start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [indices[i::n_workers] for i in range(n_workers)]
+        bounds = [n_runs * w // n_workers for w in range(n_workers + 1)]
+        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [
                 pool.submit(_run_chunk, bracket, master_seed, chunk, BLOCK_RUNS)

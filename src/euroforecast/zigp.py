@@ -71,12 +71,13 @@ def _counts(k) -> np.ndarray:
     global _LOG_FACTORIAL
     arr = np.asarray(k)
     if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
-            raise ParameterError(f"k must be integer, got {k}")
+        bad = arr[~(np.isfinite(arr) & (arr == np.floor(arr)))]
+        if bad.size:
+            raise ParameterError(f"k must be integer, got {bad.flat[0]}")
     if np.any(arr < 0):
-        raise ParameterError(f"k must be non-negative, got {k}")
+        raise ParameterError(f"k must be non-negative, got {arr.min()}")
     if np.any(arr > MAX_COUNT):
-        raise ParameterError(f"k must be at most {MAX_COUNT}, got {k}")
+        raise ParameterError(f"k must be at most {MAX_COUNT}, got {arr.max()}")
     ks = np.atleast_1d(arr.astype(np.int64))
     size = len(_LOG_FACTORIAL)
     if ks.size and ks.max() >= size:

@@ -198,6 +198,29 @@ class TestReplayElo:
         assert "not ISO dates" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command", ["replay-elo", "fit"])
+    def test_absurd_goal_count_is_config_error(self, tmp_path, demo_history, capsys, command):
+        """2,000,000 goals in one match used to overflow the replayed Elo."""
+        matches_path, ratings_path = demo_history
+        lines = matches_path.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("date,"))
+        fields = lines[header + 1].split(",")
+        fields[lines[header].split(",").index("goals_a")] = "2000000"
+        lines[header + 1] = ",".join(fields)
+        broken = tmp_path / "matches.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        args = [
+            command,
+            "--matches", str(broken),
+            "--ratings", str(ratings_path),
+            "--out", str(tmp_path / "out"),
+        ]
+        assert main(args + (["--teams", "FRA"] if command == "fit" else [])) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"matches.csv:{header + 2}" in err and "at most 200" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_rating_is_config_error(self, tmp_path, demo_history, capsys):
         matches_path, ratings_path = demo_history
         header, *rows = ratings_path.read_text().splitlines()

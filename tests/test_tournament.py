@@ -34,7 +34,6 @@ from euroforecast.tournament import (
     group_teams,
     monte_carlo,
     rank_group,
-    run_rng,
     run_tournament,
     select_best_thirds,
     validate_allocation,
@@ -533,6 +532,18 @@ class TestMonteCarlo:
         assert parallel.n_runs == aggregate.n_runs
         assert parallel.counts == aggregate.counts
 
+    def test_more_workers_than_runs(self, euro2020, euro_models):
+        # 3 runs on 5 workers: two workers get an empty range of runs
+        ratings, fixtures, allocation = euro2020
+        one, five = (
+            monte_carlo(
+                euro_models, ratings, fixtures, allocation,
+                n_runs=3, master_seed=9, n_workers=workers,
+            )
+            for workers in (1, 5)
+        )
+        assert np.array_equal(five.table, one.table)
+
     def test_seed_changes_outcome(self, euro2020, euro_models, aggregate):
         ratings, fixtures, allocation = euro2020
         other = monte_carlo(
@@ -542,7 +553,10 @@ class TestMonteCarlo:
 
     def test_runs_are_independent_of_batching(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
-        single = run_tournament(euro_models, ratings, fixtures, allocation, run_rng(9, 17))
+        width = compile_bracket(euro_models, ratings, fixtures, allocation).width
+        single = run_tournament(
+            euro_models, ratings, fixtures, allocation, run_rng(9, 17, width)
+        )
         runs = [
             monte_carlo(euro_models, ratings, fixtures, allocation, n_runs=n, master_seed=9)
             for n in (17, 18)
@@ -602,20 +616,32 @@ class TestMonteCarlo:
             monte_carlo(euro_models, *euro2020, n_runs=2**32 + 1)
 
 
+def run_rng(master_seed: int, run_index: int, width: int) -> np.random.Generator:
+    """Run ``run_index``'s generator, by the recipe in ``run_tournament``'s docstring."""
+    rng = np.random.default_rng(master_seed)
+    rng.bit_generator.advance(run_index * width)
+    return rng
+
+
 class TestBlockSeeding:
-    """A block's rows are seeded in one pass; each must be ``run_rng``'s stream."""
+    """Run ``i`` reads ``width`` uniforms at offset ``i * width`` of one stream."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 11])
     def test_rows_equal_run_rng(self, seed):
-        indices = np.array([0, 1, 7, 1023, 2**31, 2**32 - 1])
-        expect = np.stack([run_rng(seed, int(i)).random(177) for i in indices])
-        assert np.array_equal(tournament._block_uniforms(seed, indices, 177), expect)
+        stream = np.random.default_rng(seed).random((40, 177))
+        assert np.array_equal(tournament._block_uniforms(seed, 0, 40, 177), stream)
+        assert np.array_equal(tournament._block_uniforms(seed, 7, 30, 177), stream[7:37])
+        for i in (7, 39, 1023, 2**31, 2**32 - 1):
+            row = tournament._block_uniforms(seed, i, 1, 177)[0]
+            assert np.array_equal(row, run_rng(seed, i, 177).random(177))
 
-    def test_a_worker_stride(self):
-        # a worker's runs are every n_workers-th index
-        indices = range(3, 200, 7)
-        expect = np.stack([run_rng(9, i).random(40) for i in indices])
-        assert np.array_equal(tournament._block_uniforms(9, np.asarray(indices), 40), expect)
+    def test_a_worker_range(self, euro2020, euro_models):
+        # the middle of 3 workers on 200 runs, in blocks of 16 and a last one of 3
+        bracket = compile_bracket(euro_models, *euro2020)
+        u = np.random.default_rng(9).random((133, bracket.width))[66:]
+        expect = tournament._stage_counts(bracket, _play_block(bracket, u))
+        got = tournament._run_chunk(bracket, 9, range(66, 133), 16)
+        assert np.array_equal(got, expect)
 
 
 def counted(result: TournamentResult) -> dict[str, Counter]:

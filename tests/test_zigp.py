@@ -142,6 +142,17 @@ class TestLogFactorial:
         with pytest.raises(ParameterError):
             log_pmf(ZigpParams(1.0, 1.0, 0.0), np.array([k]))
 
+    @pytest.mark.parametrize(
+        "bad, got", [(0.5, "0.5"), (-3, "-3"), (zigp.MAX_COUNT + 7, str(zigp.MAX_COUNT + 7))]
+    )
+    def test_error_names_the_offending_count_only(self, bad, got):
+        # 300 valid counts once put all 301 values, 2,473 characters, into the message
+        ks = np.append(np.arange(300), bad)
+        with pytest.raises(ParameterError) as raised:
+            log_pmf(ZigpParams(1.0, 1.0, 0.0), ks)
+        message = str(raised.value)
+        assert message.endswith(f"got {got}") and len(message) < 60
+
 
 class TestTruncation:
     def test_truncated_sums_to_one(self):
