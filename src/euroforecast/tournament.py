@@ -712,12 +712,11 @@ def monte_carlo(
         from concurrent.futures import ProcessPoolExecutor
 
         bounds = [n_runs * w // n_workers for w in range(n_workers + 1)]
-        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [
                 pool.submit(_run_chunk, bracket, master_seed, chunk, BLOCK_RUNS)
                 for chunk in chunks
-                if chunk
             ]
             counts = sum(fut.result() for fut in futures)
     return SimulationAggregate(n_runs=n_runs, teams=bracket.teams, table=counts)
