@@ -147,6 +147,9 @@ def cmd_fit(args) -> int:
 def _elo_pair(args) -> tuple[float, float]:
     """Each team's Elo: its ``--elo-a``/``--elo-b`` override, else its ``--ratings`` row."""
     pair = [(args.team_a, args.elo_a), (args.team_b, args.elo_b)]
+    for flag, (_, override) in zip(("--elo-a", "--elo-b"), pair):
+        if override is not None:
+            elo.check_rating(override, flag)
     needed = [t for t, override in pair if override is None]
     if needed and not args.ratings:
         raise ConfigError("forecast needs --ratings or both --elo-a and --elo-b")
@@ -188,11 +191,18 @@ def cmd_forecast(args) -> int:
     return EXIT_OK
 
 
-def _simulate(args):
-    """Load the model, fixtures, allocation and ratings, and play ``--n-runs`` tournaments."""
+def _simulate(args, realized=None):
+    """Load the model, fixtures, allocation and ratings, and play ``--n-runs`` tournaments.
+
+    ``realized`` ranks, when given, must cover the fixtures' teams; that
+    is checked before anything is simulated.
+    """
     cfg = _load_config(args)
     models, _ = data_io.load_models(args.model)
     fixtures = data_io.load_fixtures(args.fixtures)
+    if realized is not None:
+        groups = tournament.group_teams(fixtures).values()
+        metrics.check_teams({t for teams in groups for t in teams}, realized)
     allocation = data_io.load_allocation(args.allocation)
     ratings = data_io.rating_table(data_io.load_ratings(args.ratings))
     agg = tournament.monte_carlo(
@@ -231,7 +241,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate(args) -> int:
     realized = data_io.load_realized_results(args.results)  # fail before simulating
-    _, agg = _simulate(args)
+    _, agg = _simulate(args, realized)
     distributions = metrics.distributions_from_aggregate(agg)
     report = metrics.score_report(distributions, realized)
     manifest = _manifest(

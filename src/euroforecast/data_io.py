@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .elo import DEFAULT_K_FACTORS, EloRating
+from .elo import DEFAULT_K_FACTORS, K_FACTOR_MAX, EloRating, check_rating
 from .errors import ConfigError, DataError, FileAccessError, ParameterError
 from .forecast import DEFAULT_GRID_CAP
 from .regression import ALPHA_LENGTHS, FitConfig, FitDiagnostics, RegressionCoefficients, TeamModel
@@ -177,6 +177,14 @@ def _parse_float(value: str, name: str, path: str, line: int) -> float:
     return number
 
 
+def _parse_elo(value: str, name: str, path: str, line: int) -> float:
+    """A rating: a finite number inside ``elo.ELO_RANGE``."""
+    try:
+        return check_rating(_parse_float(value, name, path, line), name)
+    except ParameterError as exc:
+        raise DataError(str(exc), path=path, line=line) from None
+
+
 def _write_csv(
     path: str | Path,
     columns: Sequence[str],
@@ -277,12 +285,8 @@ def load_matches(
                 goals_b=_parse_int(row["goals_b"], "goals_b", spath, line),
                 match_type=row["match_type"],
                 venue_country=row["venue_country"],
-                elo_a_before=_parse_float(elo_a, "elo_a_before", spath, line)
-                if elo_a
-                else None,
-                elo_b_before=_parse_float(elo_b, "elo_b_before", spath, line)
-                if elo_b
-                else None,
+                elo_a_before=_parse_elo(elo_a, "elo_a_before", spath, line) if elo_a else None,
+                elo_b_before=_parse_elo(elo_b, "elo_b_before", spath, line) if elo_b else None,
             )
         except ParameterError as exc:
             raise DataError(str(exc), path=spath, line=line) from None
@@ -335,7 +339,7 @@ def load_ratings(path: str | Path) -> list[EloRating]:
             _parse_date(row["as_of"], spath, line) if row.get("as_of") else dt.date.min
         )
         ratings.append(
-            EloRating(team=team, points=_parse_float(row["elo"], "elo", spath, line), as_of=as_of)
+            EloRating(team=team, points=_parse_elo(row["elo"], "elo", spath, line), as_of=as_of)
         )
     if not ratings:
         raise DataError("ratings file has no rows", path=spath)
@@ -455,6 +459,11 @@ def load_config(path: str | Path) -> AppConfig:
             )
         ):
             raise ConfigError(f"{spath}: {key} must map codes to finite numbers")
+    for code, k in raw.get("k_factors", {}).items():
+        if not 0 < k <= K_FACTOR_MAX:
+            raise ConfigError(
+                f"{spath}: K factor {code!r} must lie in (0, {K_FACTOR_MAX:g}], got {k}"
+            )
     for key in ("half_period_days", "min_nested_obs", "grid_cap"):
         if key in raw and type(raw[key]) is not int:
             raise ConfigError(f"{spath}: {key} must be an integer")

@@ -29,6 +29,12 @@ if TYPE_CHECKING:
 # eloratings.net convention; WC/CONT are the two values pinned by the
 # rating formula's definition, the rest are configurable defaults.
 DEFAULT_K_FACTORS = {"WC": 60.0, "CONT": 50.0, "QUAL": 40.0, "FRIENDLY": 20.0}
+K_FACTOR_MAX = 100.0
+
+# Ratings accepted where they enter: seed files, annotated columns and
+# the forecast overrides.  Real tables lie far inside (the packaged
+# ratings span 1,600-2,100); far outside, 10 ** (D / 400) overflows.
+ELO_RANGE = (0.0, 4000.0)
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,14 @@ def expected_score(elo_a: float, elo_b: float) -> float:
     """Win expectancy We of the first team from the Elo difference."""
     d = elo_a - elo_b
     return 1.0 / (10.0 ** (-d / 400.0) + 1.0)
+
+
+def check_rating(points: float, name: str) -> float:
+    """``points``, once it lies in ELO_RANGE; else a ParameterError naming ``name``."""
+    low, high = ELO_RANGE
+    if not low <= points <= high:
+        raise ParameterError(f"{name} must lie in [{low:g}, {high:g}], got {points:g}")
+    return points
 
 
 def goal_multiplier(goal_diff: int) -> float:

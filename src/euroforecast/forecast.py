@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .zigp import HARD_CAP, ZigpParams, log_pmf_table, sample_block, sample_one
+from .zigp import HARD_CAP, ZigpParams, log_pmf_table, sample_block
 
 if TYPE_CHECKING:
     from .regression import TeamModel
@@ -63,18 +63,6 @@ def _stronger_stage(
     return mu, 0.5 * (attack.phi + defense.phi), 0.5 * (attack.omega + defense.omega)
 
 
-def _weaker_stage(
-    weak: "TeamModel", elo_strong: float, loc: float, strong_goals: int, mu_factor: float
-) -> tuple[float, float, float]:
-    """(mu, phi, omega) of ``weak``'s goals given the stronger side's, from its
-    nested fit at location ``loc``."""
-    nested = weak.nested
-    mu = nested.predict_mu((1.0, elo_strong, loc, float(strong_goals))) * mu_factor
-    if not 0.0 < mu < math.inf:
-        raise ParameterError(f"mu must be positive and finite, got {mu}")
-    return mu, nested.phi, nested.omega
-
-
 def combined_params(
     attack_side: "TeamModel",
     defense_side: "TeamModel",
@@ -103,9 +91,13 @@ def conditional_params(
     stronger_goals: int,
     mu_factor: float = 1.0,
 ) -> ZigpParams:
-    """ZIGP for the weaker side's goals given the stronger side's tally."""
+    """ZIGP for the weaker side's goals given the stronger side's tally (nested fit)."""
     loc = location_indicator(weaker.team, stronger_team, venue_country)
-    return ZigpParams(*_weaker_stage(weaker, elo_stronger, loc, stronger_goals, mu_factor))
+    nested = weaker.nested
+    mu = nested.predict_mu((1.0, elo_stronger, loc, float(stronger_goals))) * mu_factor
+    if not 0.0 < mu < math.inf:
+        raise ParameterError(f"mu must be positive and finite, got {mu}")
+    return ZigpParams(mu, nested.phi, nested.omega)
 
 
 @dataclass(frozen=True)
@@ -196,19 +188,18 @@ def sample_match(
     venue_country: str = "NEUTRAL",
     mu_factor: float = 1.0,
 ) -> tuple[int, int]:
-    """Draw one exact score by the two-stage mechanism (no grid cap)."""
-    stronger, weaker, swapped = order_by_strength(model_a.team, elo_a, model_b.team, elo_b)
-    strong_model, weak_model = (model_b, model_a) if swapped else (model_a, model_b)
-    elo_strong, elo_weak = (elo_b, elo_a) if swapped else (elo_a, elo_b)
+    """Draw one exact score by the two-stage mechanism (no grid cap).
 
-    loc = location_indicator(stronger, weaker, venue_country)
-    strong = _stronger_stage(strong_model, weak_model, elo_strong, elo_weak, loc, mu_factor)
-    goals_strong = sample_one(*strong, rng.random())
-    weak = _weaker_stage(weak_model, elo_strong, -loc, goals_strong, mu_factor)
-    goals_weak = sample_one(*weak, rng.random())
-    if swapped:
-        return goals_weak, goals_strong
-    return goals_strong, goals_weak
+    A block of one for :func:`sample_match_block`, on ``rng.random((1, 2))``.
+    """
+    swap = model_b.team < model_a.team
+    models = ModelArrays.from_models((model_b, model_a) if swap else (model_a, model_b))
+    loc_a = location_indicator(model_a.team, model_b.team, venue_country)
+    goals_a, goals_b = sample_match_block(
+        models, np.array([int(swap)]), np.array([int(not swap)]), np.array([elo_a]),
+        np.array([elo_b]), np.array([loc_a]), rng.random((1, 2)), mu_factor,
+    )
+    return int(goals_a[0]), int(goals_b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +268,14 @@ def sample_match_block(
     u: np.ndarray,
     mu_factor: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_match` for a block of matches, one per row.
+    """One exact score per row by the two-stage mechanism (no grid cap).
 
     ``team_a`` and ``team_b`` index ``models``, whose rows must be in
     team-code order so that an Elo tie still goes to the smaller code.
     ``loc_a`` is side A's :func:`location_indicator`, and side B's is
-    ``-loc_a``.  ``u`` holds each row's two uniforms in the order
-    :func:`sample_match` takes them.  Raises ``ParameterError`` unless
-    every mean a draw uses is positive and finite.
+    ``-loc_a``.  ``u`` holds each row's two uniforms: column 0 draws the
+    stronger side's goals and column 1 the weaker side's.  Raises
+    ``ParameterError`` unless every mean a draw uses is positive and finite.
     """
     swapped = ~((elo_a > elo_b) | ((elo_a == elo_b) & (team_a < team_b)))
     strong = np.where(swapped, team_b, team_a)

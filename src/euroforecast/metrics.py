@@ -10,7 +10,7 @@ probability score in its cumulative form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -70,21 +70,19 @@ def distributions_from_aggregate(
     return out
 
 
-def _check_teams(
-    distributions: Mapping[str, OutcomeDistribution], realized: Mapping[str, int]
-) -> None:
-    diff = set(distributions) ^ set(realized)
+def check_teams(teams: Iterable[str], realized: Mapping[str, int]) -> None:
+    """Raise ``ParameterError`` unless ``realized`` ranks exactly ``teams``
+    (a distribution mapping's keys, or the fixtures' teams)."""
+    diff = set(teams) ^ set(realized)
     if diff:
-        raise ParameterError(
-            f"distribution/realized team sets differ: {sorted(diff)}"
-        )
+        raise ParameterError(f"forecast/realized team sets differ: {sorted(diff)}")
 
 
 def mld(
     distributions: Mapping[str, OutcomeDistribution], realized: Mapping[str, int]
 ) -> float:
     """Sum over teams of |realized rank - modal predicted rank|."""
-    _check_teams(distributions, realized)
+    check_teams(distributions, realized)
     return float(
         sum(abs(realized[t] - d.modal_rank()) for t, d in distributions.items())
     )
@@ -94,7 +92,7 @@ def brier(
     distributions: Mapping[str, OutcomeDistribution], realized: Mapping[str, int]
 ) -> float:
     """Sum over teams of the squared-error score against the realized rank."""
-    _check_teams(distributions, realized)
+    check_teams(distributions, realized)
     total = 0.0
     for t, d in distributions.items():
         onehot = np.zeros(N_RANKS)
@@ -110,7 +108,7 @@ def rps(
 
     Per team: (1/(K-1)) * sum_{i<K} (cumsum(p)_i - 1[realized <= i])^2.
     """
-    _check_teams(distributions, realized)
+    check_teams(distributions, realized)
     total = 0.0
     for t, d in distributions.items():
         cum_p = np.cumsum(d.p)[: N_RANKS - 1]
@@ -141,7 +139,7 @@ def score_report(
     distributions: Mapping[str, OutcomeDistribution], realized: Mapping[str, int]
 ) -> MetricsReport:
     """Per-team and total scores for all three metrics."""
-    _check_teams(distributions, realized)
+    check_teams(distributions, realized)
     rows = []
     for team in sorted(distributions):
         d = {team: distributions[team]}

@@ -34,13 +34,11 @@ from .errors import ParameterError
 HARD_CAP = 200
 TAIL_EPS = 1e-9
 
-# log k! for k = 0..HARD_CAP, the only source of the factorial term.
-# ``log_pmf`` extends it for larger counts, up to MAX_COUNT (an 8 MB
-# table); the scalar sampler reads the Python-float copy, which stops at
-# HARD_CAP like its draws.
+# log k! for k = 0..HARD_CAP, the only source of the factorial term; the
+# sampler's draws stop at HARD_CAP.  ``log_pmf`` extends it for larger
+# counts, up to MAX_COUNT (an 8 MB table).
 MAX_COUNT = 10**6
 _LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(HARD_CAP + 1)])
-_LOG_FACTORIAL_FLOATS = _LOG_FACTORIAL.tolist()
 
 
 @dataclass(frozen=True)
@@ -141,33 +139,15 @@ def truncated_pmf(params: ZigpParams, cap: int = HARD_CAP) -> np.ndarray:
 
 
 def sample(params: ZigpParams, rng: np.random.Generator, size: int | None = None):
-    """Draw from ZIGP by inversion by sequential search.
+    """Draw from ZIGP by :func:`sample_block`, one ``rng.random`` uniform per draw.
 
-    With ``size=None`` returns a single int from :func:`sample_one`;
-    otherwise an int64 array of ``size`` draws from :func:`sample_block`.
-    Deterministic given the generator state.
+    With ``size=None`` returns a single int; otherwise an int64 array of
+    ``size`` draws.  Deterministic given the generator state.
     """
-    mu, phi, omega = params.mu, params.phi, params.omega
-    if size is None:
-        return sample_one(mu, phi, omega, rng.random())
-    return sample_block(*(np.full(size, v) for v in (mu, phi, omega)), rng.random(size))
-
-
-def sample_one(mu: float, phi: float, omega: float, u: float) -> int:
-    """:func:`sample_block` for one row, in plain Python floats: the same stop
-    rule and summation order.  The parameters are not checked here."""
-    cum = omega + (1.0 - omega) * math.exp(-mu / phi)
-    base = math.log1p(-omega) + math.log(mu)
-    log_phi = math.log(phi)
-    log_factorial = _LOG_FACTORIAL_FLOATS
-    k = 0
-    while cum <= u and cum < 1.0 - TAIL_EPS and k < HARD_CAP:
-        k += 1
-        m = mu + (phi - 1.0) * k
-        cum += math.exp(
-            base + (k - 1.0) * math.log(m) - log_factorial[k] - k * log_phi - m / phi
-        )
-    return k
+    n = 1 if size is None else size
+    mu, phi, omega = (np.full(n, v) for v in (params.mu, params.phi, params.omega))
+    draws = sample_block(mu, phi, omega, rng.random(n))
+    return int(draws[0]) if size is None else draws
 
 
 def sample_block(
@@ -180,7 +160,8 @@ def sample_block(
     active.  A row stops at the first k whose cumulative mass exceeds
     ``u`` or reaches 1 - TAIL_EPS, and at HARD_CAP at the latest; the
     stop point takes the remaining mass, so nothing is renormalized.
-    The parameters are not checked here: callers pass means that
+    Every ZIGP draw in the package goes through here.  The parameters
+    are not checked: callers pass means that
     ``forecast.sample_match_block`` checked or a :class:`ZigpParams`'
     values, and phi and omega valid by construction.
     """

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from euroforecast import data_io
+from euroforecast.forecast import ModelArrays, location_indicator, sample_match_block
 from euroforecast.regression import RegressionCoefficients, TeamModel
+from euroforecast.zigp import HARD_CAP, TAIL_EPS
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +38,45 @@ class Uniforms:
 
     def random(self, size=None):
         return next(self.values)
+
+
+SLACK = 1e-12  # last-bit rounding of a cumulative mass, with room
+
+
+def closed_form_cum(mu, phi, omega):
+    """Cumulative ZIGP mass at 0, 1, ... in plain floats, past the
+    sampler's truncation point (mass 1 - TAIL_EPS) by SLACK, or to HARD_CAP."""
+    total = omega + (1.0 - omega) * math.exp(-mu / phi)
+    cum = [total]
+    for k in range(1, HARD_CAP + 1):
+        if total >= 1.0 - TAIL_EPS + SLACK:
+            break
+        m = mu + (phi - 1.0) * k
+        total += (1.0 - omega) * math.exp(
+            math.log(mu) + (k - 1) * math.log(m) - math.lgamma(k + 1) - k * math.log(phi) - m / phi
+        )
+        cum.append(total)
+    return cum
+
+
+def invert_closed_form(params, u: float) -> int:
+    """The count a uniform ``u`` draws from ``params`` by sequential search
+    on :func:`closed_form_cum`: the first k whose mass exceeds ``u`` or
+    reaches 1 - TAIL_EPS, and HARD_CAP at the latest."""
+    cum = closed_form_cum(params.mu, params.phi, params.omega)
+    return next((k for k, c in enumerate(cum) if u < c or c >= 1.0 - TAIL_EPS), HARD_CAP)
+
+
+def pair_draws(model_a, model_b, elo_a, elo_b, u, venue="NEUTRAL", mu_factor=1.0):
+    """``sample_match`` for one pairing, once per row of the uniforms ``u``:
+    one ``sample_match_block`` call on the two models in team-code order."""
+    order = sorted((model_a, model_b), key=lambda m: m.team)
+    n = len(u)
+    a = np.full(n, order.index(model_a))
+    return sample_match_block(
+        ModelArrays.from_models(order), a, 1 - a, np.full(n, elo_a), np.full(n, elo_b),
+        np.full(n, location_indicator(model_a.team, model_b.team, venue)), u, mu_factor,
+    )
 
 
 def build_team_model(team: str, elo: float) -> TeamModel:

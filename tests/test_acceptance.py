@@ -20,7 +20,7 @@ from euroforecast.elo import (
     goal_multiplier,
     update_pair,
 )
-from euroforecast.forecast import combined_params, conditional_params, score_grid, sample_match
+from euroforecast.forecast import combined_params, conditional_params, score_grid
 from euroforecast.metrics import brier, mld, rps, OutcomeDistribution
 from euroforecast.regression import (
     FitObservation,
@@ -32,9 +32,9 @@ from euroforecast.regression import (
 )
 from euroforecast.tournament import group_teams, monte_carlo
 from euroforecast.weights import WeightConfig, date_weight, importance_weight
-from euroforecast.zigp import ZigpParams, pmf, sample, truncated_pmf
+from euroforecast.zigp import ZigpParams, pmf, sample, sample_block, truncated_pmf
 
-from conftest import build_team_model
+from conftest import build_team_model, pair_draws
 
 
 # -- criterion 1: published France-Germany example ---------------------------
@@ -116,7 +116,7 @@ def _recovery_data(seed, n=2000):
     x2 = rng.choice([-1.0, 0.0, 1.0], n)
     X = np.column_stack([np.ones(n), x1, x2])
     mu = np.exp(X @ alpha_true)
-    y = np.array([sample(ZigpParams(m, 1.5, 0.15), rng) for m in mu])
+    y = sample_block(mu, np.full(n, 1.5), np.full(n, 0.15), rng.random(n))
     w = rng.uniform(0.5, 4.0, n)
     return [FitObservation(int(y[i]), tuple(X[i]), float(w[i])) for i in range(n)]
 
@@ -238,18 +238,14 @@ def test_criterion_7_sampler_matches_grid():
         model_b = build_team_model(team_b, elo_b)
         forecast = score_grid(model_a, model_b, elo_a, elo_b, venue)
         cap = forecast.cap
-        rng = np.random.default_rng(7000 + idx)
+        u = np.random.default_rng(7000 + idx).random((n, 2))
+        ga, gb = pair_draws(model_a, model_b, elo_a, elo_b, u, venue)
+        inside = (ga <= cap) & (gb <= cap)
         counts = np.zeros((cap + 1, cap + 1))
-        overflow = 0
-        for _ in range(n):
-            ga, gb = sample_match(model_a, model_b, elo_a, elo_b, rng, venue)
-            if ga <= cap and gb <= cap:
-                counts[ga, gb] += 1
-            else:
-                overflow += 1
+        np.add.at(counts, (ga[inside], gb[inside]), 1)
         # the uncapped sampler may land beyond the grid; the stray mass
         # must stay far below the smallest cell probability under test
-        assert overflow <= 50
+        assert (~inside).sum() <= 50
         check = forecast.grid >= 1e-4
         expect = n * forecast.grid[check]
         sigma = np.sqrt(n * forecast.grid[check] * (1.0 - forecast.grid[check]))

@@ -18,9 +18,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import euroforecast
-from euroforecast import data_io
+from euroforecast import data_io, tournament
 from euroforecast.cli import CONFIG_DIR_ENV, EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, main
 from euroforecast.data_io import AppConfig
+from euroforecast.elo import DEFAULT_K_FACTORS
 
 from conftest import build_team_model, rename_groups
 
@@ -221,6 +222,44 @@ class TestReplayElo:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("k, code", [(1e6, EXIT_CONFIG), (-50, EXIT_CONFIG), (0, EXIT_CONFIG),
+                                         (100, EXIT_OK)])
+    def test_k_factor_outside_range_is_config_error(self, tmp_path, demo_history, capsys, k, code):
+        """K = 1e6 once overflowed the replayed Elo; a negative K inverted every update."""
+        matches_path, ratings_path = demo_history
+        config = tmp_path / "config.json"
+        k_factors = {**DEFAULT_K_FACTORS, "WC": k}
+        config.write_text(json.dumps({"reference_date": "2021-06-07", "k_factors": k_factors}))
+        out = tmp_path / "out.csv"
+        args = ["--matches", str(matches_path), "--ratings", str(ratings_path), "--out", str(out)]
+        assert main(["replay-elo", *args, "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == EXIT_CONFIG:
+            assert f"K factor 'WC' must lie in (0, 100], got {k}" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["replay-elo", "fit"])
+    def test_absurd_seed_rating_is_config_error(self, tmp_path, demo_history, capsys, command):
+        """A seed rating of 1,000,000 once overflowed the replayed Elo."""
+        matches_path, ratings_path = demo_history
+        lines = ratings_path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("AUT,"))
+        lines[row] = "AUT,1000000"
+        broken = tmp_path / "ratings.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        args = [
+            command,
+            "--matches", str(matches_path),
+            "--ratings", str(broken),
+            "--out", str(tmp_path / "out"),
+        ]
+        assert main(args + (["--teams", "AUT"] if command == "fit" else [])) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"ratings.csv:{row + 1}: elo must lie in [0, 4000], got 1e+06" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_rating_is_config_error(self, tmp_path, demo_history, capsys):
         matches_path, ratings_path = demo_history
         header, *rows = ratings_path.read_text().splitlines()
@@ -241,6 +280,24 @@ class TestReplayElo:
 
 
 class TestFit:
+    def test_annotated_rating_outside_range_is_config_error(self, tmp_path, demo_history, capsys):
+        matches_path, ratings_path = demo_history
+        annotated = tmp_path / "annotated.csv"
+        args = ["--matches", str(matches_path), "--ratings", str(ratings_path)]
+        assert main(["replay-elo", *args, "--out", str(annotated)]) == EXIT_OK
+        lines = annotated.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("date,"))
+        fields = lines[header + 1].split(",")
+        fields[lines[header].split(",").index("elo_b_before")] = "4000.5"
+        lines[header + 1] = ",".join(fields)
+        annotated.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "model.json"
+        code = main(["fit", "--matches", str(annotated), "--teams", "FRA", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"annotated.csv:{header + 2}: elo_b_before must lie in [0, 4000]" in err
+        assert not out.exists()
+
     def test_fit_writes_models(self, fitted_model_file, capsys):
         models, metadata = data_io.load_models(fitted_model_file)
         assert sorted(models) == ["BEL", "FRA", "MKD", "XXH"]
@@ -474,7 +531,28 @@ class TestForecast:
             ]
         )
         assert code == EXIT_CONFIG
-        assert "overflows" in capsys.readouterr().err
+        assert "--elo-a must lie in [0, 4000], got 1e+06" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--elo-a", "9000"), ("--elo-b", "-1"),
+                                             ("--elo-b", "nan")])
+    def test_elo_override_outside_range_is_config_error(
+        self, tmp_path, fitted_model_file, capsys, flag, value
+    ):
+        """--elo-a 9000 once gave P(win/draw/win) 0.0000 / 0.9992 / 0.0008 with exit 0."""
+        overrides = {"--elo-a": "2000", "--elo-b": "1900", flag: value}
+        code = main(
+            [
+                "forecast",
+                "--model", str(fitted_model_file),
+                "--team-a", "FRA",
+                "--team-b", "BEL",
+                *(item for pair in overrides.items() for item in pair),
+                "--out", str(tmp_path / "grid.csv"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert f"{flag} must lie in [0, 4000], got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
 
     @pytest.mark.parametrize("cap", ["0", "-1", "201"])
     def test_cap_outside_range_is_config_error(self, tmp_path, fitted_model_file, capsys, cap):
@@ -640,7 +718,7 @@ class TestSimulate:
             ]
         )
         assert code == EXIT_CONFIG
-        assert "overflows" in capsys.readouterr().err
+        assert "ratings.csv:3: elo must lie in [0, 4000], got 1e+06" in capsys.readouterr().err
 
     @staticmethod
     def worker_args(command, workers, tmp_path, model_file, data_dir):
@@ -875,6 +953,33 @@ class TestValidate:
         assert "# total_mld: " in text
         assert "# total_brier: " in text
         assert "# total_rps: " in text
+
+
+    def test_team_mismatch_fails_before_simulating(
+        self, tmp_path, euro2020_model_file, data_dir, capsys, monkeypatch
+    ):
+        """EURO 2016 results against EURO 2020 fixtures once simulated every run first."""
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("monte_carlo was called")
+
+        monkeypatch.setattr(tournament, "monte_carlo", no_simulation)
+        out = tmp_path / "metrics.csv"
+        code = main(
+            [
+                "validate",
+                "--model", str(euro2020_model_file),
+                "--fixtures", str(data_dir / "euro2020_fixtures.csv"),
+                "--allocation", str(data_dir / "euro2020_allocation.csv"),
+                "--ratings", str(data_dir / "euro2020_ratings.csv"),
+                "--results", str(data_dir / "euro2016_results.csv"),
+                "--n-runs", "20000",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "team sets differ" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGof:

@@ -24,7 +24,7 @@ from euroforecast.forecast import (
 from euroforecast.regression import BETA_MAX
 from euroforecast.zigp import HARD_CAP, pmf
 
-from conftest import Uniforms, build_team_model
+from conftest import build_team_model, invert_closed_form, pair_draws
 
 
 @pytest.fixture
@@ -225,13 +225,12 @@ class TestSampling:
         assert a[0] == a[1] == a[2]
 
     def test_matches_grid_distribution(self, strong, weak):
-        rng = np.random.default_rng(17)
         n = 40_000
+        u = np.random.default_rng(17).random((n, 2))
+        ga, gb = pair_draws(strong, weak, 2087.0, 1936.0, u)
+        inside = (ga <= 15) & (gb <= 15)
         counts = np.zeros((16, 16))
-        for _ in range(n):
-            ga, gb = sample_match(strong, weak, 2087.0, 1936.0, rng)
-            if ga <= 15 and gb <= 15:
-                counts[ga, gb] += 1
+        np.add.at(counts, (ga[inside], gb[inside]), 1)
         f = score_grid(strong, weak, 2087.0, 1936.0)
         # compare the heaviest cells at 5 sigma
         for i, j in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 0), (0, 1)]:
@@ -248,19 +247,49 @@ class TestSampling:
 
     def test_extra_time_factor_reduces_goals(self, strong, weak):
         rng = np.random.default_rng(11)
-        full = [
-            sum(sample_match(strong, weak, 2087.0, 1936.0, rng)) for _ in range(4000)
-        ]
-        short = [
-            sum(sample_match(strong, weak, 2087.0, 1936.0, rng, mu_factor=1 / 3))
-            for _ in range(4000)
-        ]
+        full = sum(pair_draws(strong, weak, 2087.0, 1936.0, rng.random((4000, 2))))
+        short = sum(
+            pair_draws(strong, weak, 2087.0, 1936.0, rng.random((4000, 2)), mu_factor=1 / 3)
+        )
         assert np.mean(short) < 0.55 * np.mean(full)
+
+    @pytest.mark.parametrize(
+        "a, b, elo_a, elo_b, venue, mu_factor",
+        [
+            ("FRA", "GER", 2087.0, 1936.0, "GER", 1.0),
+            ("GER", "FRA", 1936.0, 2087.0, "GER", 1.0),
+            ("MKD", "BEL", 1600.0, 2100.0, "MKD", 1.0 / 3.0),
+            ("GER", "BEL", 2000.0, 2000.0, "GER", 1.0),  # tie: BEL is the stronger side
+            ("BEL", "GER", 2000.0, 2000.0, "NEUTRAL", 1.0 / 3.0),
+        ],
+    )
+    def test_one_match_is_row_zero_of_a_block(self, a, b, elo_a, elo_b, venue, mu_factor):
+        """``sample_match`` equals row 0 of a block drawn from the same
+        generator state, on a four-team table in team-code order."""
+        codes = ["BEL", "FRA", "GER", "MKD"]
+        models = [build_team_model(t, 1900.0 + 50 * i) for i, t in enumerate(codes)]
+        table = ModelArrays.from_models(models)
+        n = 4
+        team_a, team_b = np.full(n, codes.index(a)), np.full(n, codes.index(b))
+        loc_a = np.full(n, location_indicator(a, b, venue))
+        for seed in range(40):
+            got = sample_match(
+                models[codes.index(a)], models[codes.index(b)], elo_a, elo_b,
+                np.random.default_rng(seed), venue, mu_factor,
+            )
+            u = np.random.default_rng(seed).random((n, 2))
+            ga, gb = sample_match_block(
+                table, team_a, team_b, np.full(n, elo_a), np.full(n, elo_b), loc_a, u, mu_factor
+            )
+            assert got == (ga[0], gb[0])
 
 
 class TestBlockSampling:
     @pytest.mark.parametrize("mu_factor", [1.0, 1.0 / 3.0])
-    def test_equals_scalar_row_by_row(self, mu_factor):
+    def test_rows_invert_the_closed_form(self, mu_factor):
+        """Each row against a reference that shares no code with the block:
+        ``combined_params`` and ``conditional_params`` give the two stages,
+        each inverted on the closed-form cumulative mass."""
         teams = {"BEL": 2100.0, "FRA": 2087.0, "GER": 1936.0, "MKD": 1600.0}
         codes = sorted(teams)
         models = [build_team_model(t, teams[t]) for t in codes]
@@ -280,22 +309,22 @@ class TestBlockSampling:
         )
         for i in range(n):
             place = codes[venue[i]] if venue[i] >= 0 else "NEUTRAL"
-            expect = sample_match(
-                models[a[i]], models[b[i]], float(elo_a[i]), float(elo_b[i]),
-                Uniforms(u[i].tolist()), place, mu_factor=mu_factor,
-            )
+            sides = [(models[a[i]], float(elo_a[i])), (models[b[i]], float(elo_b[i]))]
+            _, _, swapped = order_by_strength(codes[a[i]], sides[0][1], codes[b[i]], sides[1][1])
+            (strong, elo_strong), (weak, elo_weak) = sides[::-1] if swapped else sides
+            stage = combined_params(strong, weak, elo_strong, elo_weak, place, mu_factor)
+            goals_strong = invert_closed_form(stage, u[i, 0])
+            stage = conditional_params(weak, strong.team, elo_strong, place, goals_strong, mu_factor)
+            goals_weak = invert_closed_form(stage, u[i, 1])
+            expect = (goals_weak, goals_strong) if swapped else (goals_strong, goals_weak)
             assert (got_a[i], got_b[i]) == expect
 
     def test_block_draws_match_grid(self):
         """200k block draws against ``score_grid`` by criterion 7's 4-sigma rule."""
         models = [build_team_model("FRA", 2087.0), build_team_model("GER", 1936.0)]
         n = 200_000
-        ones = np.ones(n)
-        a, b = np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
         u = np.random.default_rng(7100).random((n, 2))
-        ga, gb = sample_match_block(
-            ModelArrays.from_models(models), a, b, 2087.0 * ones, 1936.0 * ones, -ones, u
-        )
+        ga, gb = pair_draws(*models, 2087.0, 1936.0, u, "GER")
         forecast = score_grid(*models, 2087.0, 1936.0, "GER")
         cap = forecast.cap
         inside = (ga <= cap) & (gb <= cap)

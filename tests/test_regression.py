@@ -32,7 +32,7 @@ from euroforecast.regression import (
 from euroforecast.forecast import location_indicator
 from euroforecast.tournament import group_teams
 from euroforecast.weights import WeightConfig, match_weight
-from euroforecast.zigp import ZigpParams, sample
+from euroforecast.zigp import ZigpParams, sample_block
 
 REF = dt.date(2021, 6, 7)
 
@@ -155,7 +155,7 @@ def synth_observations(seed, n=600, alpha=(0.9, -0.25, 0.2), phi=1.5, omega=0.15
     x2 = rng.choice([-1.0, 0.0, 1.0], n)
     X = np.column_stack([np.ones(n), x1, x2])
     mu = np.exp(X @ np.asarray(alpha))
-    y = np.array([sample(ZigpParams(m, phi, omega), rng) for m in mu])
+    y = sample_block(mu, np.full(n, phi), np.full(n, omega), rng.random(n))
     w = rng.uniform(0.5, 4.0, n) if weighted else np.ones(n)
     return [FitObservation(int(y[i]), tuple(X[i]), float(w[i])) for i in range(n)]
 
