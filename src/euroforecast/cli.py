@@ -146,10 +146,10 @@ def cmd_fit(args) -> int:
 
 def _elo_pair(args) -> tuple[float, float]:
     """Each team's Elo: its ``--elo-a``/``--elo-b`` override, else its ``--ratings`` row."""
-    pair = [(args.team_a, args.elo_a), (args.team_b, args.elo_b)]
-    for flag, (_, override) in zip(("--elo-a", "--elo-b"), pair):
+    for flag, override in (("--elo-a", args.elo_a), ("--elo-b", args.elo_b)):
         if override is not None:
             elo.check_rating(override, flag)
+    pair = [(args.team_a, args.elo_a), (args.team_b, args.elo_b)]
     needed = [t for t, override in pair if override is None]
     if needed and not args.ratings:
         raise ConfigError("forecast needs --ratings or both --elo-a and --elo-b")
