@@ -14,12 +14,15 @@ favours neither side.  It then runs the tier-1 suite once per side with
 acceptance criteria 6 and 7.
 
 The JSON file written to ``--out`` holds, per workload and end-to-end
-metric, every pair's two values, both sides' medians and quartiles, and
-in how many pairs the change was better; plus both commit ids, both
+metric, every pair's two values, both sides' medians and quartiles, in
+how many pairs the change was better, the change/parent ratio of the
+medians and ``beyond_bound``: whether the change is worse by more than
+the metric's bound in ``BENCHMARK.json``; plus both commit ids, both
 sides' ``src/**/*.py`` line counts, each side's cold start (the wall
 time of a fresh interpreter running ``import euroforecast.cli``, 10
 runs per side, alternating, after one run that writes the bytecode
 caches) and the machine (CPUs, library versions, BLAS thread settings).
+One line on stderr lists the metrics beyond their bounds.
 """
 
 from __future__ import annotations
@@ -139,12 +142,15 @@ def summarize(pairs: list[dict], spec: list[dict]) -> dict:
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        ratio = statistics.median(change) / statistics.median(parent)
         out[name] = {
             "better": metric["better"],
             "bound": metric["bound"],
             "parent": spread(parent),
             "change": spread(change),
             "change_wins": f"{wins} of {len(pairs)}",
+            "ratio": round(ratio, 4),
+            "beyond_bound": (ratio - 1.0 if lower else 1.0 - ratio) > metric["bound"],
         }
     return out
 
@@ -210,6 +216,9 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    beyond = [f"{workload} {name}" for workload, result in report["workloads"].items()
+              for name, metric in result["summary"].items() if metric["beyond_bound"]]
+    print(f"beyond bound: {', '.join(beyond) or 'none'}", file=sys.stderr)
     return 0
 
 

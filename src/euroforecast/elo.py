@@ -84,11 +84,11 @@ def update_pair(
 def expected_scores(elo_a: np.ndarray, elo_b: np.ndarray) -> np.ndarray:
     """:func:`expected_score` over arrays, bit for bit.
 
-    The power is taken by Python's float ``**`` per element, because
-    numpy's vector ``power`` can differ from it in the last bit.
+    ``np.float_power`` calls libm's ``pow`` per element, the function
+    behind Python's float ``**``.  ``np.power`` is not used: its AVX512
+    loop differs from ``pow`` in the last bit.
     """
-    x = -(elo_a - elo_b) / 400.0
-    return 1.0 / (np.fromiter(map((10.0).__pow__, x.tolist()), float, len(x)) + 1.0)
+    return 1.0 / (np.float_power(10.0, -(elo_a - elo_b) / 400.0) + 1.0)
 
 
 def update_pairs(
@@ -96,9 +96,12 @@ def update_pairs(
     elo_b: np.ndarray,
     goals_a: np.ndarray,
     goals_b: np.ndarray,
-    k_weight: float,
+    k_weight: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`update_pair` over arrays of matches, bit for bit."""
+    """:func:`update_pair` over arrays of matches, bit for bit.
+
+    ``k_weight`` is one K factor for all matches or one per match.
+    """
     diff = np.abs(goals_a - goals_b)
     g = np.where(diff <= 1, 1.0, np.where(diff == 2, 1.5, (11.0 + diff) / 8.0))
     w_a = np.where(goals_a > goals_b, 1.0, np.where(goals_a < goals_b, 0.0, 0.5))

@@ -84,30 +84,30 @@ def _counts(k) -> np.ndarray:
     return ks
 
 
+def _log_pmf_zero(log1m_omega, mu, phi, omega):
+    """log P[X=0], given log(1-omega)."""
+    # log(0) = -inf for omega = 0, and logaddexp(-inf, x) is x exactly
+    with np.errstate(divide="ignore"):
+        return np.logaddexp(np.log(omega), log1m_omega - mu / phi)
+
+
+def _log_pmf_positive(head, mu, phi, log_phi, k):
+    """log P[X=k] for counts k >= 1, given head = log(1-omega) + log(mu) and log(phi)."""
+    m = mu + (phi - 1.0) * k
+    return head + (k - 1.0) * np.log(m) - _LOG_FACTORIAL[k] - k * log_phi - m / phi
+
+
 def log_pmf_table(mu, phi, omega, k):
     """log P[X=k] for integer counts ``k``; broadcasts the parameters against ``k``.
 
-    The pmf, the block sampler's columns and the score grid all evaluate
-    their terms here.  The zero-inflated k = 0 term is computed unless
-    ``k`` is one nonzero count, and picked where k == 0.  Counts must be
-    at most HARD_CAP, or covered by an earlier :func:`log_pmf` call.
+    The pmf and the score grid evaluate their terms here, from the same
+    two term helpers as the block sampler.  The k >= 1 term is picked
+    where k > 0, the zero-inflated k = 0 term where k == 0.  Counts must
+    be at most HARD_CAP, or covered by an earlier :func:`log_pmf` call.
     """
     log1m_omega = np.log1p(-omega)
-    m = mu + (phi - 1.0) * k
-    positive = (
-        log1m_omega
-        + np.log(mu)
-        + (k - 1.0) * np.log(m)
-        - _LOG_FACTORIAL[k]
-        - k * np.log(phi)
-        - m / phi
-    )
-    if np.isscalar(k) and k != 0:
-        return positive
-    # log(0) = -inf for omega = 0, and logaddexp(-inf, x) is x exactly
-    with np.errstate(divide="ignore"):
-        zero = np.logaddexp(np.log(omega), log1m_omega - mu / phi)
-    return np.where(k == 0, zero, positive)
+    positive = _log_pmf_positive(log1m_omega + np.log(mu), mu, phi, np.log(phi), k)
+    return np.where(k == 0, _log_pmf_zero(log1m_omega, mu, phi, omega), positive)
 
 
 def log_pmf(params: ZigpParams, k):
@@ -156,24 +156,30 @@ def sample_block(
     """Inverse-CDF draws for parameter arrays, one uniform ``u`` per row.
 
     Sequential search (Devroye 1986, ch. III): the cumulative mass grows
-    by one :func:`log_pmf_table` column per step, over the rows still
-    active.  A row stops at the first k whose cumulative mass exceeds
-    ``u`` or reaches 1 - TAIL_EPS, and at HARD_CAP at the latest; the
-    stop point takes the remaining mass, so nothing is renormalized.
-    Every ZIGP draw in the package goes through here.  The parameters
-    are not checked: callers pass means that
+    by one column of k >= 1 terms per step, over the rows still active;
+    each row's constant terms are computed once and compacted with it.
+    A row stops at the first k whose cumulative mass exceeds ``u`` or
+    reaches 1 - TAIL_EPS, and at HARD_CAP at the latest; the stop point
+    takes the remaining mass, so nothing is renormalized.  The terms and
+    their order are :func:`log_pmf_table`'s, so the draws follow it bit
+    for bit.  Every ZIGP draw in the package goes through here.  The
+    parameters are not checked: callers pass means that
     ``forecast.sample_match_block`` checked or a :class:`ZigpParams`'
     values, and phi and omega valid by construction.
     """
     draws = np.zeros(len(u), dtype=np.int64)
-    cum = np.exp(log_pmf_table(mu, phi, omega, 0))
+    log1m_omega = np.log1p(-omega)
+    cum = np.exp(_log_pmf_zero(log1m_omega, mu, phi, omega))
     rows = np.flatnonzero((cum <= u) & (cum < 1.0 - TAIL_EPS))
-    cum = cum[rows]
+    cum, u, mu, phi = cum[rows], u[rows], mu[rows], phi[rows]
+    head, log_phi = log1m_omega[rows] + np.log(mu), np.log(phi)
     for k in range(1, HARD_CAP + 1):
         if not rows.size:
             break
-        cum += np.exp(log_pmf_table(mu[rows], phi[rows], omega[rows], k))
+        cum += np.exp(_log_pmf_positive(head, mu, phi, log_phi, k))
         draws[rows] = k
-        going = (cum <= u[rows]) & (cum < 1.0 - TAIL_EPS)
-        rows, cum = rows[going], cum[going]
+        going = np.flatnonzero((cum <= u) & (cum < 1.0 - TAIL_EPS))
+        rows, cum, u, mu, phi, head, log_phi = (
+            a[going] for a in (rows, cum, u, mu, phi, head, log_phi)
+        )
     return draws

@@ -6,12 +6,13 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from euroforecast.data_io import MatchRecord
 from euroforecast.elo import (
     DEFAULT_K_FACTORS,
+    ELO_RANGE,
     EloRating,
     expected_score,
     expected_scores,
@@ -113,6 +114,19 @@ class TestArrayForm:
         assert expected_scores(elo_a, elo_b).tolist() == [
             expected_score(float(a), float(b)) for a, b in zip(elo_a, elo_b)
         ]
+
+    # Bit for bit only while np.float_power calls libm's pow per element,
+    # as Python's float ** does; a SIMD loop for it would fail this test.
+    # An empty array is the shootout call of a round without shootouts.
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.floats(*ELO_RANGE), st.floats(*ELO_RANGE)), max_size=64))
+    @example(pairs=[])
+    @example(pairs=[(ELO_RANGE[0], ELO_RANGE[1])])
+    @example(pairs=[(ELO_RANGE[1], ELO_RANGE[0]), (1800.0, 1800.0), (0.0, 0.0), (4000.0, 4000.0)])
+    def test_expected_scores_equal_scalar_on_elo_range(self, pairs):
+        elo_a = np.array([a for a, _ in pairs], dtype=float)
+        elo_b = np.array([b for _, b in pairs], dtype=float)
+        assert expected_scores(elo_a, elo_b).tolist() == [expected_score(a, b) for a, b in pairs]
 
 
 def _match(date, a, b, ga, gb, kind="FRIENDLY"):

@@ -224,7 +224,48 @@ def scalar_draws(mu, phi, omega, u):
     )
 
 
+def column_loop(mu, phi, omega, u):
+    """The block sampler as a loop of whole :func:`zigp.log_pmf_table`
+    columns: the draws, and each row's cumulative mass at its draw."""
+    draws = np.zeros(len(u), dtype=np.int64)
+    cum = np.exp(zigp.log_pmf_table(mu, phi, omega, 0))
+    mass = cum.copy()
+    rows = np.flatnonzero((cum <= u) & (cum < 1.0 - TAIL_EPS))
+    cum = cum[rows]
+    for k in range(1, HARD_CAP + 1):
+        if not rows.size:
+            break
+        cum += np.exp(zigp.log_pmf_table(mu[rows], phi[rows], omega[rows], k))
+        draws[rows] = k
+        mass[rows] = cum
+        going = (cum <= u[rows]) & (cum < 1.0 - TAIL_EPS)
+        rows, cum = rows[going], cum[going]
+    return draws, mass
+
+
 class TestBlockSampling:
+    def test_draws_equal_the_column_loop(self):
+        # The sampler's per-row terms must be summed in log_pmf_table's
+        # order: a cumulative mass one ulp off moves the draw of a row
+        # whose uniform is that mass or the float just below it.
+        rng = np.random.default_rng(21)
+        n = 200_000
+        mu = np.exp(rng.uniform(np.log(1e-3), np.log(190.0), n))
+        phi = rng.uniform(1.0, 3.0, n)
+        phi[::5] = 1.0
+        omega = rng.uniform(0.0, 0.4, n)
+        omega[::4] = 0.0
+        u = rng.random(n)
+        u[::50] = 1.0 - rng.uniform(0.0, 1e-10, len(u[::50]))
+        draws, mass = column_loop(mu, phi, omega, u)
+        assert sample_block(mu, phi, omega, u).tolist() == draws.tolist()
+        assert np.any(draws == HARD_CAP)
+        assert np.any((u > 1.0 - TAIL_EPS) & (draws < HARD_CAP))  # stopped at 1 - TAIL_EPS
+        on_mass = np.flatnonzero(mass < 1.0)
+        u[on_mass[::2]] = mass[on_mass[::2]]
+        u[on_mass[1::2]] = np.nextafter(mass[on_mass[1::2]], 0.0)
+        assert sample_block(mu, phi, omega, u).tolist() == column_loop(mu, phi, omega, u)[0].tolist()
+
     def test_heavy_tail_rows_take_the_full_table(self):
         mu = np.array([8.0, 8.0, 0.5, 8.0])
         phi = np.array([3.0, 3.0, 1.0, 3.0])
