@@ -14,7 +14,7 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
 )
-from .forecast import MatchForecast, sample_match, score_grid
+from .forecast import MatchForecast, score_grid
 from .metrics import OutcomeDistribution, brier, distributions_from_aggregate, mld, rps
 from .regression import (
     FitConfig,
@@ -24,9 +24,9 @@ from .regression import (
     fit_team_models,
     fit_zigp,
 )
-from .tournament import Fixture, SimulationAggregate, monte_carlo, run_tournament
+from .tournament import Fixture, SimulationAggregate, monte_carlo
 from .weights import WeightConfig, match_weight
-from .zigp import ZigpParams, log_pmf, pmf, sample
+from .zigp import ZigpParams, log_pmf, pmf
 
 __version__ = "0.1.0"
 
@@ -62,8 +62,5 @@ __all__ = [
     "pmf",
     "replay_history",
     "rps",
-    "run_tournament",
-    "sample",
-    "sample_match",
     "score_grid",
 ]

@@ -486,6 +486,19 @@ def _json_number(value, name: str) -> float:
     return float(value)
 
 
+def _json_finite(value, name: str) -> float:
+    number = _json_number(value, name)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def _json_int(value, name: str) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _coeffs_from_json(obj: dict, team: str, kind: str, path: str) -> RegressionCoefficients:
     """One coefficient block; out-of-range values (a ``ParameterError``) are malformed too."""
     try:
@@ -546,20 +559,23 @@ def load_models(path: str | Path) -> tuple[dict[str, TeamModel], dict]:
         try:
             diagnostics = {
                 kind: FitDiagnostics(
-                    statistic=float(d["statistic"]),
-                    df=int(d["df"]),
-                    p_value=float(d["p_value"]),
-                    n_obs=int(d["n_obs"]),
+                    statistic=_json_finite(d["statistic"], "statistic"),
+                    df=_json_int(d["df"], "df"),
+                    p_value=_json_finite(d["p_value"], "p_value"),
+                    n_obs=_json_int(d["n_obs"], "n_obs"),
                 )
                 for kind, d in obj.get("diagnostics", {}).items()
             }
+            fallback = obj.get("nested_fallback", False)
+            if type(fallback) is not bool:
+                raise TypeError(f"nested_fallback must be true or false, got {fallback!r}")
             models[team] = TeamModel(
                 team=team,
                 attack=_coeffs_from_json(obj["attack"], team, "attack", spath),
                 defense=_coeffs_from_json(obj["defense"], team, "defense", spath),
                 nested=_coeffs_from_json(obj["nested"], team, "nested", spath),
                 diagnostics=diagnostics,
-                nested_fallback=bool(obj.get("nested_fallback", False)),
+                nested_fallback=fallback,
             )
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"malformed model for team {team}: {exc}", path=spath) from None

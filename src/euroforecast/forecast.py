@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .zigp import HARD_CAP, ZigpParams, log_pmf_table, sample_block
+from .zigp import HARD_CAP, log_pmf_table, sample_block
 
 if TYPE_CHECKING:
     from .regression import TeamModel
@@ -63,43 +63,6 @@ def _stronger_stage(
     return mu, 0.5 * (attack.phi + defense.phi), 0.5 * (attack.omega + defense.omega)
 
 
-def combined_params(
-    attack_side: "TeamModel",
-    defense_side: "TeamModel",
-    elo_attack: float,
-    elo_defense: float,
-    venue_country: str,
-    mu_factor: float = 1.0,
-) -> ZigpParams:
-    """ZIGP for goals of ``attack_side`` blending both teams' regressions.
-
-    mu, phi and omega are each the arithmetic mean of the attacker's
-    attack fit (covariates: defender Elo, attacker location) and the
-    defender's defense fit (covariates: attacker Elo, defender
-    location).
-    """
-    loc = location_indicator(attack_side.team, defense_side.team, venue_country)
-    stage = _stronger_stage(attack_side, defense_side, elo_attack, elo_defense, loc, mu_factor)
-    return ZigpParams(*stage)
-
-
-def conditional_params(
-    weaker: "TeamModel",
-    stronger_team: str,
-    elo_stronger: float,
-    venue_country: str,
-    stronger_goals: int,
-    mu_factor: float = 1.0,
-) -> ZigpParams:
-    """ZIGP for the weaker side's goals given the stronger side's tally (nested fit)."""
-    loc = location_indicator(weaker.team, stronger_team, venue_country)
-    nested = weaker.nested
-    mu = nested.predict_mu((1.0, elo_stronger, loc, float(stronger_goals))) * mu_factor
-    if not 0.0 < mu < math.inf:
-        raise ParameterError(f"mu must be positive and finite, got {mu}")
-    return ZigpParams(mu, nested.phi, nested.omega)
-
-
 @dataclass(frozen=True)
 class MatchForecast:
     """Joint score distribution; grid[i, j] = P(team_a scores i, team_b scores j)."""
@@ -121,18 +84,6 @@ class MatchForecast:
         """Modal score; ties resolve to the first cell in row-major order."""
         idx = int(np.argmax(self.grid))
         return idx // (self.cap + 1), idx % (self.cap + 1)
-
-    def expected_goals(self) -> tuple[float, float]:
-        counts = np.arange(self.cap + 1, dtype=float)
-        return (
-            float(np.sum(self.grid.sum(axis=1) * counts)),
-            float(np.sum(self.grid.sum(axis=0) * counts)),
-        )
-
-    def total_goals_over(self, line: float = 2.5) -> float:
-        counts = np.arange(self.cap + 1)
-        totals = counts[:, None] + counts[None, :]
-        return float(np.sum(self.grid[totals > line]))
 
 
 def score_grid(
@@ -177,29 +128,6 @@ def score_grid(
         cap=cap,
         stronger=stronger,
     )
-
-
-def sample_match(
-    model_a: "TeamModel",
-    model_b: "TeamModel",
-    elo_a: float,
-    elo_b: float,
-    rng: np.random.Generator,
-    venue_country: str = "NEUTRAL",
-    mu_factor: float = 1.0,
-) -> tuple[int, int]:
-    """Draw one exact score by the two-stage mechanism (no grid cap).
-
-    A block of one for :func:`sample_match_block`, on ``rng.random((1, 2))``.
-    """
-    swap = model_b.team < model_a.team
-    models = ModelArrays.from_models((model_b, model_a) if swap else (model_a, model_b))
-    loc_a = location_indicator(model_a.team, model_b.team, venue_country)
-    goals_a, goals_b = sample_match_block(
-        models, np.array([int(swap)]), np.array([int(not swap)]), np.array([elo_a]),
-        np.array([elo_b]), np.array([loc_a]), rng.random((1, 2)), mu_factor,
-    )
-    return int(goals_a[0]), int(goals_b[0])
 
 
 # ---------------------------------------------------------------------------

@@ -509,7 +509,7 @@ class _Problem(NamedTuple):
 
 
 def _prepare(observations: Sequence[FitObservation], seed: int) -> _Problem:
-    """Check the sample size, standardize and compute the least-squares start."""
+    """Check the sample size and weight, standardize and compute the least-squares start."""
     X, y, w = design_matrix(observations)
     n, p = X.shape
     dim = p + 2
@@ -517,6 +517,9 @@ def _prepare(observations: Sequence[FitObservation], seed: int) -> _Problem:
         raise InsufficientDataError(
             f"need at least {max(10, 2 * dim)} observations for {dim} parameters, got {n}"
         )
+
+    if not w.sum() > 0.0:  # every recency weight may underflow to 0
+        raise InsufficientDataError(f"the {n} observations have a total weight of 0")
 
     # scale-invariant optimization; the argmax is unchanged
     w_opt = w / w.mean()
@@ -603,8 +606,8 @@ def fit_zigp(
     from four jittered copies of the start, drawn from ``seed``, and the
     best of the five kept.  Deterministic given ``seed``.  Raises
     :class:`InsufficientDataError` below max(10, 2*(p+2)) observations
-    and :class:`FitError` (carrying the best point found) when that point
-    is still not stationary.
+    or at a total weight of 0, and :class:`FitError` (carrying the best
+    point found) when that point is still not stationary.
     """
     (result,) = _fit_batch([_prepare(observations, seed)])
     if isinstance(result, FitError):

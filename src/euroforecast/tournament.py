@@ -13,9 +13,9 @@ stream of ``np.random.default_rng(s)``, in the layout that
 :class:`Bracket` describes, which makes the aggregate counts
 bit-identical for any worker count and block size.  ``monte_carlo``
 compiles the bracket once and plays blocks of runs together, one row
-per run; ``run_tournament`` plays a block of one.  A block plays each
-wave of group matches (a matchday: no team twice) as one batched draw,
-and reaches its first run by ``PCG64``'s jump-ahead.
+per run.  A block plays each wave of group matches (a matchday: no
+team twice) as one batched draw, and reaches its first run by
+``PCG64``'s jump-ahead.
 """
 
 from __future__ import annotations
@@ -72,19 +72,6 @@ class Fixture:
     slot_a: str
     slot_b: str
     match_type: str = "CONT"
-
-
-@dataclass(frozen=True)
-class TournamentResult:
-    """Outcome of a single simulated tournament."""
-
-    group_positions: dict[str, tuple[str, ...]]
-    qualified_thirds: tuple[str, ...]
-    r16_teams: tuple[str, ...]
-    qf_teams: tuple[str, ...]
-    sf_teams: tuple[str, ...]
-    final_teams: tuple[str, ...]
-    champion: str
 
 
 @dataclass
@@ -248,56 +235,6 @@ def _tiebreak_order(
         keys += [h2h[..., 2], h2h[..., 1], h2h[..., 0]]
     keys.append(overall[..., 0])
     return np.lexsort([-np.asarray(k, dtype=float) for k in keys], axis=-1)
-
-
-def _one_row_standings(
-    teams: Sequence[str], results: Sequence[tuple[str, str, int, int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    index = {t: i for i, t in enumerate(teams)}
-    side_a = np.array([index.get(r[0], -1) for r in results], dtype=int)
-    side_b = np.array([index.get(r[1], -1) for r in results], dtype=int)
-    goals = np.array([r[2:] for r in results], dtype=int).reshape(len(results), 2)
-    return _standings(side_a, side_b, goals[None, :, 0], goals[None, :, 1], len(teams))
-
-
-def rank_group(
-    teams: Sequence[str],
-    results: Sequence[tuple[str, str, int, int]],
-    live_elo: Mapping[str, float],
-    rng: np.random.Generator,
-) -> tuple[str, ...]:
-    """Order a group best-first by the tiebreak chain of :func:`_tiebreak_order`.
-
-    Lot values are drawn once per ranking (in sorted team order) so the
-    random stream does not depend on whether ties occur.
-    """
-    teams = sorted(teams)
-    lots = rng.random(len(teams))
-    overall, h2h = _one_row_standings(teams, results)
-    elo_now = np.array([live_elo[t] for t in teams])
-    order = _tiebreak_order(overall, h2h, elo_now[None], lots[None])[0]
-    return tuple(teams[i] for i in order)
-
-
-def select_best_thirds(
-    thirds: Mapping[str, str],
-    results: Sequence[tuple[str, str, int, int]],
-    live_elo: Mapping[str, float],
-    rng: np.random.Generator,
-) -> tuple[str, ...]:
-    """Top four third-placed teams; returns their group letters.
-
-    Ranked by the tiebreak chain without its head-to-head step: points,
-    goal difference, goals scored, current Elo, then a seeded lot
-    (drawn once, in group order).
-    """
-    groups = sorted(thirds)
-    lots = rng.random(len(groups))
-    teams = [thirds[g] for g in groups]
-    overall, _ = _one_row_standings(teams, results)
-    elo_now = np.array([live_elo[t] for t in teams])
-    order = _tiebreak_order(overall, None, elo_now[None], lots[None])[0]
-    return tuple(sorted(groups[i] for i in order[:4]))
 
 
 # ---------------------------------------------------------------------------
@@ -638,45 +575,6 @@ def _run_chunk(bracket: Bracket, master_seed: int, runs: range, block_runs: int)
         u = _block_uniforms(master_seed, start, n, bracket.width)
         counts += _stage_counts(bracket, _play_block(bracket, u))
     return counts
-
-
-def run_tournament(
-    models: Mapping[str, "TeamModel"],
-    ratings: Mapping[str, float],
-    fixtures: Sequence[Fixture],
-    allocation: Mapping[str, Mapping[str, str]],
-    rng: np.random.Generator,
-    k_factors: Mapping[str, float] | None = None,
-) -> TournamentResult:
-    """Simulate one complete tournament with in-run Elo updates.
-
-    The run is one row of the block engine: it takes ``width`` uniforms
-    from ``rng`` (:attr:`Bracket.width`).  To replay run ``i`` of
-    :func:`monte_carlo`, advance the bit generator of
-    ``np.random.default_rng(master_seed)`` by ``i * width`` and pass that
-    generator in.
-    """
-    bracket = compile_bracket(models, ratings, fixtures, allocation, k_factors)
-    played = _play_block(bracket, rng.random(bracket.width)[None])
-    teams, seats = bracket.teams, played.seats[0]
-    positions = {
-        g: tuple(teams[t] for t in places) for g, places in zip(GROUPS, played.positions[0])
-    }
-    reached: dict[str, list[str]] = {s: [] for s in STAGES[1:]}
-    champion = ""
-    for match in bracket.knockout:
-        reached[match.stage] += (teams[seats[match.seat_a]], teams[seats[match.seat_b]])
-        if match.stage == "FINAL":
-            champion = teams[seats[match.seat_winner]]
-    return TournamentResult(
-        group_positions=positions,
-        qualified_thirds=tuple(positions[GROUPS[g]][2] for g in sorted(played.qualified[0])),
-        r16_teams=tuple(sorted(reached["R16"])),
-        qf_teams=tuple(sorted(reached["QF"])),
-        sf_teams=tuple(sorted(reached["SF"])),
-        final_teams=tuple(sorted(reached["FINAL"])),
-        champion=champion,
-    )
 
 
 def monte_carlo(

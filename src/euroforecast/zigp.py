@@ -126,30 +126,6 @@ def pmf(params: ZigpParams, k):
     return values if np.ndim(k) else float(values)
 
 
-def truncated_pmf(params: ZigpParams, cap: int = HARD_CAP) -> np.ndarray:
-    """The law of :func:`sample`: the pmf up to the stop point (the first k
-    whose cumulative mass reaches 1 - TAIL_EPS, at most ``cap``), which
-    takes the remaining mass."""
-    p = pmf(params, np.arange(cap + 1))
-    c = np.cumsum(p)
-    stop = min(int(np.searchsorted(c, 1.0 - TAIL_EPS)), cap)
-    probs = p[: stop + 1]
-    probs[stop] = 1.0 - c[stop - 1] if stop else 1.0
-    return probs
-
-
-def sample(params: ZigpParams, rng: np.random.Generator, size: int | None = None):
-    """Draw from ZIGP by :func:`sample_block`, one ``rng.random`` uniform per draw.
-
-    With ``size=None`` returns a single int; otherwise an int64 array of
-    ``size`` draws.  Deterministic given the generator state.
-    """
-    n = 1 if size is None else size
-    mu, phi, omega = (np.full(n, v) for v in (params.mu, params.phi, params.omega))
-    draws = sample_block(mu, phi, omega, rng.random(n))
-    return int(draws[0]) if size is None else draws
-
-
 def sample_block(
     mu: np.ndarray, phi: np.ndarray, omega: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
@@ -162,10 +138,10 @@ def sample_block(
     reaches 1 - TAIL_EPS, and at HARD_CAP at the latest; the stop point
     takes the remaining mass, so nothing is renormalized.  The terms and
     their order are :func:`log_pmf_table`'s, so the draws follow it bit
-    for bit.  Every ZIGP draw in the package goes through here.  The
-    parameters are not checked: callers pass means that
-    ``forecast.sample_match_block`` checked or a :class:`ZigpParams`'
-    values, and phi and omega valid by construction.
+    for bit.  Every ZIGP draw in the package goes through here, from
+    ``forecast.sample_match_block``.  The parameters are not checked
+    here: that caller checks its means, and its phi and omega are valid
+    by construction.
     """
     draws = np.zeros(len(u), dtype=np.int64)
     log1m_omega = np.log1p(-omega)

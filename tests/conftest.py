@@ -13,7 +13,7 @@ import pytest
 from euroforecast import data_io
 from euroforecast.forecast import ModelArrays, location_indicator, sample_match_block
 from euroforecast.regression import RegressionCoefficients, TeamModel
-from euroforecast.zigp import HARD_CAP, TAIL_EPS
+from euroforecast.zigp import HARD_CAP, TAIL_EPS, ZigpParams
 
 
 @pytest.fixture(scope="session")
@@ -28,16 +28,6 @@ def euro2020(data_dir):
     fixtures = data_io.load_fixtures(data_dir / "euro2020_fixtures.csv")
     allocation = data_io.load_allocation(data_dir / "euro2020_allocation.csv")
     return ratings, fixtures, allocation
-
-
-class Uniforms:
-    """Stands in for a generator whose ``random()`` returns ``values`` in turn."""
-
-    def __init__(self, values):
-        self.values = iter(values)
-
-    def random(self, size=None):
-        return next(self.values)
 
 
 SLACK = 1e-12  # last-bit rounding of a cumulative mass, with room
@@ -67,9 +57,41 @@ def invert_closed_form(params, u: float) -> int:
     return next((k for k, c in enumerate(cum) if u < c or c >= 1.0 - TAIL_EPS), HARD_CAP)
 
 
+def sampler_law(params, cap=HARD_CAP) -> np.ndarray:
+    """The sampler's law by :func:`closed_form_cum`: the mass of each count
+    up to the stop point (at most ``cap``), which takes the rest."""
+    cum = closed_form_cum(params.mu, params.phi, params.omega)
+    stop = min(invert_closed_form(params, 1.0), cap)  # u = 1 draws the stop point
+    return np.append(np.diff(cum[:stop], prepend=0.0), 1.0 - (cum[stop - 1] if stop else 0.0))
+
+
+def place(team, opponent, venue) -> float:
+    """``team``'s location: +1 at home, -1 at ``opponent``'s home, else 0."""
+    return float(venue == team) - float(venue == opponent)
+
+
+# The two stages of a match, written out from each regression's own
+# ``predict_mu``; they share no code with the package's stage builders.
+def stronger_stage(strong, weak, elo_strong, elo_weak, venue, mu_factor=1.0) -> ZigpParams:
+    """The stronger side's goals: the mean of its attack fit and the weaker side's defense fit."""
+    attack, defense = strong.attack, weak.defense
+    mu_att = attack.predict_mu((1.0, elo_weak, place(strong.team, weak.team, venue)))
+    mu_def = defense.predict_mu((1.0, elo_strong, place(weak.team, strong.team, venue)))
+    return ZigpParams(
+        (mu_att + mu_def) / 2 * mu_factor, (attack.phi + defense.phi) / 2,
+        (attack.omega + defense.omega) / 2,
+    )
+
+
+def weaker_stage(weak, strong, elo_strong, venue, goals_strong, mu_factor=1.0) -> ZigpParams:
+    """The weaker side's goals given the stronger side's, by its nested fit."""
+    x = (1.0, elo_strong, place(weak.team, strong.team, venue), float(goals_strong))
+    return ZigpParams(weak.nested.predict_mu(x) * mu_factor, weak.nested.phi, weak.nested.omega)
+
+
 def pair_draws(model_a, model_b, elo_a, elo_b, u, venue="NEUTRAL", mu_factor=1.0):
-    """``sample_match`` for one pairing, once per row of the uniforms ``u``:
-    one ``sample_match_block`` call on the two models in team-code order."""
+    """One pairing's scores, once per row of the uniforms ``u``: one
+    ``sample_match_block`` call on the two models in team-code order."""
     order = sorted((model_a, model_b), key=lambda m: m.team)
     n = len(u)
     a = np.full(n, order.index(model_a))

@@ -20,7 +20,7 @@ from euroforecast.elo import (
     goal_multiplier,
     update_pair,
 )
-from euroforecast.forecast import combined_params, conditional_params, score_grid
+from euroforecast.forecast import _predict_mu, _stronger_stage, score_grid
 from euroforecast.metrics import brier, mld, rps, OutcomeDistribution
 from euroforecast.regression import (
     FitObservation,
@@ -32,9 +32,9 @@ from euroforecast.regression import (
 )
 from euroforecast.tournament import group_teams, monte_carlo
 from euroforecast.weights import WeightConfig, date_weight, importance_weight
-from euroforecast.zigp import ZigpParams, pmf, sample, sample_block, truncated_pmf
+from euroforecast.zigp import ZigpParams, pmf, sample_block
 
-from conftest import build_team_model, pair_draws
+from conftest import build_team_model, pair_draws, sampler_law
 
 
 # -- criterion 1: published France-Germany example ---------------------------
@@ -59,7 +59,7 @@ GER_NESTED = RegressionCoefficients(
 def test_criterion_1_worked_example_reproduced():
     fra = TeamModel(team="FRA", attack=FRA_ATTACK, defense=FRA_ATTACK, nested=FRA_ATTACK)
     ger = TeamModel(team="GER", attack=GER_DEFENSE, defense=GER_DEFENSE, nested=GER_NESTED)
-    elo_fra, elo_ger, venue = 2087.0, 1936.0, "GER"
+    elo_fra, elo_ger = 2087.0, 1936.0  # in Germany: location +1 for GER, -1 for FRA
 
     mu_france = FRA_ATTACK.predict_mu((1.0, elo_ger, -1.0))
     assert mu_france == pytest.approx(1.35521, abs=1e-4)
@@ -69,11 +69,12 @@ def test_criterion_1_worked_example_reproduced():
     assert nu_germany == pytest.approx(1.988806, abs=1e-4)
     assert GER_DEFENSE.omega == pytest.approx(0.003993638, abs=1e-6)
 
-    cond = conditional_params(ger, "FRA", elo_fra, venue, stronger_goals=1)
-    assert cond.mu == pytest.approx(1.54118, abs=1e-4)
+    # Germany's goals given France's one
+    (cond_mu,) = _predict_mu(np.array([GER_NESTED.alpha]), *np.array([[elo_fra], [1.0], [1.0]]))
+    assert cond_mu == pytest.approx(1.54118, abs=1e-4)
 
-    combined = combined_params(fra, ger, elo_fra, elo_ger, venue)
-    assert combined.mean() == pytest.approx(1.627268, rel=5e-3)
+    mu, _, omega = _stronger_stage(fra, ger, elo_fra, elo_ger, -1.0, 1.0)
+    assert (1.0 - omega) * mu == pytest.approx(1.627268, rel=5e-3)
 
 
 # -- criterion 2: scoring distribution correctness ---------------------------
@@ -91,13 +92,14 @@ def test_criterion_2_zigp_distribution():
     for mu, phi, omega in ((0.5, 1.0, 0.0), (2.0, 1.5, 0.1), (4.0, 2.5, 0.3)):
         p = ZigpParams(mu=mu, phi=phi, omega=omega)
         for cap in (5, 15, 25):
-            total = float(np.sum(truncated_pmf(p, cap)))
+            total = float(np.sum(sampler_law(p, cap)))
             assert abs(total - 1.0) < 1e-6
 
     # closed-form moments vs Monte Carlo, 3 standard errors
     p = ZigpParams(mu=2.2, phi=1.4, omega=0.12)
     n = 1_000_000
-    draws = sample(p, np.random.default_rng(2024), size=n).astype(float)
+    u = np.random.default_rng(2024).random(n)
+    draws = sample_block(np.full(n, p.mu), np.full(n, p.phi), np.full(n, p.omega), u).astype(float)
     se_mean = draws.std(ddof=1) / math.sqrt(n)
     assert abs(draws.mean() - p.mean()) < 3 * se_mean
     centered = (draws - draws.mean()) ** 2

@@ -359,6 +359,21 @@ class TestFit:
         models, _ = data_io.load_models(out)
         assert "FRA" in models
 
+    def test_zero_total_weight_fails_with_fit_exit(self, tmp_path, demo_history, capsys):
+        # at a half period of 10 days, every weight 40 years on underflows to 0
+        matches_path, ratings_path = demo_history
+        config = tmp_path / "config.json"
+        config.write_text('{"reference_date": "2060-01-01", "half_period_days": 10}')
+        code = main(
+            [
+                "fit", "--matches", str(matches_path), "--ratings", str(ratings_path),
+                "--teams", "FRA,GER", "--config", str(config), "--out", str(tmp_path / "m.json"),
+            ]
+        )
+        assert code == EXIT_FIT
+        err = capsys.readouterr().err
+        assert "FRA: FAILED: the" in err and "have a total weight of 0" in err
+
     def test_negative_seed_is_config_error(self, tmp_path, demo_history, capsys):
         matches_path, ratings_path = demo_history
         out = tmp_path / "model.json"
@@ -1193,6 +1208,21 @@ class TestHostileFiles:
         code, err = run_on_files(tmp_path, command, {**good_files, "model": doc.encode()})
         assert code == EXIT_CONFIG
         assert f"{tmp_path / 'model'}: " in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p_value", "nan"), ("df", 3.7), ("statistic", True), ("nested_fallback", "false")],
+    )
+    def test_malformed_diagnostics_are_config_error(self, tmp_path, good_files, field, value):
+        # gof once exited 0 on these, writing nan and df 3
+        doc = json.loads(good_files["model"])
+        model = doc["teams"]["FRA"]
+        model["diagnostics"] = {"attack": {"statistic": 2.5, "df": 3, "p_value": 0.48, "n_obs": 5}}
+        (model if field == "nested_fallback" else model["diagnostics"]["attack"])[field] = value
+        code, err = run_on_files(tmp_path, "gof", {**good_files, "model": json.dumps(doc).encode()})
+        assert code == EXIT_CONFIG
+        assert f"{tmp_path / 'model'}: malformed model for team FRA: {field}" in err
+        assert not (tmp_path / "gof.csv").exists()
 
     @settings(
         max_examples=80,

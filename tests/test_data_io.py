@@ -500,6 +500,36 @@ class TestModelFiles:
         with pytest.raises(DataError, match=rf"models\.json: malformed coefficients at FRA\.attack: {field}"):
             load_models(path)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("p_value", "nan", "p_value must be a number"),
+            ("p_value", math.nan, "p_value must be finite"),
+            ("statistic", True, "statistic must be a number"),
+            ("statistic", -math.inf, "statistic must be finite"),
+            ("df", 3.7, "df must be an integer"),
+            ("n_obs", 14.0, "n_obs must be an integer"),
+        ],
+    )
+    def test_diagnostics_checked_like_the_coefficients(self, tmp_path, field, value, message):
+        path = tmp_path / "models.json"
+        save_models(path, two_models())
+        doc = json.loads(path.read_text())
+        doc["teams"]["FRA"]["diagnostics"]["attack"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=rf"models\.json: malformed model for team FRA: {message}"):
+            load_models(path)
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_nested_fallback_must_be_a_json_boolean(self, tmp_path, value):
+        path = tmp_path / "models.json"
+        save_models(path, two_models())
+        doc = json.loads(path.read_text())
+        doc["teams"]["GER"]["nested_fallback"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="team GER: nested_fallback must be true or false"):
+            load_models(path)
+
     @pytest.mark.parametrize("version", [True, 1.0, "1"])
     def test_format_version_must_be_the_integer_1(self, tmp_path, version):
         path = tmp_path / "models.json"

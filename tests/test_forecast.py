@@ -13,18 +13,22 @@ from euroforecast.forecast import (
     MatchForecast,
     ModelArrays,
     _predict_mu,
-    combined_params,
-    conditional_params,
+    _stronger_stage,
     location_indicator,
     order_by_strength,
-    sample_match,
     sample_match_block,
     score_grid,
 )
 from euroforecast.regression import BETA_MAX
 from euroforecast.zigp import HARD_CAP, pmf
 
-from conftest import build_team_model, invert_closed_form, pair_draws
+from conftest import (
+    build_team_model,
+    invert_closed_form,
+    pair_draws,
+    stronger_stage,
+    weaker_stage,
+)
 
 
 @pytest.fixture
@@ -65,25 +69,26 @@ class TestOrdering:
 
 
 class TestCombinedParams:
+    """The stronger side's stage, ``_stronger_stage``, at location ``loc``."""
+
     def test_arithmetic_means(self, strong, weak):
-        p = combined_params(strong, weak, 2087.0, 1936.0, "GER")
+        mu, phi, omega = _stronger_stage(strong, weak, 2087.0, 1936.0, -1.0, 1.0)
         mu_att = strong.attack.predict_mu((1.0, 1936.0, -1.0))
         mu_def = weak.defense.predict_mu((1.0, 2087.0, 1.0))
-        assert p.mu == pytest.approx(0.5 * (mu_att + mu_def), rel=1e-12)
-        assert p.phi == pytest.approx(0.5 * (strong.attack.phi + weak.defense.phi))
-        assert p.omega == pytest.approx(0.5 * (strong.attack.omega + weak.defense.omega))
+        assert mu == pytest.approx(0.5 * (mu_att + mu_def), rel=1e-12)
+        assert phi == pytest.approx(0.5 * (strong.attack.phi + weak.defense.phi))
+        assert omega == pytest.approx(0.5 * (strong.attack.omega + weak.defense.omega))
 
     def test_mu_factor_scales_only_mu(self, strong, weak):
-        full = combined_params(strong, weak, 2087.0, 1936.0, "NEUTRAL")
-        third = combined_params(strong, weak, 2087.0, 1936.0, "NEUTRAL", mu_factor=1 / 3)
-        assert third.mu == pytest.approx(full.mu / 3, rel=1e-12)
-        assert third.phi == full.phi
-        assert third.omega == full.omega
+        full = _stronger_stage(strong, weak, 2087.0, 1936.0, 0.0, 1.0)
+        third = _stronger_stage(strong, weak, 2087.0, 1936.0, 0.0, 1 / 3)
+        assert third[0] == pytest.approx(full[0] / 3, rel=1e-12)
+        assert third[1:] == full[1:]
 
     def test_venue_changes_mean(self, strong, weak):
-        home = combined_params(strong, weak, 2087.0, 1936.0, "FRA")
-        away = combined_params(strong, weak, 2087.0, 1936.0, "GER")
-        assert home.mu > away.mu
+        home = _stronger_stage(strong, weak, 2087.0, 1936.0, 1.0, 1.0)
+        away = _stronger_stage(strong, weak, 2087.0, 1936.0, -1.0, 1.0)
+        assert home[0] > away[0]
 
 
 class TestLinearPredictor:
@@ -108,17 +113,18 @@ class TestLinearPredictor:
 
 
 class TestConditionalParams:
+    """The weaker side's stage: ``_predict_mu`` on the nested coefficients."""
+
     def test_nested_covariates(self, weak):
-        p = conditional_params(weak, "FRA", 2087.0, "GER", stronger_goals=2)
-        mu = weak.nested.predict_mu((1.0, 2087.0, 1.0, 2.0))
-        assert p.mu == pytest.approx(mu, rel=1e-12)
-        assert p.phi == weak.nested.phi
-        assert p.omega == weak.nested.omega
+        table = ModelArrays.from_models([weak])
+        mu = _predict_mu(table.nested_alpha, *np.array([[2087.0], [1.0], [2.0]]))
+        assert mu[0] == pytest.approx(weak.nested.predict_mu((1.0, 2087.0, 1.0, 2.0)), rel=1e-12)
+        assert (table.nested_phi[0], table.nested_omega[0]) == (weak.nested.phi, weak.nested.omega)
 
     def test_more_opponent_goals_lowers_mean(self, weak):
-        p0 = conditional_params(weak, "FRA", 2087.0, "NEUTRAL", 0)
-        p3 = conditional_params(weak, "FRA", 2087.0, "NEUTRAL", 3)
-        assert p3.mu < p0.mu
+        alpha = np.array([weak.nested.alpha] * 2)
+        mu0, mu3 = _predict_mu(alpha, np.full(2, 2087.0), np.zeros(2), np.array([0.0, 3.0]))
+        assert mu3 < mu0
 
 
 class TestScoreGrid:
@@ -138,11 +144,10 @@ class TestScoreGrid:
         cap = 10
         f = score_grid(strong, weak, 2087.0, 1936.0, "NEUTRAL", cap=cap)
         ks = np.arange(cap + 1)
-        p_strong = pmf(combined_params(strong, weak, 2087.0, 1936.0, "NEUTRAL"), ks)
+        p_strong = pmf(stronger_stage(strong, weak, 2087.0, 1936.0, "NEUTRAL"), ks)
         raw = np.array(
             [
-                p_strong[i]
-                * pmf(conditional_params(weak, "FRA", 2087.0, "NEUTRAL", i), ks)
+                p_strong[i] * pmf(weaker_stage(weak, strong, 2087.0, "NEUTRAL", i), ks)
                 for i in range(cap + 1)
             ]
         )
@@ -202,27 +207,14 @@ class TestMatchForecast:
         f = self._toy([[0.25, 0.25], [0.25, 0.25]])
         assert f.most_likely_score() == (0, 0)
 
-    def test_expected_goals(self):
-        f = self._toy([[0.1, 0.2], [0.3, 0.4]])
-        ea, eb = f.expected_goals()
-        assert ea == pytest.approx(0.7)
-        assert eb == pytest.approx(0.6)
-
-    def test_total_goals_over(self):
-        grid = np.full((3, 3), 1.0 / 9.0)
-        f = self._toy(grid)
-        # totals > 2.5: (1,2), (2,1), (2,2), (3 is off-grid)
-        assert f.total_goals_over(2.5) == pytest.approx(3.0 / 9.0)
-        assert f.total_goals_over(0.5) == pytest.approx(8.0 / 9.0)
-
 
 class TestSampling:
     def test_deterministic(self, strong, weak):
         a = [
-            sample_match(strong, weak, 2087.0, 1936.0, np.random.default_rng(5))
+            pair_draws(strong, weak, 2087.0, 1936.0, np.random.default_rng(5).random((50, 2)))
             for _ in range(3)
         ]
-        assert a[0] == a[1] == a[2]
+        assert np.array_equal(a[0], a[1]) and np.array_equal(a[0], a[2])
 
     def test_matches_grid_distribution(self, strong, weak):
         n = 40_000
@@ -239,11 +231,10 @@ class TestSampling:
             assert abs(counts[i, j] / n - p) < 5 * se + 1e-4
 
     def test_orientation_preserved(self, strong, weak):
-        rng1 = np.random.default_rng(3)
-        rng2 = np.random.default_rng(3)
-        ab = sample_match(strong, weak, 2087.0, 1936.0, rng1)
-        ba = sample_match(weak, strong, 1936.0, 2087.0, rng2)
-        assert ab == (ba[1], ba[0])
+        u = np.random.default_rng(3).random((200, 2))
+        ga, gb = pair_draws(strong, weak, 2087.0, 1936.0, u, "GER")
+        gb_swapped, ga_swapped = pair_draws(weak, strong, 1936.0, 2087.0, u, "GER")
+        assert np.array_equal(ga, ga_swapped) and np.array_equal(gb, gb_swapped)
 
     def test_extra_time_factor_reduces_goals(self, strong, weak):
         rng = np.random.default_rng(11)
@@ -264,32 +255,33 @@ class TestSampling:
         ],
     )
     def test_one_match_is_row_zero_of_a_block(self, a, b, elo_a, elo_b, venue, mu_factor):
-        """``sample_match`` equals row 0 of a block drawn from the same
-        generator state, on a four-team table in team-code order."""
+        """Row 0 of a four-row block equals a block of that row alone, on a
+        four-team table in team-code order: a row's draw does not depend
+        on the other rows."""
         codes = ["BEL", "FRA", "GER", "MKD"]
         models = [build_team_model(t, 1900.0 + 50 * i) for i, t in enumerate(codes)]
         table = ModelArrays.from_models(models)
-        n = 4
-        team_a, team_b = np.full(n, codes.index(a)), np.full(n, codes.index(b))
-        loc_a = np.full(n, location_indicator(a, b, venue))
+
+        def block(u):
+            n = len(u)
+            return sample_match_block(
+                table, np.full(n, codes.index(a)), np.full(n, codes.index(b)),
+                np.full(n, elo_a), np.full(n, elo_b),
+                np.full(n, location_indicator(a, b, venue)), u, mu_factor,
+            )
+
         for seed in range(40):
-            got = sample_match(
-                models[codes.index(a)], models[codes.index(b)], elo_a, elo_b,
-                np.random.default_rng(seed), venue, mu_factor,
-            )
-            u = np.random.default_rng(seed).random((n, 2))
-            ga, gb = sample_match_block(
-                table, team_a, team_b, np.full(n, elo_a), np.full(n, elo_b), loc_a, u, mu_factor
-            )
-            assert got == (ga[0], gb[0])
+            u = np.random.default_rng(seed).random((4, 2))
+            (ga, gb), (one_a, one_b) = block(u), block(u[:1])
+            assert (one_a.tolist(), one_b.tolist()) == ([ga[0]], [gb[0]])
 
 
 class TestBlockSampling:
     @pytest.mark.parametrize("mu_factor", [1.0, 1.0 / 3.0])
     def test_rows_invert_the_closed_form(self, mu_factor):
         """Each row against a reference that shares no code with the block:
-        ``combined_params`` and ``conditional_params`` give the two stages,
-        each inverted on the closed-form cumulative mass."""
+        the conftest stage oracles give the two stages, each inverted on
+        the closed-form cumulative mass."""
         teams = {"BEL": 2100.0, "FRA": 2087.0, "GER": 1936.0, "MKD": 1600.0}
         codes = sorted(teams)
         models = [build_team_model(t, teams[t]) for t in codes]
@@ -312,9 +304,9 @@ class TestBlockSampling:
             sides = [(models[a[i]], float(elo_a[i])), (models[b[i]], float(elo_b[i]))]
             _, _, swapped = order_by_strength(codes[a[i]], sides[0][1], codes[b[i]], sides[1][1])
             (strong, elo_strong), (weak, elo_weak) = sides[::-1] if swapped else sides
-            stage = combined_params(strong, weak, elo_strong, elo_weak, place, mu_factor)
+            stage = stronger_stage(strong, weak, elo_strong, elo_weak, place, mu_factor)
             goals_strong = invert_closed_form(stage, u[i, 0])
-            stage = conditional_params(weak, strong.team, elo_strong, place, goals_strong, mu_factor)
+            stage = weaker_stage(weak, strong, elo_strong, place, goals_strong, mu_factor)
             goals_weak = invert_closed_form(stage, u[i, 1])
             expect = (goals_weak, goals_strong) if swapped else (goals_strong, goals_weak)
             assert (got_a[i], got_b[i]) == expect

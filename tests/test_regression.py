@@ -470,6 +470,12 @@ class TestFitter:
         with pytest.raises(InsufficientDataError):
             fit_zigp(obs, seed=0)
 
+    def test_zero_total_weight(self):
+        # every recency weight underflowed to 0 once made the weights NaN
+        obs = [dataclasses.replace(o, weight=0.0) for o in synth_observations(9, n=40)]
+        with pytest.raises(InsufficientDataError, match="40 observations have a total weight of 0"):
+            fit_zigp(obs, seed=0)
+
     def test_constant_column_warns(self):
         obs = [
             FitObservation(k, (1.0, 5.0, float(s)), 1.0)

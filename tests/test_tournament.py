@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -15,33 +14,26 @@ from hypothesis import strategies as st
 from euroforecast import data_io, tournament
 from euroforecast.elo import DEFAULT_K_FACTORS, expected_score, update_pair
 from euroforecast.errors import ConfigError, DataError, ParameterError
-from euroforecast.forecast import (
-    ModelArrays,
-    combined_params,
-    conditional_params,
-    location_indicator,
-    order_by_strength,
-)
+from euroforecast.forecast import ModelArrays, location_indicator, order_by_strength
 from euroforecast.tournament import (
     EXTRA_TIME_MU_FACTOR,
     GROUPS,
     KNOCKOUT_DRAWS,
     STAT_NAMES,
-    TournamentResult,
     _knockout_tie,
     _play_block,
+    _stage_counts,
+    _standings,
+    _tiebreak_order,
     compile_bracket,
     group_teams,
     monte_carlo,
-    rank_group,
-    run_tournament,
-    select_best_thirds,
     validate_allocation,
     validate_fixtures,
 )
 from euroforecast.zigp import pmf
 
-from conftest import Uniforms, build_team_model
+from conftest import build_team_model, stronger_stage, weaker_stage
 
 
 class TestValidateFixtures:
@@ -153,8 +145,23 @@ GROUP = ("AAA", "BBB", "CCC", "DDD")
 ELO = {"AAA": 1900.0, "BBB": 1880.0, "CCC": 1860.0, "DDD": 1840.0}
 
 
-def rg(results, elo=ELO, seed=0):
-    return rank_group(GROUP, results, elo, np.random.default_rng(seed))
+def rank(teams, results, elo, lots=(0.0,) * 6, h2h=True):
+    """``teams`` best-first by the engine's ``_standings`` and
+    ``_tiebreak_order`` on one row, with ``lots`` in ``teams``' order;
+    without ``h2h``, by the best-thirds chain.  ``results`` are
+    (team a, team b, goals a, goals b); a side outside ``teams`` counts
+    for no one."""
+    index = {t: i for i, t in enumerate(teams)}
+    side_a, side_b = (np.array([index.get(r[s], -1) for r in results], dtype=int) for s in (0, 1))
+    goals = np.array([r[2:] for r in results], dtype=int).reshape(-1, 2)
+    overall, head = _standings(side_a, side_b, goals[None, :, 0], goals[None, :, 1], len(teams))
+    elo_now = np.array([[elo[t] for t in teams]])
+    order = _tiebreak_order(overall, head if h2h else None, elo_now, np.array([lots[: len(teams)]]))
+    return tuple(teams[i] for i in order[0])
+
+
+def rg(results, elo=ELO):
+    return rank(GROUP, results, elo)
 
 
 class TestRankGroup:
@@ -199,26 +206,8 @@ class TestRankGroup:
             for b in GROUP[i + 1 :]
         ]
         flat = {t: 1800.0 for t in GROUP}
-        first = rank_group(GROUP, results, flat, np.random.default_rng(7))
-        again = rank_group(GROUP, results, flat, np.random.default_rng(7))
-        assert first == again
-        assert sorted(first) == sorted(GROUP)
-
-    def test_lot_stream_independent_of_ties(self):
-        decisive = [
-            ("AAA", "BBB", 2, 0),
-            ("AAA", "CCC", 2, 0),
-            ("AAA", "DDD", 2, 0),
-            ("BBB", "CCC", 2, 0),
-            ("BBB", "DDD", 2, 0),
-            ("CCC", "DDD", 2, 0),
-        ]
-        tied = [(a, b, 0, 0) for (a, b, _, _) in decisive]
-        rng1 = np.random.default_rng(3)
-        rng2 = np.random.default_rng(3)
-        rank_group(GROUP, decisive, ELO, rng1)
-        rank_group(GROUP, tied, ELO, rng2)
-        assert rng1.random() == rng2.random()
+        # the higher lot ranks first
+        assert rank(GROUP, results, flat, (0.2, 0.9, 0.5, 0.1)) == ("BBB", "CCC", "AAA", "DDD")
 
     def test_sweep_wins_rank_first(self):
         results = [
@@ -244,22 +233,22 @@ class TestBestThirds:
             ("TF", "x", 0, 5),                               # 0 pts
         ]
         elo = {t: 1800.0 for t in thirds.values()}
-        picked = select_best_thirds(thirds, results, elo, np.random.default_rng(0))
-        assert picked == ("A", "B", "C", "D")
+        picked = rank(list(thirds.values()), results, elo, h2h=False)[:4]
+        assert picked == ("TA", "TC", "TB", "TD")
 
     def test_returns_sorted_group_letters(self):
         thirds = {g: f"T{g}" for g in "ABCDEF"}
         results = [("TF", "x", 9, 0), ("TE", "x", 8, 0), ("TD", "x", 7, 0), ("TB", "x", 6, 0)]
         elo = {t: 1800.0 for t in thirds.values()}
-        picked = select_best_thirds(thirds, results, elo, np.random.default_rng(0))
-        assert picked == ("B", "D", "E", "F")
+        picked = rank(list(thirds.values()), results, elo, h2h=False)[:4]
+        assert sorted(t[1] for t in picked) == ["B", "D", "E", "F"]
 
     def test_elo_breaks_dead_heat(self):
         thirds = {g: f"T{g}" for g in "ABCDEF"}
         results = []
         elo = {f"T{g}": 1800.0 + i for i, g in enumerate("ABCDEF")}
-        picked = select_best_thirds(thirds, results, elo, np.random.default_rng(0))
-        assert picked == ("C", "D", "E", "F")
+        picked = rank(list(thirds.values()), results, elo, h2h=False)[:4]
+        assert picked == ("TF", "TE", "TD", "TC")
 
 
 SCORES = st.integers(0, 9)
@@ -283,15 +272,11 @@ class TestRankingProperties:
     def test_rank_group(self, data, seed):
         results = round_robin(data, GROUP)
         elo = {t: data.draw(FINITE) for t in GROUP}
-        rng = np.random.default_rng(seed)
-        ranking = rank_group(GROUP, results, elo, rng)
+        lots = dict(zip(GROUP, np.random.default_rng(seed).random(len(GROUP))))
+        ranking = rank(GROUP, results, elo, [lots[t] for t in GROUP])
         assert sorted(ranking) == sorted(GROUP)
-        # one lot per team, whatever the results
-        lots_only = np.random.default_rng(seed)
-        lots_only.random(len(GROUP))
-        assert rng.bit_generator.state == lots_only.bit_generator.state
         teams, shuffled = data.draw(st.permutations(GROUP)), data.draw(st.permutations(results))
-        assert rank_group(teams, shuffled, elo, np.random.default_rng(seed)) == ranking
+        assert rank(teams, shuffled, elo, [lots[t] for t in teams]) == ranking
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), seed=SEEDS)
@@ -299,32 +284,28 @@ class TestRankingProperties:
         teams = {g: tuple(f"{g}{i}" for i in range(4)) for g in "ABCDEF"}
         results = [r for g in teams for r in round_robin(data, teams[g])]
         elo = {t: data.draw(FINITE) for ts in teams.values() for t in ts}
-        thirds = {g: data.draw(st.sampled_from(ts)) for g, ts in teams.items()}
-        picked = select_best_thirds(thirds, results, elo, np.random.default_rng(seed))
+        thirds = [data.draw(st.sampled_from(ts)) for ts in teams.values()]
+        picked = rank(thirds, results, elo, np.random.default_rng(seed).random(6), h2h=False)[:4]
         assert len(set(picked)) == 4
-        assert list(picked) == sorted(picked)
-        assert set(picked) <= set(teams)
+        assert set(picked) <= set(thirds)
 
 
 def exact_tie(model_a, model_b, elo_a, elo_b, venue, cap=60):
     """(P(A advances), P(extra time), P(shootout)) of one knockout tie.
 
     Each period's joint score law is built from the closed-form ZIGP pmf
-    of the two-stage model: the stronger side's goals, then the weaker
-    side's given them.  The mass beyond ``cap`` is below 1e-12.
+    of the conftest stage oracles: the stronger side's goals, then the
+    weaker side's given them.  The mass beyond ``cap`` is below 1e-12.
     """
 
     def period(mu_factor):
-        stronger, _, swapped = order_by_strength(model_a.team, elo_a, model_b.team, elo_b)
+        _, _, swapped = order_by_strength(model_a.team, elo_a, model_b.team, elo_b)
         strong, weak = (model_b, model_a) if swapped else (model_a, model_b)
         elo_strong, elo_weak = (elo_b, elo_a) if swapped else (elo_a, elo_b)
         ks = np.arange(cap + 1)
-        first = pmf(combined_params(strong, weak, elo_strong, elo_weak, venue, mu_factor), ks)
+        first = pmf(stronger_stage(strong, weak, elo_strong, elo_weak, venue, mu_factor), ks)
         grid = np.array(
-            [
-                pmf(conditional_params(weak, stronger, elo_strong, venue, i, mu_factor), ks)
-                for i in ks
-            ]
+            [pmf(weaker_stage(weak, strong, elo_strong, venue, i, mu_factor), ks) for i in ks]
         ) * first[:, None]
         assert 1.0 - grid.sum() < 1e-12
         return grid.T if swapped else grid
@@ -402,56 +383,55 @@ class TestKnockoutMatch:
             assert (new_a[row], new_b[row]) == update_pair(1990.0, 1900.0, ga[row], gb[row], 60.0)
 
 
+def stage_teams(bracket, block, stage):
+    """(runs, teams): the teams seated in each run's ``stage`` matches, sorted."""
+    seats = [seat for m in bracket.knockout if m.stage == stage for seat in (m.seat_a, m.seat_b)]
+    return np.sort(block.seats[:, seats], axis=1)
+
+
 class TestRunTournament:
-    def test_structure(self, euro2020, euro_models):
-        ratings, fixtures, allocation = euro2020
-        result = run_tournament(
-            euro_models, ratings, fixtures, allocation, np.random.default_rng(1)
-        )
-        teams = group_teams(fixtures)
-        assert sorted(result.group_positions) == sorted(teams)
-        for g, positions in result.group_positions.items():
-            assert sorted(positions) == sorted(teams[g])
-        assert len(result.qualified_thirds) == 4
-        assert len(result.r16_teams) == 16
-        assert len(result.qf_teams) == 8
-        assert len(result.sf_teams) == 4
-        assert len(result.final_teams) == 2
-        assert set(result.final_teams) <= set(result.sf_teams)
-        assert set(result.sf_teams) <= set(result.qf_teams)
-        assert set(result.qf_teams) <= set(result.r16_teams)
-        assert result.champion in result.final_teams
+    """Each run's structure, on every row of the ``played`` block."""
 
-    def test_r16_composition(self, euro2020, euro_models):
-        ratings, fixtures, allocation = euro2020
-        result = run_tournament(
-            euro_models, ratings, fixtures, allocation, np.random.default_rng(2)
-        )
-        expected = {p[0] for p in result.group_positions.values()}
-        expected |= {p[1] for p in result.group_positions.values()}
-        expected |= set(result.qualified_thirds)
-        assert set(result.r16_teams) == expected
+    def test_structure(self, euro2020, played):
+        _, fixtures, _ = euro2020
+        bracket, _, block = played
+        names = np.array(bracket.teams)
+        groups = np.sort(names[block.positions], axis=-1)
+        assert (groups == np.array(list(group_teams(fixtures).values()))).all()
+        assert (np.diff(np.sort(block.qualified, axis=1), axis=1) > 0).all()
+        reached = [stage_teams(bracket, block, s) for s in ("R16", "QF", "SF", "FINAL")]
+        assert [r.shape[1] for r in reached] == [16, 8, 4, 2]
+        for wider, narrower in zip(reached, reached[1:]):
+            assert (np.diff(narrower, axis=1) > 0).all()
+            assert (narrower[:, :, None] == wider[:, None, :]).any(axis=2).all()
+        final = next(m for m in bracket.knockout if m.stage == "FINAL")
+        assert (block.seats[:, [final.seat_winner]] == reached[-1]).any(axis=1).all()
 
-    def test_thirds_come_from_third_place(self, euro2020, euro_models):
-        ratings, fixtures, allocation = euro2020
-        result = run_tournament(
-            euro_models, ratings, fixtures, allocation, np.random.default_rng(3)
-        )
-        thirds = {p[2] for p in result.group_positions.values()}
-        assert set(result.qualified_thirds) <= thirds
+    def test_r16_composition(self, played):
+        bracket, _, block = played
+        places = block.positions
+        thirds = np.take_along_axis(places[:, :, 2], block.qualified, axis=1)
+        expected = np.concatenate([places[:, :, 0], places[:, :, 1], thirds], axis=1)
+        assert np.array_equal(stage_teams(bracket, block, "R16"), np.sort(expected, axis=1))
+
+    def test_thirds_come_from_third_place(self, played):
+        bracket, _, block = played
+        first = bracket.members.size  # the third slots' seats follow the group places
+        seated = block.seats[:, first : first + bracket.thirds.shape[1]]
+        assert (seated[:, :, None] == block.positions[:, None, :, 2]).any(axis=2).all()
 
     def test_missing_model_rejected(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
         models = dict(euro_models)
         del models["ITA"]
         with pytest.raises(ConfigError, match="ITA"):
-            run_tournament(models, ratings, fixtures, allocation, np.random.default_rng(0))
+            compile_bracket(models, ratings, fixtures, allocation)
 
     def test_missing_rating_rejected(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
         partial = {t: e for t, e in ratings.items() if t != "WAL"}
         with pytest.raises(ConfigError, match="WAL"):
-            run_tournament(euro_models, partial, fixtures, allocation, np.random.default_rng(0))
+            compile_bracket(euro_models, partial, fixtures, allocation)
 
     def test_winner_of_a_group_match_rejected(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
@@ -460,19 +440,22 @@ class TestRunTournament:
             for f in fixtures
         ]
         with pytest.raises(DataError, match="slot W1"):
-            run_tournament(euro_models, ratings, broken, allocation, np.random.default_rng(0))
+            compile_bracket(euro_models, ratings, broken, allocation)
 
     def test_incomplete_allocation_rejected(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
         partial = {combo: row for combo, row in allocation.items() if combo != "CDEF"}
         with pytest.raises(DataError, match="combination"):
-            run_tournament(euro_models, ratings, fixtures, partial, np.random.default_rng(0))
+            compile_bracket(euro_models, ratings, fixtures, partial)
 
     def test_input_ratings_not_mutated(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
         before = dict(ratings)
-        run_tournament(euro_models, ratings, fixtures, allocation, np.random.default_rng(5))
+        bracket = compile_bracket(euro_models, ratings, fixtures, allocation)
+        start = bracket.ratings.copy()
+        _play_block(bracket, np.random.default_rng(5).random((8, bracket.width)))
         assert ratings == before
+        assert np.array_equal(bracket.ratings, start)
 
 
 @pytest.fixture(scope="module")
@@ -553,16 +536,14 @@ class TestMonteCarlo:
 
     def test_runs_are_independent_of_batching(self, euro2020, euro_models):
         ratings, fixtures, allocation = euro2020
-        width = compile_bracket(euro_models, ratings, fixtures, allocation).width
-        single = run_tournament(
-            euro_models, ratings, fixtures, allocation, run_rng(9, 17, width)
-        )
+        bracket = compile_bracket(euro_models, ratings, fixtures, allocation)
+        u = run_rng(9, 17, bracket.width).random(bracket.width)[None]
         runs = [
             monte_carlo(euro_models, ratings, fixtures, allocation, n_runs=n, master_seed=9)
             for n in (17, 18)
         ]
-        last = {stat: runs[1].counts[stat] - runs[0].counts[stat] for stat in STAT_NAMES}
-        assert last == counted(single)
+        single = _stage_counts(bracket, _play_block(bracket, u))
+        assert np.array_equal(runs[1].table - runs[0].table, single)
 
     @pytest.mark.parametrize("intercept, got", [(709.5, "inf"), (-744.5, "0.0")])
     def test_stage_mean_outside_the_floats_rejected(self, euro2020, intercept, got):
@@ -617,7 +598,14 @@ class TestMonteCarlo:
 
 
 def run_rng(master_seed: int, run_index: int, width: int) -> np.random.Generator:
-    """Run ``run_index``'s generator, by the recipe in ``run_tournament``'s docstring."""
+    """The generator of run ``run_index`` of ``monte_carlo`` under ``master_seed``.
+
+    Run ``i`` reads the ``width`` uniforms (:attr:`Bracket.width`) at
+    offset ``i * width`` of the stream of ``np.random.default_rng(master_seed)``,
+    so advancing its bit generator by ``i * width`` reaches them.  To
+    replay the run, pass ``run_rng(seed, i, width).random(width)[None]``
+    to ``_play_block``: its one row is that run.
+    """
     rng = np.random.default_rng(master_seed)
     rng.bit_generator.advance(run_index * width)
     return rng
@@ -642,26 +630,6 @@ class TestBlockSeeding:
         expect = tournament._stage_counts(bracket, _play_block(bracket, u))
         got = tournament._run_chunk(bracket, 9, range(66, 133), 16)
         assert np.array_equal(got, expect)
-
-
-def counted(result: TournamentResult) -> dict[str, Counter]:
-    """The stage counts of one run, as ``monte_carlo`` keeps them."""
-    counts = {stat: Counter() for stat in STAT_NAMES}
-    qualified = set(result.r16_teams)
-    for positions in result.group_positions.values():
-        counts["group_first"][positions[0]] += 1
-        counts["group_second"][positions[1]] += 1
-        counts["eliminated_group"].update(t for t in positions if t not in qualified)
-    for stat, teams in (
-        ("third_qualified", result.qualified_thirds),
-        ("r16", result.r16_teams),
-        ("qf", result.qf_teams),
-        ("sf", result.sf_teams),
-        ("final", result.final_teams),
-        ("champion", (result.champion,)),
-    ):
-        counts[stat].update(teams)
-    return counts
 
 
 @pytest.fixture(scope="module")
@@ -930,26 +898,6 @@ class TestEngineOracles:
                 live[a], live[b] = update_pair(live[a], live[b], ga, gb, k)
             assert [live[t] for t in names] == block.ratings[row].tolist()
 
-    def test_rankings_reapply_with_rank_group(self, euro2020, played):
-        ratings, fixtures, _ = euro2020
-        bracket, u, block = played
-        names = bracket.teams
-        by_group = group_teams(fixtures)
-        for row in range(1000):
-            results, live = replay_groups(fixtures, block, row, ratings)
-            lots = u[row, bracket.lots_start : bracket.thirds_start].reshape(len(GROUPS), -1)
-            positions = {}
-            for g, group_lots, places in zip(GROUPS, lots, block.positions[row]):
-                positions[g] = rank_group(by_group[g], results, live, Uniforms([group_lots]))
-                assert positions[g] == tuple(names[t] for t in places)
-            picked = select_best_thirds(
-                {g: p[2] for g, p in positions.items()},
-                results,
-                live,
-                Uniforms([u[row, bracket.thirds_start : bracket.knockout_start]]),
-            )
-            assert picked == tuple(sorted(GROUPS[g] for g in block.qualified[row]))
-
     def test_rankings_follow_the_regulations(self, euro2020, played):
         """Group places and best thirds against a plain-Python reading of the
         tiebreak chain that uses none of the engine's code."""
@@ -1019,8 +967,9 @@ class TestEngineOracles:
             ga, gb = scores.get((a, b)) or scores.get((b, a), (0, 0))[::-1]
             strong, weak, swapped = order_by_strength(a, live[a], b, live[b])
             gs, gw = (gb, ga) if swapped else (ga, gb)
-            first = combined_params(models[strong], models[weak], live[strong], live[weak], venue)
-            second = conditional_params(models[weak], strong, live[strong], venue, gs)
+            strong, weak = models[strong], models[weak]
+            first = stronger_stage(strong, weak, live[strong.team], live[weak.team], venue)
+            second = weaker_stage(weak, strong, live[strong.team], venue, gs)
             u[2 * m : 2 * m + 2] = uniform_for(first, gs), uniform_for(second, gw)
             k = DEFAULT_K_FACTORS[f.match_type]
             live[a], live[b] = update_pair(live[a], live[b], ga, gb, k)

@@ -20,12 +20,10 @@ from euroforecast.zigp import (
     ZigpParams,
     log_pmf,
     pmf,
-    sample,
     sample_block,
-    truncated_pmf,
 )
 
-from conftest import SLACK, Uniforms, closed_form_cum
+from conftest import SLACK, closed_form_cum, sampler_law
 
 # values computed independently at 50-digit precision from the closed form
 ORACLE_PMF = [
@@ -153,47 +151,49 @@ class TestLogFactorial:
         assert message.endswith(f"got {got}") and len(message) < 60
 
 
+def draw_from(p: ZigpParams, u) -> np.ndarray:
+    """:func:`sample_block` on the uniforms ``u``, every row drawn from ``p``."""
+    return sample_block(*(np.full(len(u), v) for v in (p.mu, p.phi, p.omega)), np.asarray(u))
+
+
+# the stop point takes the remaining mass, so the largest uniform draws it
+LAST_U = [np.nextafter(1.0, 0.0)]
+
+
 class TestTruncation:
     def test_truncated_sums_to_one(self):
         for mu, phi, omega in [(2.0, 1.5, 0.1), (0.2, 1.0, 0.0), (8.0, 2.5, 0.4)]:
-            probs = truncated_pmf(ZigpParams(mu, phi, omega))
+            probs = sampler_law(ZigpParams(mu, phi, omega))
             assert np.sum(probs) == pytest.approx(1.0, abs=1e-12)
+            assert draw_from(ZigpParams(mu, phi, omega), LAST_U)[0] == len(probs) - 1
 
     def test_truncation_stops_early_for_small_mu(self):
-        probs = truncated_pmf(ZigpParams(0.5, 1.0, 0.0))
+        probs = sampler_law(ZigpParams(0.5, 1.0, 0.0))
         assert len(probs) < 30
+        assert draw_from(ZigpParams(0.5, 1.0, 0.0), LAST_U)[0] == len(probs) - 1
 
     def test_heavy_tail_hits_hard_cap(self):
         # mass beyond 200 at these parameters is 2.27e-8 > TAIL_EPS, so
-        # the table runs to the cap and the cap takes the tail
-        probs = truncated_pmf(ZigpParams(10.0, 3.0, 0.0))
+        # the law runs to the cap and the cap takes the tail
+        probs = sampler_law(ZigpParams(10.0, 3.0, 0.0))
         assert len(probs) == HARD_CAP + 1
         assert np.sum(probs) == pytest.approx(1.0, abs=1e-12)
+        assert draw_from(ZigpParams(10.0, 3.0, 0.0), LAST_U)[0] == HARD_CAP
 
 
 class TestSampling:
     def test_deterministic_given_seed(self):
         p = ZigpParams(1.7, 1.3, 0.08)
-        a = sample(p, np.random.default_rng(5), size=1000)
-        b = sample(p, np.random.default_rng(5), size=1000)
+        a = draw_from(p, np.random.default_rng(5).random(1000))
+        b = draw_from(p, np.random.default_rng(5).random(1000))
         assert np.array_equal(a, b)
-
-    def test_scalar_and_array_forms(self):
-        p = ZigpParams(1.7, 1.3, 0.08)
-        rng = np.random.default_rng(0)
-        one = sample(p, rng)
-        many = sample(p, rng, size=10)
-        assert isinstance(one, int)
-        assert many.shape == (10,)
-        assert many.dtype == np.int64
 
     def test_empirical_frequencies_match_pmf(self):
         p = ZigpParams(1.04, 1.3, 0.08)
         rng = np.random.default_rng(1)
         n = 200_000
-        draws = sample(p, rng, size=n)
         theo = pmf(p, np.arange(10))
-        emp = np.bincount(draws, minlength=10)[:10] / n
+        emp = np.bincount(draw_from(p, rng.random(n)), minlength=10)[:10] / n
         se = np.sqrt(theo * (1 - theo) / n)
         assert np.all(np.abs(emp - theo) < 4 * se + 1e-9)
 
@@ -201,27 +201,22 @@ class TestSampling:
         p = ZigpParams(2.0, 1.5, 0.1)
         rng = np.random.default_rng(2)
         n = 400_000
-        draws = sample(p, rng, size=n)
+        got = draw_from(p, rng.random(n))
         se_mean = np.sqrt(p.variance() / n)
-        assert abs(np.mean(draws) - p.mean()) < 4 * se_mean
-        assert np.var(draws) == pytest.approx(p.variance(), rel=0.02)
+        assert abs(np.mean(got) - p.mean()) < 4 * se_mean
+        assert np.var(got) == pytest.approx(p.variance(), rel=0.02)
 
     def test_pure_zero_inflation_frequency(self):
         p = ZigpParams(4.0, 1.0, 0.5)
         rng = np.random.default_rng(3)
-        draws = sample(p, rng, size=100_000)
-        frac_zero = np.mean(draws == 0)
+        frac_zero = np.mean(draw_from(p, rng.random(100_000)) == 0)
         assert frac_zero == pytest.approx(pmf(p, 0), abs=0.01)
 
 
 def scalar_draws(mu, phi, omega, u):
-    """:func:`sample`'s scalar form, once per row, on that row's uniform."""
-    return np.array(
-        [
-            sample(ZigpParams(float(m), float(p), float(o)), Uniforms([np.array([x])]))
-            for m, p, o, x in zip(mu, phi, omega, u)
-        ]
-    )
+    """:func:`sample_block` once per row, on one-row arrays."""
+    rows = zip(mu, phi, omega, u)
+    return np.array([sample_block(*(np.array([v]) for v in row))[0] for row in rows])
 
 
 def column_loop(mu, phi, omega, u):
