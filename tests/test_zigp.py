@@ -163,22 +163,25 @@ LAST_U = [np.nextafter(1.0, 0.0)]
 class TestTruncation:
     def test_truncated_sums_to_one(self):
         for mu, phi, omega in [(2.0, 1.5, 0.1), (0.2, 1.0, 0.0), (8.0, 2.5, 0.4)]:
-            probs = sampler_law(ZigpParams(mu, phi, omega))
+            p = ZigpParams(mu, phi, omega)
+            probs = sampler_law(p)
             assert np.sum(probs) == pytest.approx(1.0, abs=1e-12)
-            assert draw_from(ZigpParams(mu, phi, omega), LAST_U)[0] == len(probs) - 1
+            assert draw_from(p, LAST_U)[0] == len(probs) - 1
 
     def test_truncation_stops_early_for_small_mu(self):
-        probs = sampler_law(ZigpParams(0.5, 1.0, 0.0))
+        p = ZigpParams(0.5, 1.0, 0.0)
+        probs = sampler_law(p)
         assert len(probs) < 30
-        assert draw_from(ZigpParams(0.5, 1.0, 0.0), LAST_U)[0] == len(probs) - 1
+        assert draw_from(p, LAST_U)[0] == len(probs) - 1
 
     def test_heavy_tail_hits_hard_cap(self):
         # mass beyond 200 at these parameters is 2.27e-8 > TAIL_EPS, so
         # the law runs to the cap and the cap takes the tail
-        probs = sampler_law(ZigpParams(10.0, 3.0, 0.0))
+        p = ZigpParams(10.0, 3.0, 0.0)
+        probs = sampler_law(p)
         assert len(probs) == HARD_CAP + 1
         assert np.sum(probs) == pytest.approx(1.0, abs=1e-12)
-        assert draw_from(ZigpParams(10.0, 3.0, 0.0), LAST_U)[0] == HARD_CAP
+        assert draw_from(p, LAST_U)[0] == HARD_CAP
 
 
 class TestSampling:
