@@ -49,15 +49,14 @@ def order_by_strength(
 
 
 def _stronger_stage(
-    strong: "TeamModel", weak: "TeamModel", elo_strong: float, elo_weak: float,
-    loc: float, mu_factor: float,
+    strong: "TeamModel", weak: "TeamModel", elo_strong: float, elo_weak: float, loc: float
 ) -> tuple[float, float, float]:
     """(mu, phi, omega) of ``strong``'s goals, each the mean of its attack fit
     (location ``loc``) and ``weak``'s defense fit (location ``-loc``)."""
     attack, defense = strong.attack, weak.defense
     mu_att = attack.predict_mu((1.0, elo_weak, loc))
     mu_def = defense.predict_mu((1.0, elo_strong, -loc))
-    mu = 0.5 * (mu_att + mu_def) * mu_factor
+    mu = 0.5 * (mu_att + mu_def)
     if not 0.0 < mu < math.inf:
         raise ParameterError(f"mu must be positive and finite, got {mu}")
     return mu, 0.5 * (attack.phi + defense.phi), 0.5 * (attack.omega + defense.omega)
@@ -110,7 +109,7 @@ def score_grid(
     loc = location_indicator(stronger, weaker, venue_country)
     n = cap + 1
     ks = np.arange(n)
-    strong = _stronger_stage(strong_model, weak_model, elo_strong, elo_weak, loc, 1.0)
+    strong = _stronger_stage(strong_model, weak_model, elo_strong, elo_weak, loc)
     p_strong = np.exp(log_pmf_table(*strong, ks))
 
     nested = weak_model.nested

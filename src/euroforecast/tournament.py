@@ -13,9 +13,10 @@ stream of ``np.random.default_rng(s)``, in the layout that
 :class:`Bracket` describes, which makes the aggregate counts
 bit-identical for any worker count and block size.  ``monte_carlo``
 compiles the bracket once and plays blocks of runs together, one row
-per run.  A block plays each wave of group matches (a matchday: no
-team twice) as one batched draw, and reaches its first run by
-``PCG64``'s jump-ahead.
+per run; ``n_workers`` processes, the calling one among them, each play
+one contiguous range of runs.  A block plays each wave of group matches
+(a matchday: no team twice) as one batched draw, and reaches its first
+run by ``PCG64``'s jump-ahead.
 """
 
 from __future__ import annotations
@@ -418,7 +419,7 @@ def compile_bracket(
 
 # Runs played together; bounds the engine's memory whatever n_runs is.
 BLOCK_RUNS = 1024
-MAX_WORKERS = 64  # largest accepted n_workers: each is an OS process
+MAX_WORKERS = 64  # largest accepted n_workers: the caller and up to 63 started processes
 MAX_RUNS = 2**32  # largest accepted n_runs: the documented range of --n-runs
 
 
@@ -589,8 +590,11 @@ def monte_carlo(
 ) -> SimulationAggregate:
     """Aggregate stage counts over ``n_runs`` independent tournaments.
 
-    Results are identical for any ``n_workers``: each worker plays a
-    contiguous range of runs, each run its own segment of one stream
+    ``n_workers`` processes play the runs: the calling process plays the
+    first contiguous range of runs and a pool of at most ``n_workers - 1``
+    started processes plays the others, one range each; with one
+    non-empty range no pool is started.  Results are identical for any
+    ``n_workers``: each run reads its own segment of one stream
     (:func:`_block_uniforms`), and the counts merge as integer sums.
     """
     if n_runs <= 0:
@@ -603,18 +607,19 @@ def monte_carlo(
     if not 1 <= n_workers <= MAX_WORKERS:
         raise ConfigError(f"n_workers must lie in [1, {MAX_WORKERS}], got {n_workers}")
     bracket = compile_bracket(models, ratings, fixtures, allocation, k_factors)
-    if n_workers == 1:
-        counts = _run_chunk(bracket, master_seed, range(n_runs), BLOCK_RUNS)
+    bounds = [n_runs * w // n_workers for w in range(n_workers + 1)]
+    first, *rest = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    if not rest:
+        counts = _run_chunk(bracket, master_seed, first, BLOCK_RUNS)
     else:
         # imported here: the pool's modules would add to every command's start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = [n_runs * w // n_workers for w in range(n_workers + 1)]
-        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=len(rest)) as pool:
             futures = [
                 pool.submit(_run_chunk, bracket, master_seed, chunk, BLOCK_RUNS)
-                for chunk in chunks
+                for chunk in rest
             ]
-            counts = sum(fut.result() for fut in futures)
+            counts = _run_chunk(bracket, master_seed, first, BLOCK_RUNS)
+            counts += sum(fut.result() for fut in futures)
     return SimulationAggregate(n_runs=n_runs, teams=bracket.teams, table=counts)

@@ -73,7 +73,7 @@ def test_criterion_1_worked_example_reproduced():
     (cond_mu,) = _predict_mu(np.array([GER_NESTED.alpha]), *np.array([[elo_fra], [1.0], [1.0]]))
     assert cond_mu == pytest.approx(1.54118, abs=1e-4)
 
-    mu, _, omega = _stronger_stage(fra, ger, elo_fra, elo_ger, -1.0, 1.0)
+    mu, _, omega = _stronger_stage(fra, ger, elo_fra, elo_ger, -1.0)
     assert (1.0 - omega) * mu == pytest.approx(1.627268, rel=5e-3)
 
 

@@ -8,6 +8,7 @@ import dataclasses
 import datetime as dt
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -813,6 +814,37 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"mu must be positive and finite, got {got}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("intercept, got", [(709.5, "inf"), (-744.5, "0.0")])
+    def test_stage_mean_outside_the_floats_in_the_callers_range_is_config_error(
+        self, tmp_path, euro2020_model_file, data_dir, capsys, intercept, got
+    ):
+        # on 2 workers the calling process plays runs 0-4 while a started
+        # process plays 5-9: the caller's error ends the command, and no child
+        # outlives it
+        doc = json.loads(euro2020_model_file.read_text())
+        for team in doc["teams"].values():
+            for kind in ("attack", "defense", "nested"):
+                team[kind]["alpha"] = [intercept] + [0.0] * (len(team[kind]["alpha"]) - 1)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = main(
+            [
+                "simulate",
+                "--model", str(model),
+                "--fixtures", str(data_dir / "euro2020_fixtures.csv"),
+                "--allocation", str(data_dir / "euro2020_allocation.csv"),
+                "--ratings", str(data_dir / "euro2020_ratings.csv"),
+                "--n-runs", "10",
+                "--workers", "2",
+                "--out-dir", str(tmp_path / "sim"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"mu must be positive and finite, got {got}" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
 
     def test_allocation_without_a_winner_column_is_config_error(
         self, tmp_path, euro2020_model_file, data_dir, capsys

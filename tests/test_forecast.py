@@ -72,22 +72,16 @@ class TestCombinedParams:
     """The stronger side's stage, ``_stronger_stage``, at location ``loc``."""
 
     def test_arithmetic_means(self, strong, weak):
-        mu, phi, omega = _stronger_stage(strong, weak, 2087.0, 1936.0, -1.0, 1.0)
+        mu, phi, omega = _stronger_stage(strong, weak, 2087.0, 1936.0, -1.0)
         mu_att = strong.attack.predict_mu((1.0, 1936.0, -1.0))
         mu_def = weak.defense.predict_mu((1.0, 2087.0, 1.0))
         assert mu == pytest.approx(0.5 * (mu_att + mu_def), rel=1e-12)
         assert phi == pytest.approx(0.5 * (strong.attack.phi + weak.defense.phi))
         assert omega == pytest.approx(0.5 * (strong.attack.omega + weak.defense.omega))
 
-    def test_mu_factor_scales_only_mu(self, strong, weak):
-        full = _stronger_stage(strong, weak, 2087.0, 1936.0, 0.0, 1.0)
-        third = _stronger_stage(strong, weak, 2087.0, 1936.0, 0.0, 1 / 3)
-        assert third[0] == pytest.approx(full[0] / 3, rel=1e-12)
-        assert third[1:] == full[1:]
-
     def test_venue_changes_mean(self, strong, weak):
-        home = _stronger_stage(strong, weak, 2087.0, 1936.0, 1.0, 1.0)
-        away = _stronger_stage(strong, weak, 2087.0, 1936.0, -1.0, 1.0)
+        home = _stronger_stage(strong, weak, 2087.0, 1936.0, 1.0)
+        away = _stronger_stage(strong, weak, 2087.0, 1936.0, -1.0)
         assert home[0] > away[0]
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
+import multiprocessing
 from itertools import combinations
 
 import numpy as np
@@ -526,6 +528,67 @@ class TestMonteCarlo:
             for workers in (1, 5)
         )
         assert np.array_equal(five.table, one.table)
+
+    @pytest.mark.parametrize(
+        "n_runs, workers, pools",
+        [
+            (24, 2, [(1, [range(12, 24)])]),
+            (3, 5, [(2, [range(1, 2), range(2, 3)])]),
+            (1, 2, []),
+        ],
+    )
+    def test_caller_plays_the_first_range(
+        self, euro2020, euro_models, monkeypatch, n_runs, workers, pools
+    ):
+        # each started pool as (max_workers, submitted ranges); the fake plays
+        # what is submitted to it in this process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.ranges = []
+                started.append((max_workers, self.ranges))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn, bracket, master_seed, runs, block_runs):
+                self.ranges.append(runs)
+                future = concurrent.futures.Future()
+                future.set_result(fn(bracket, master_seed, runs, block_runs))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        ratings, fixtures, allocation = euro2020
+        one, fanned = (
+            monte_carlo(
+                euro_models, ratings, fixtures, allocation,
+                n_runs=n_runs, master_seed=9, n_workers=w,
+            )
+            for w in (1, workers)
+        )
+        assert started == pools
+        assert np.array_equal(fanned.table, one.table)
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_fan_out_needs_no_fork(self, euro2020, euro_models, monkeypatch, method):
+        pool = functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context(method),
+        )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        ratings, fixtures, allocation = euro2020
+        one, two = (
+            monte_carlo(
+                euro_models, ratings, fixtures, allocation,
+                n_runs=40, master_seed=9, n_workers=workers,
+            )
+            for workers in (1, 2)
+        )
+        assert np.array_equal(two.table, one.table)
 
     def test_seed_changes_outcome(self, euro2020, euro_models, aggregate):
         ratings, fixtures, allocation = euro2020
