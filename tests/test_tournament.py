@@ -536,6 +536,7 @@ class TestMonteCarlo:
             (3, 5, [(2, [range(1, 2), range(2, 3)])]),
             (1, 2, []),
         ],
+        ids=["24-runs-on-2", "3-runs-on-5", "1-run-on-2"],
     )
     def test_caller_plays_the_first_range(
         self, euro2020, euro_models, monkeypatch, n_runs, workers, pools
