@@ -109,7 +109,10 @@ def cmd_replay_elo(args) -> int:
 
 def _teams_for_fit(args) -> list[str]:
     if args.teams:
-        return sorted({t.strip() for t in args.teams.split(",") if t.strip()})
+        teams = sorted({t.strip() for t in args.teams.split(",") if t.strip()})
+        if not teams:
+            raise ConfigError(f"--teams {args.teams!r} names no team")
+        return teams
     if args.fixtures:
         fixtures = data_io.load_fixtures(args.fixtures)
         groups = tournament.group_teams(fixtures)

@@ -20,14 +20,6 @@ if TYPE_CHECKING:
     from .tournament import SimulationAggregate
 
 N_RANKS = 6
-RANK_LABELS = (
-    "champion",
-    "final",
-    "semifinal",
-    "quarterfinal",
-    "last16",
-    "group_exit",
-)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ _NEWTON_GTOL = 1e-9
 # Towards the pure-Poisson corner (phi -> 1, omega -> 0) Newton moves
 # beta and gamma by about one unit per step.
 _NEWTON_MAX_ITER = 100
-ALPHA_LENGTHS = {"attack": 3, "defense": 3, "nested": 4}  # see build_observations
+ALPHA_LENGTHS = {"attack": 3, "defense": 3, "nested": 4}  # see observations_by_team
 
 
 class DesignMatrixWarning(UserWarning):
@@ -109,13 +109,6 @@ class RegressionCoefficients:
 
 
 @dataclass(frozen=True)
-class FitObservation:
-    response: int
-    covariates: tuple[float, ...]
-    weight: float
-
-
-@dataclass(frozen=True)
 class FitDiagnostics:
     statistic: float
     df: int
@@ -155,25 +148,36 @@ class FitSummary:
 # ---------------------------------------------------------------------------
 
 
-Observations = tuple[list[FitObservation], list[FitObservation], list[FitObservation]]
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray]  # (X, y, w) of one regression
+
+
+def _team_rows(rows: list[tuple]) -> tuple[Rows, Rows, Rows]:
+    """The attack, defense and nested (X, y, w) of one team's match rows."""
+    opp_elo, loc, goals, conceded, w, underdog = np.array(rows, dtype=float).T.copy()
+    X = np.column_stack([np.ones(len(w)), opp_elo, loc])
+    scored, against = goals.astype(np.int64), conceded.astype(np.int64)
+    under = underdog == 1.0
+    nested = (np.column_stack([X[under], conceded[under]]), scored[under], w[under])
+    return (X, scored, w), (X, against, w), nested
 
 
 def observations_by_team(
     teams: Sequence[str], matches: Sequence["MatchRecord"], cfg: WeightConfig
-) -> dict[str, Observations | DataError | InsufficientDataError]:
-    """The attack, defense and nested observations of each of ``teams``, in one pass.
+) -> dict[str, tuple[Rows, Rows, Rows] | DataError | InsufficientDataError]:
+    """The attack, defense and nested rows of each of ``teams``, in one pass.
 
-    attack: goals scored by the team against (1, opponent Elo, location);
-    defense: goals conceded, same covariates; nested: underdog matches
-    only (strictly lower Elo before kickoff; equal ratings have no
-    strict ordering), goals scored with the opponent's goals as a fourth
-    covariate.  Every row carries the match's weight.  Rows keep the
-    order of ``matches``.  A team's entry is the error in place of its
-    rows when one of its matches lacks Elo annotations (the first such
-    match is named; the team's later matches are not read) or when it
-    has no matches; the other teams keep theirs.
+    Each regression's rows are an (X, y, w) triple: covariates by row,
+    goal counts and the matches' weights.  attack: goals scored by the
+    team against (1, opponent Elo, location); defense: goals conceded,
+    on the same ``X`` array; nested: underdog matches only (strictly
+    lower Elo before kickoff; equal ratings have no strict ordering),
+    goals scored with the opponent's goals as a fourth covariate.  Rows
+    keep the order of ``matches``.  A team's entry is the error in place
+    of its rows when one of its matches lacks Elo annotations (the first
+    such match is named; the team's later matches are not read) or when
+    it has no matches; the other teams keep theirs.
     """
-    rows: dict[str, Observations] = {team: ([], [], []) for team in teams}
+    rows: dict[str, list[tuple]] = {team: [] for team in teams}
     failed: dict[str, DataError | InsufficientDataError] = {}
     for m in matches:
         sides = [t for t in (m.team_a, m.team_b) if t in rows and t not in failed]
@@ -195,38 +199,16 @@ def observations_by_team(
                 opponent, own_elo, opp_elo = m.team_a, m.elo_b_before, m.elo_a_before
                 goals, conceded = m.goals_b, m.goals_a
             loc = location_indicator(team, opponent, m.venue_country)
-            attack, defense, nested = rows[team]
-            attack.append(FitObservation(goals, (1.0, opp_elo, loc), weight))
-            defense.append(FitObservation(conceded, (1.0, opp_elo, loc), weight))
-            if own_elo < opp_elo:
-                nested.append(
-                    FitObservation(goals, (1.0, opp_elo, loc, float(conceded)), weight)
-                )
-    for team, (attack, _, _) in rows.items():
-        if not attack and team not in failed:
+            rows[team].append((opp_elo, loc, goals, conceded, weight, own_elo < opp_elo))
+    for team, team_rows in rows.items():
+        if not team_rows and team not in failed:
             failed[team] = InsufficientDataError(
                 f"team {team!r} has no matches in the data window"
             )
-    return {team: failed.get(team, observations) for team, observations in rows.items()}
-
-
-def build_observations(
-    team: str, matches: Sequence["MatchRecord"], cfg: WeightConfig
-) -> Observations:
-    """The attack, defense and nested observations of ``team`` (see
-    :func:`observations_by_team`); raises its error if it has one."""
-    observations = observations_by_team([team], matches, cfg)[team]
-    if isinstance(observations, Exception):
-        raise observations
-    return observations
-
-
-def design_matrix(observations: Sequence[FitObservation]):
-    """Stack observations into (X, y, w) arrays."""
-    X = np.array([o.covariates for o in observations], dtype=float)
-    y = np.array([o.response for o in observations], dtype=np.int64)
-    w = np.array([o.weight for o in observations], dtype=float)
-    return X, y, w
+    return {
+        team: failed[team] if team in failed else _team_rows(team_rows)
+        for team, team_rows in rows.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +490,8 @@ class _Problem(NamedTuple):
     seed: int  # of the jittered starts
 
 
-def _prepare(observations: Sequence[FitObservation], seed: int) -> _Problem:
+def _prepare(X: np.ndarray, y: np.ndarray, w: np.ndarray, seed: int) -> _Problem:
     """Check the sample size and weight, standardize and compute the least-squares start."""
-    X, y, w = design_matrix(observations)
     n, p = X.shape
     dim = p + 2
     if n < max(10, 2 * dim):
@@ -518,11 +499,14 @@ def _prepare(observations: Sequence[FitObservation], seed: int) -> _Problem:
             f"need at least {max(10, 2 * dim)} observations for {dim} parameters, got {n}"
         )
 
-    if not w.sum() > 0.0:  # every recency weight may underflow to 0
-        raise InsufficientDataError(f"the {n} observations have a total weight of 0")
+    # every recency weight may underflow to 0, and large importances overflow the sum
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not 0.0 < total < math.inf:
+        raise InsufficientDataError(f"the {n} observations have a total weight of {total:g}")
 
     # scale-invariant optimization; the argmax is unchanged
-    w_opt = w / w.mean()
+    w_opt = w / (total / n)
 
     Xz, center, scale, constant = _standardize(X)
     keep = np.flatnonzero(~constant)
@@ -594,10 +578,8 @@ def _fit_batch(problems: Sequence[_Problem]) -> list[RegressionCoefficients | Fi
     return results
 
 
-def fit_zigp(
-    observations: Sequence[FitObservation], seed: int = 0
-) -> RegressionCoefficients:
-    """Weighted maximum-likelihood fit of one ZIGP regression.
+def fit_zigp(X: np.ndarray, y: np.ndarray, w: np.ndarray, seed: int = 0) -> RegressionCoefficients:
+    """Weighted maximum-likelihood fit of one ZIGP regression on the rows (X, y, w).
 
     A batch of one for the lockstep fitter that ``fit_team_models`` runs
     on all regressions at once, with the same result: damped projected
@@ -606,10 +588,10 @@ def fit_zigp(
     from four jittered copies of the start, drawn from ``seed``, and the
     best of the five kept.  Deterministic given ``seed``.  Raises
     :class:`InsufficientDataError` below max(10, 2*(p+2)) observations
-    or at a total weight of 0, and :class:`FitError` (carrying the best
-    point found) when that point is still not stationary.
+    or at a total weight that is 0 or overflows, and :class:`FitError`
+    (carrying the best point found) when that point is still not stationary.
     """
-    (result,) = _fit_batch([_prepare(observations, seed)])
+    (result,) = _fit_batch([_prepare(X, y, w, seed)])
     if isinstance(result, FitError):
         raise result
     return result
@@ -621,9 +603,9 @@ def fit_zigp(
 
 
 def chi_square_gof(
-    coefficients: RegressionCoefficients, observations: Sequence[FitObservation]
+    coefficients: RegressionCoefficients, X: np.ndarray, y: np.ndarray
 ) -> FitDiagnostics:
-    """Pearson chi-square against the fitted ZIGP means.
+    """Pearson chi-square of the counts ``y`` against the fitted ZIGP means at ``X``.
 
     The per-observation mean is the distribution mean (1-omega)*mu_i.
     Degrees of freedom: n minus the number of alpha coefficients,
@@ -632,7 +614,6 @@ def chi_square_gof(
     """
     from scipy.special import chdtrc
 
-    X, y, _ = design_matrix(observations)
     mu = np.exp(np.clip(X @ np.array(coefficients.alpha), -_ETA_CLIP, _ETA_CLIP))
     means = (1.0 - coefficients.omega) * mu
     if np.any(means < _GOF_MEAN_FLOOR):
@@ -673,35 +654,36 @@ def fit_team_models(
     than ``cfg.min_nested_obs`` or below the fitter's own minimum.
     """
     failures: dict[str, str] = {}
-    jobs = []  # (team, observations, index of its first problem, problem count)
+    jobs = []  # (team, its regressions' rows, index of its first problem, problem count)
     problems: list[_Problem] = []
     by_team = observations_by_team(teams, matches, cfg.weights)
     for idx, team in enumerate(sorted(teams)):
         base_seed = np.random.SeedSequence(
             entropy=cfg.seed, spawn_key=(idx,)
         ).generate_state(3)
-        observations = by_team[team]
-        if isinstance(observations, Exception):
-            failures[team] = str(observations)
+        regressions = by_team[team]
+        if isinstance(regressions, Exception):
+            failures[team] = str(regressions)
             continue
+        attack_rows, defense_rows, nested_rows = regressions
         try:
-            # attack and defense share their rows, so both have enough or neither
-            fits = [_prepare(observations[0], int(base_seed[0])),
-                    _prepare(observations[1], int(base_seed[1]))]
+            # attack and defense share X and w, so both have enough or neither
+            fits = [_prepare(*attack_rows, int(base_seed[0])),
+                    _prepare(*defense_rows, int(base_seed[1]))]
         except InsufficientDataError as exc:
             failures[team] = str(exc)
             continue
-        if len(observations[2]) >= cfg.min_nested_obs:
+        if len(nested_rows[1]) >= cfg.min_nested_obs:
             try:
-                fits.append(_prepare(observations[2], int(base_seed[2])))
+                fits.append(_prepare(*nested_rows, int(base_seed[2])))
             except InsufficientDataError:
                 pass
-        jobs.append((team, observations, len(problems), len(fits)))
+        jobs.append((team, regressions, len(problems), len(fits)))
         problems += fits
 
     results = _fit_batch(problems)
     models: dict[str, TeamModel] = {}
-    for team, observations, first, count in jobs:
+    for team, regressions, first, count in jobs:
         fitted = results[first : first + count]
         error = next((r for r in fitted if isinstance(r, FitError)), None)
         if error is not None:
@@ -711,11 +693,9 @@ def fit_team_models(
         fallback = count == 2
         nested = _nested_fallback(attack) if fallback else fitted[2]
         diagnostics = {
-            "attack": chi_square_gof(attack, observations[0]),
-            "defense": chi_square_gof(defense, observations[1]),
+            kind: chi_square_gof(fit, X, y)
+            for kind, fit, (X, y, _) in zip(("attack", "defense", "nested"), fitted, regressions)
         }
-        if not fallback:
-            diagnostics["nested"] = chi_square_gof(nested, observations[2])
         models[team] = TeamModel(
             team=team,
             attack=attack,

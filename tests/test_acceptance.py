@@ -22,14 +22,7 @@ from euroforecast.elo import (
 )
 from euroforecast.forecast import _predict_mu, _stronger_stage, score_grid
 from euroforecast.metrics import brier, mld, rps, OutcomeDistribution
-from euroforecast.regression import (
-    FitObservation,
-    RegressionCoefficients,
-    TeamModel,
-    design_matrix,
-    fit_zigp,
-    loglik_and_grad,
-)
+from euroforecast.regression import RegressionCoefficients, TeamModel, fit_zigp, loglik_and_grad
 from euroforecast.tournament import group_teams, monte_carlo
 from euroforecast.weights import WeightConfig, date_weight, importance_weight
 from euroforecast.zigp import ZigpParams, pmf, sample_block
@@ -120,20 +113,19 @@ def _recovery_data(seed, n=2000):
     mu = np.exp(X @ alpha_true)
     y = sample_block(mu, np.full(n, 1.5), np.full(n, 0.15), rng.random(n))
     w = rng.uniform(0.5, 4.0, n)
-    return [FitObservation(int(y[i]), tuple(X[i]), float(w[i])) for i in range(n)]
+    return X, y, w
 
 
 def test_criterion_3_fitter_recovers_synthetic_truth():
     start = time.monotonic()
     for seed in range(5):
-        obs = _recovery_data(seed)
-        c = fit_zigp(obs, seed=seed)
+        c = fit_zigp(*_recovery_data(seed), seed=seed)
         for got, want in zip(c.alpha, (0.9, -0.25, 0.2)):
             assert abs(got - want) <= 0.1
         assert abs(c.phi / 1.5 - 1.0) <= 0.15
         assert abs(c.omega / 0.15 - 1.0) <= 0.15
 
-    X, y, w = design_matrix(_recovery_data(0, n=400))
+    X, y, w = _recovery_data(0, n=400)
     rng = np.random.default_rng(9)
     for _ in range(10):
         theta = np.concatenate(

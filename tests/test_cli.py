@@ -375,6 +375,27 @@ class TestFit:
         err = capsys.readouterr().err
         assert "FRA: FAILED: the" in err and "have a total weight of 0" in err
 
+    def test_overflowing_total_weight_fails_with_fit_exit(
+        self, tmp_path, demo_history, capsys, recwarn
+    ):
+        # each weight is finite, but their sum passes the largest float
+        matches_path, ratings_path = demo_history
+        config = tmp_path / "config.json"
+        table = {kind: 1e308 for kind in ("WC", "CONT", "QUAL", "FRIENDLY")}
+        config.write_text(json.dumps({"reference_date": "2021-06-07", "importance_table": table}))
+        code = main(
+            [
+                "fit", "--matches", str(matches_path), "--ratings", str(ratings_path),
+                "--teams", "FRA,GER", "--config", str(config), "--out", str(tmp_path / "m.json"),
+            ]
+        )
+        assert code == EXIT_FIT
+        err = capsys.readouterr().err
+        assert "FRA: FAILED: the" in err and "have a total weight of inf" in err
+        assert "2 team(s) could not be fitted: FRA, GER" in err
+        assert "Traceback" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_negative_seed_is_config_error(self, tmp_path, demo_history, capsys):
         matches_path, ratings_path = demo_history
         out = tmp_path / "model.json"
@@ -406,6 +427,21 @@ class TestFit:
         )
         assert code == EXIT_CONFIG
         assert "--teams or --fixtures" in capsys.readouterr().err
+
+    def test_teams_without_a_code_is_config_error(self, tmp_path, demo_history, capsys):
+        matches_path, ratings_path = demo_history
+        out = tmp_path / "model.json"
+        code = main(
+            [
+                "fit", "--matches", str(matches_path), "--ratings", str(ratings_path),
+                "--teams", " , ", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--teams ' , ' names no team" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestForecast:

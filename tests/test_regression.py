@@ -19,11 +19,8 @@ from euroforecast import regression
 from euroforecast.regression import (
     DesignMatrixWarning,
     FitConfig,
-    FitObservation,
     RegressionCoefficients,
-    build_observations,
     chi_square_gof,
-    design_matrix,
     fit_team_models,
     fit_zigp,
     loglik_and_grad,
@@ -50,6 +47,18 @@ def wcfg():
     return WeightConfig(reference_date=REF)
 
 
+def team_rows(team, matches, cfg):
+    """``team``'s entry of :func:`observations_by_team`: its rows or its error."""
+    return observations_by_team([team], matches, cfg)[team]
+
+
+def assert_same_rows(got, expected):
+    """Two teams' (X, y, w) triples hold the same arrays, bit for bit."""
+    for rows, expected_rows in zip(got, expected, strict=True):
+        for a, b in zip(rows, expected_rows, strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 class TestBuilders:
     def setup_method(self):
         d = dt.date(2021, 1, 1)
@@ -63,45 +72,48 @@ class TestBuilders:
         ]
 
     def test_attack_rows(self, wcfg):
-        obs, _, _ = build_observations("AAA", self.matches, wcfg)
-        assert [o.response for o in obs] == [3, 2, 0]
-        assert obs[0].covariates == (1.0, 1800.0, 1.0)   # home
-        assert obs[1].covariates == (1.0, 1950.0, -1.0)  # away
-        assert obs[2].covariates == (1.0, 1910.0, 0.0)   # neutral
-        assert all(o.weight > 0 for o in obs)
+        (X, y, w), _, _ = team_rows("AAA", self.matches, wcfg)
+        assert y.dtype == np.int64
+        assert y.tolist() == [3, 2, 0]
+        assert X.tolist() == [
+            [1.0, 1800.0, 1.0],   # home
+            [1.0, 1950.0, -1.0],  # away
+            [1.0, 1910.0, 0.0],   # neutral
+        ]
+        assert np.all(w > 0)
 
     def test_defense_swaps_response(self, wcfg):
-        _, obs, _ = build_observations("AAA", self.matches, wcfg)
-        assert [o.response for o in obs] == [1, 2, 1]
+        (X, _, w), (X_def, y, w_def), _ = team_rows("AAA", self.matches, wcfg)
+        assert y.tolist() == [1, 2, 1]
+        assert X_def is X and w_def is w
 
     def test_nested_keeps_strict_underdogs_only(self, wcfg):
-        _, _, obs = build_observations("AAA", self.matches, wcfg)
+        _, _, (X, y, w) = team_rows("AAA", self.matches, wcfg)
         # only the CCC away match: AAA rated below; the tie is excluded
-        assert len(obs) == 1
-        assert obs[0].response == 2
-        assert obs[0].covariates == (1.0, 1950.0, -1.0, 2.0)
+        assert y.tolist() == [2]
+        assert X.tolist() == [[1.0, 1950.0, -1.0, 2.0]]
+        assert len(w) == 1
 
     def test_nested_opponent_side(self, wcfg):
-        _, _, obs = build_observations("BBB", self.matches, wcfg)
-        assert len(obs) == 1
-        assert obs[0].covariates == (1.0, 1900.0, -1.0, 3.0)
-        assert obs[0].response == 1
+        _, _, (X, y, _) = team_rows("BBB", self.matches, wcfg)
+        assert X.tolist() == [[1.0, 1900.0, -1.0, 3.0]]
+        assert y.tolist() == [1]
 
     def test_weights_follow_match_weight(self, wcfg):
-        obs, _, _ = build_observations("AAA", self.matches, wcfg)
-        assert obs[0].weight == pytest.approx(0.5 ** (157 / 1095))
+        (_, _, w), _, _ = team_rows("AAA", self.matches, wcfg)
+        assert w[0] == pytest.approx(0.5 ** (157 / 1095))
 
     def test_missing_annotation_rejected(self, wcfg):
         plain = MatchRecord(
             date=dt.date(2021, 1, 1), team_a="AAA", team_b="BBB",
             goals_a=1, goals_b=0, match_type="FRIENDLY", venue_country="NEUTRAL",
         )
-        with pytest.raises(DataError, match="Elo"):
-            build_observations("AAA", [plain], wcfg)
+        error = team_rows("AAA", [plain], wcfg)
+        assert isinstance(error, DataError)
+        assert "Elo" in str(error)
 
     def test_no_matches_is_insufficient(self, wcfg):
-        with pytest.raises(InsufficientDataError):
-            build_observations("ZZZ", self.matches, wcfg)
+        assert isinstance(team_rows("ZZZ", self.matches, wcfg), InsufficientDataError)
 
     def test_failures_stay_with_their_team(self, wcfg):
         plain = MatchRecord(
@@ -109,7 +121,7 @@ class TestBuilders:
             goals_a=1, goals_b=0, match_type="FRIENDLY", venue_country="NEUTRAL",
         )
         by_team = observations_by_team(["AAA", "CCC", "DDD", "ZZZ"], self.matches + [plain], wcfg)
-        assert by_team["AAA"] == build_observations("AAA", self.matches, wcfg)
+        assert_same_rows(by_team["AAA"], team_rows("AAA", self.matches, wcfg))
         for team in ("CCC", "DDD"):
             assert isinstance(by_team[team], DataError)
             assert str(by_team[team]) == (
@@ -119,9 +131,17 @@ class TestBuilders:
         assert str(by_team["ZZZ"]) == "team 'ZZZ' has no matches in the data window"
 
 
+def stack_rows(rows, p):
+    """The (X, y, w) arrays of (goals, covariates, weight) rows with ``p`` covariates."""
+    X = np.array([x for _, x, _ in rows], dtype=float).reshape(len(rows), p)
+    y = np.array([k for k, _, _ in rows], dtype=np.int64)
+    w = np.array([weight for _, _, weight in rows], dtype=float)
+    return X, y, w
+
+
 def scan_observations(team, matches, cfg):
-    """One team's observations by a scan of the whole history, the reference
-    for the one-pass ``observations_by_team``; raises as it would report."""
+    """One team's rows by a scan of the whole history, stacked row by row: the
+    reference for the one-pass ``observations_by_team``; raises as it would report."""
     attack, defense, nested = [], [], []
     for m in matches:
         if team not in (m.team_a, m.team_b):
@@ -139,13 +159,13 @@ def scan_observations(team, matches, cfg):
             goals, conceded = m.goals_b, m.goals_a
         loc = location_indicator(team, opponent, m.venue_country)
         weight = match_weight(m, cfg)
-        attack.append(FitObservation(goals, (1.0, opp_elo, loc), weight))
-        defense.append(FitObservation(conceded, (1.0, opp_elo, loc), weight))
+        attack.append((goals, (1.0, opp_elo, loc), weight))
+        defense.append((conceded, (1.0, opp_elo, loc), weight))
         if own_elo < opp_elo:
-            nested.append(FitObservation(goals, (1.0, opp_elo, loc, float(conceded)), weight))
+            nested.append((goals, (1.0, opp_elo, loc, float(conceded)), weight))
     if not attack:
         raise InsufficientDataError(f"team {team!r} has no matches in the data window")
-    return attack, defense, nested
+    return stack_rows(attack, 3), stack_rows(defense, 3), stack_rows(nested, 4)
 
 
 def synth_observations(seed, n=600, alpha=(0.9, -0.25, 0.2), phi=1.5, omega=0.15,
@@ -157,7 +177,13 @@ def synth_observations(seed, n=600, alpha=(0.9, -0.25, 0.2), phi=1.5, omega=0.15
     mu = np.exp(X @ np.asarray(alpha))
     y = sample_block(mu, np.full(n, phi), np.full(n, omega), rng.random(n))
     w = rng.uniform(0.5, 4.0, n) if weighted else np.ones(n)
-    return [FitObservation(int(y[i]), tuple(X[i]), float(w[i])) for i in range(n)]
+    return X, y, w
+
+
+def table_rows(table):
+    """The (X, y, w) arrays of (goals, opponent Elo, location, weight) rows."""
+    k, elo, loc, w = (np.array(column) for column in zip(*table))
+    return np.column_stack([np.ones(len(k)), elo, loc]), k, w
 
 
 # Goals conceded by AUT in the demo history of scripts/gen_demo_history.py
@@ -306,8 +332,7 @@ CZE_DEFENSE_2016 = [
 
 class TestLikelihood:
     def test_gradient_matches_finite_differences(self):
-        obs = synth_observations(0, n=300)
-        X, y, w = design_matrix(obs)
+        X, y, w = synth_observations(0, n=300)
         rng = np.random.default_rng(9)
         for _ in range(10):
             theta = np.concatenate(
@@ -354,8 +379,7 @@ class TestLikelihood:
             assert_allclose(hess, numeric, rtol=1e-5, atol=1e-8 * np.abs(numeric).max())
 
     def test_loglik_is_weighted_sum_of_log_pmf(self):
-        obs = synth_observations(1, n=50)
-        X, y, w = design_matrix(obs)
+        X, y, w = synth_observations(1, n=50)
         theta = np.array([0.8, -0.2, 0.1, math.log(0.5), math.log(0.15 / 0.85)])
         value, _ = loglik_and_grad(theta, X, y, w)
         params_at = lambda i: ZigpParams(
@@ -369,33 +393,28 @@ class TestLikelihood:
 
 class TestFitter:
     def test_recovers_synthetic_parameters(self):
-        obs = synth_observations(42, n=2000)
-        c = fit_zigp(obs, seed=0)
+        c = fit_zigp(*synth_observations(42, n=2000), seed=0)
         assert_allclose(c.alpha, (0.9, -0.25, 0.2), atol=0.1)
         assert c.phi == pytest.approx(1.5, rel=0.15)
         assert c.omega == pytest.approx(0.15, rel=0.3)
 
     def test_stationary_point_in_raw_coordinates(self):
-        obs = synth_observations(3, n=800)
-        c = fit_zigp(obs, seed=0)
-        X, y, w = design_matrix(obs)
+        X, y, w = synth_observations(3, n=800)
+        c = fit_zigp(X, y, w, seed=0)
         theta = np.concatenate([c.alpha, [c.beta, c.gamma_log]])
         _, grad = loglik_and_grad(theta, X, y, w / np.mean(w))
         assert np.max(np.abs(grad)) < 1e-5
 
     def test_deterministic_given_seed(self):
-        obs = synth_observations(4, n=400)
-        a = fit_zigp(obs, seed=7)
-        b = fit_zigp(obs, seed=7)
+        rows = synth_observations(4, n=400)
+        a = fit_zigp(*rows, seed=7)
+        b = fit_zigp(*rows, seed=7)
         assert a == b
 
     def test_weight_scale_invariance(self):
-        obs = synth_observations(5, n=400)
-        scaled = [
-            FitObservation(o.response, o.covariates, o.weight * 37.5) for o in obs
-        ]
-        a = fit_zigp(obs, seed=1)
-        b = fit_zigp(scaled, seed=1)
+        X, y, w = synth_observations(5, n=400)
+        a = fit_zigp(X, y, w, seed=1)
+        b = fit_zigp(X, y, w * 37.5, seed=1)
         assert_allclose(a.alpha, b.alpha, atol=1e-6)
         assert a.phi == pytest.approx(b.phi, abs=1e-6)
         assert a.omega == pytest.approx(b.omega, abs=1e-6)
@@ -404,17 +423,15 @@ class TestFitter:
         # a sample on which an earlier multi-start fitter stalled on every
         # start (projected gradient 2.2e-2); the fit must be stationary on
         # the raw covariate scale
-        obs = [FitObservation(k, (1.0, elo, loc), w) for k, elo, loc, w in AUT_DEFENSE_2016]
-        c = fit_zigp(obs, seed=AUT_DEFENSE_SEED)
-        X, y, w = design_matrix(obs)
+        X, y, w = table_rows(AUT_DEFENSE_2016)
+        c = fit_zigp(X, y, w, seed=AUT_DEFENSE_SEED)
         theta = np.concatenate([c.alpha, [c.beta, c.gamma_log]])
         _, grad = loglik_and_grad(theta, X, y, w / np.mean(w))
         assert np.max(np.abs(grad)) < 1e-5
 
     def test_interior_optimum_beats_flat_beta_boundary(self):
-        obs = [FitObservation(k, (1.0, elo, loc), w) for k, elo, loc, w in CZE_DEFENSE_2016]
-        c = fit_zigp(obs, seed=CZE_DEFENSE_SEED)
-        X, y, w = design_matrix(obs)
+        X, y, w = table_rows(CZE_DEFENSE_2016)
+        c = fit_zigp(X, y, w, seed=CZE_DEFENSE_SEED)
         theta = np.concatenate([c.alpha, [c.beta, c.gamma_log]])
         value, _ = loglik_and_grad(theta, X, y, w / np.mean(w))
         assert -value < 90.9182 - 1e-3
@@ -432,16 +449,15 @@ class TestFitter:
             return result
 
         monkeypatch.setattr(regression, "_newton_batch", recording)
-        obs = synth_observations(3, n=400)
+        X, y, w = synth_observations(3, n=400)
         with pytest.raises(FitError) as info:
-            fit_zigp(obs, seed=5)
+            fit_zigp(X, y, w, seed=5)
         assert len(runs) == 5  # the warm start and four jittered copies
         best = min(runs, key=lambda run: run[1])
         assert info.value.diagnostics["neg_loglik"] == best[1]
         coeffs = info.value.best
         assert isinstance(coeffs, RegressionCoefficients)
         assert (coeffs.beta, coeffs.gamma_log) == (best[0][-2], best[0][-1])
-        X, y, w = design_matrix(obs)
         theta = np.concatenate([coeffs.alpha, [coeffs.beta, coeffs.gamma_log]])
         value, _ = loglik_and_grad(theta, X, y, w / np.mean(w))
         assert -value == pytest.approx(best[1], rel=1e-9)
@@ -453,39 +469,41 @@ class TestFitter:
         X = np.column_stack([np.ones(n), x1])
         mu = np.exp(0.6 + 0.3 * x1)
         y = rng.poisson(mu)
-        obs = [FitObservation(int(y[i]), tuple(X[i]), 1.0) for i in range(n)]
-        c = fit_zigp(obs, seed=0)
+        c = fit_zigp(X, y, np.ones(n), seed=0)
         assert c.phi < 1.1
         assert c.omega < 0.05
         assert_allclose(c.alpha, (0.6, 0.3), atol=0.1)
 
     def test_all_zero_responses_terminate(self):
-        obs = [FitObservation(0, (1.0, z), 1.0) for z in np.linspace(-1, 1, 40)]
-        c = fit_zigp(obs, seed=0)
+        X = np.column_stack([np.ones(40), np.linspace(-1, 1, 40)])
+        c = fit_zigp(X, np.zeros(40, dtype=np.int64), np.ones(40), seed=0)
         mean = (1 - c.omega) * math.exp(c.alpha[0])
         assert mean < 0.05
 
     def test_too_few_observations(self):
-        obs = synth_observations(9, n=9)
         with pytest.raises(InsufficientDataError):
-            fit_zigp(obs, seed=0)
+            fit_zigp(*synth_observations(9, n=9), seed=0)
 
     def test_zero_total_weight(self):
         # every recency weight underflowed to 0 once made the weights NaN
-        obs = [dataclasses.replace(o, weight=0.0) for o in synth_observations(9, n=40)]
+        X, y, w = synth_observations(9, n=40)
         with pytest.raises(InsufficientDataError, match="40 observations have a total weight of 0"):
-            fit_zigp(obs, seed=0)
+            fit_zigp(X, y, np.zeros_like(w), seed=0)
+
+    def test_overflowing_total_weight(self):
+        # weights of 1e308 sum past the largest float; the check itself must not warn
+        X, y, w = synth_observations(9, n=40)
+        with warnings.catch_warnings(), pytest.raises(
+            InsufficientDataError, match="40 observations have a total weight of inf"
+        ):
+            warnings.simplefilter("error")
+            fit_zigp(X, y, np.full_like(w, 1e308), seed=0)
 
     def test_constant_column_warns(self):
-        obs = [
-            FitObservation(k, (1.0, 5.0, float(s)), 1.0)
-            for k, s in zip(
-                np.random.default_rng(2).poisson(1.5, 60),
-                np.random.default_rng(3).choice([-1, 0, 1], 60),
-            )
-        ]
+        s = np.random.default_rng(3).choice([-1, 0, 1], 60)
+        X = np.column_stack([np.ones(60), np.full(60, 5.0), s.astype(float)])
         with pytest.warns(DesignMatrixWarning):
-            fit_zigp(obs, seed=0)
+            fit_zigp(X, np.random.default_rng(2).poisson(1.5, 60), np.ones(60), seed=0)
 
 
 class TestOmega:
@@ -512,20 +530,16 @@ class TestGof:
     def test_single_observation_df_clamp(self):
         # mean (1-omega)*mu ~= 1, observation 2 -> statistic 1, df clamped to 1
         c = RegressionCoefficients(alpha=(0.0,), beta=-30.0, gamma_log=-30.0)
-        d = chi_square_gof(c, [FitObservation(2, (1.0,), 1.0)])
+        d = chi_square_gof(c, np.ones((1, 1)), np.array([2]))
         assert d.statistic == pytest.approx(1.0, abs=1e-9)
         assert d.df == 1
         assert d.n_obs == 1
 
     def test_perfect_fit_scores_zero(self):
         c = RegressionCoefficients(alpha=(0.0, 1.0), beta=-30.0, gamma_log=-30.0)
-        obs = [
-            FitObservation(1, (1.0, 0.0), 1.0),
-            FitObservation(2, (1.0, math.log(2.0)), 1.0),
-            FitObservation(3, (1.0, math.log(3.0)), 1.0),
-            FitObservation(7, (1.0, math.log(7.0)), 1.0),
-        ]
-        d = chi_square_gof(c, obs)
+        y = np.array([1, 2, 3, 7])
+        X = np.array([[1.0, math.log(k)] for k in y])
+        d = chi_square_gof(c, X, y)
         assert d.statistic == pytest.approx(0.0, abs=1e-12)
         assert d.p_value == pytest.approx(1.0)
         assert d.df == 2
@@ -533,13 +547,13 @@ class TestGof:
     def test_mean_uses_zero_inflation(self):
         # omega = 0.5 halves the fitted mean
         c = RegressionCoefficients(alpha=(math.log(2.0),), beta=-30.0, gamma_log=0.0)
-        d = chi_square_gof(c, [FitObservation(1, (1.0,), 1.0)])
+        d = chi_square_gof(c, np.ones((1, 1)), np.array([1]))
         assert d.statistic == pytest.approx(0.0, abs=1e-9)
 
     def test_tiny_means_floored_with_warning(self):
         c = RegressionCoefficients(alpha=(-40.0,), beta=-30.0, gamma_log=-30.0)
         with pytest.warns(RuntimeWarning, match="floored"):
-            d = chi_square_gof(c, [FitObservation(1, (1.0,), 1.0)])
+            d = chi_square_gof(c, np.ones((1, 1)), np.array([1]))
         assert np.isfinite(d.statistic)
 
     def test_p_values_roughly_uniform_under_true_model(self):
@@ -551,9 +565,8 @@ class TestGof:
             x1 = rng.normal(0.0, 1.0, n)
             X = np.column_stack([np.ones(n), x1])
             y = rng.poisson(np.exp(0.5 + 0.3 * x1))
-            obs = [FitObservation(int(y[i]), tuple(X[i]), 1.0) for i in range(n)]
-            c = fit_zigp(obs, seed=0)
-            p_values.append(chi_square_gof(c, obs).p_value)
+            c = fit_zigp(X, y, np.ones(n), seed=0)
+            p_values.append(chi_square_gof(c, X, y).p_value)
         median = float(np.median(p_values))
         assert 0.3 < median < 0.7
 
@@ -623,15 +636,15 @@ def fit_one_by_one(matches, teams, cfg):
     """
     models, failures = {}, {}
     for idx, team in enumerate(sorted(teams)):
-        attack_obs, defense_obs, nested_obs = build_observations(team, matches, cfg.weights)
+        attack_rows, defense_rows, nested_rows = team_rows(team, matches, cfg.weights)
         seeds = team_seeds(cfg, idx)
         try:
-            attack = fit_zigp(attack_obs, seed=seeds[0])
-            defense = fit_zigp(defense_obs, seed=seeds[1])
+            attack = fit_zigp(*attack_rows, seed=seeds[0])
+            defense = fit_zigp(*defense_rows, seed=seeds[1])
             nested = None
-            if len(nested_obs) >= cfg.min_nested_obs:
+            if len(nested_rows[1]) >= cfg.min_nested_obs:
                 try:
-                    nested = fit_zigp(nested_obs, seed=seeds[2])
+                    nested = fit_zigp(*nested_rows, seed=seeds[2])
                 except InsufficientDataError:
                     pass
         except FitError as exc:
@@ -674,7 +687,7 @@ class TestBatchedFits:
                 assert type(observations) is type(exc)
                 assert str(observations) == str(exc), team
                 continue
-            assert observations == expected, team
+            assert_same_rows(observations, expected)
         assert failed == 3  # FRA, its tenth opponent and XXX
 
     @pytest.mark.parametrize("max_iter", [regression._NEWTON_MAX_ITER, 20])
@@ -694,7 +707,8 @@ class TestBatchedFits:
         # neutral venue: its nested location column is constant, so it fits
         # 3 columns and shares its batch with the full-rank attack and
         # defense regressions
-        underdog = max(teams, key=lambda t: len(build_observations(t, matches, cfg.weights)[2]))
+        by_team = observations_by_team(teams, matches, cfg.weights)
+        underdog = max(teams, key=lambda t: len(by_team[t][2][1]))
         neutral = [
             dataclasses.replace(m, venue_country="NEUTRAL")
             if underdog in (m.team_a, m.team_b)
@@ -729,10 +743,10 @@ class TestBatchedFits:
         summary = fit_team_models(matches, teams, cfg)
         assert summary.models == {}
         expected = {}
+        by_team = observations_by_team(teams, matches, cfg.weights)
         for idx, team in enumerate(teams):
             with pytest.raises(FitError) as info:
-                attack = build_observations(team, matches, cfg.weights)[0]
-                fit_zigp(attack, seed=team_seeds(cfg, idx)[0])
+                fit_zigp(*by_team[team][0], seed=team_seeds(cfg, idx)[0])
             expected[team] = str(info.value)
         assert summary.failures == expected
         assert list(summary.failures) == teams
