@@ -164,6 +164,8 @@ def _elo_pair(args) -> tuple[float, float]:
 
 
 def cmd_forecast(args) -> int:
+    if args.team_a == args.team_b:
+        raise ConfigError(f"a team cannot play itself: {args.team_a}")
     cfg = _load_config(args)
     models, _ = data_io.load_models(args.model)
     for t in (args.team_a, args.team_b):

@@ -16,7 +16,7 @@ goal models as a regression covariate instead.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
@@ -123,6 +123,8 @@ def replay_history(
     appear in the seed ratings.  Returns the annotated copies plus the
     final rating table after all updates.
     """
+    from .data_io import MatchRecord  # data_io imports this module
+
     if k_factors is None:
         k_factors = DEFAULT_K_FACTORS
     table = {r.team: float(r.points) for r in seed_ratings}
@@ -143,7 +145,12 @@ def replay_history(
                 f"unknown match type {m.match_type!r}; configure a K factor for it"
             )
         elo_a, elo_b = table[m.team_a], table[m.team_b]
-        annotated.append(replace(m, elo_a_before=elo_a, elo_b_before=elo_b))
+        annotated.append(
+            MatchRecord(
+                m.date, m.team_a, m.team_b, m.goals_a, m.goals_b, m.match_type,
+                m.venue_country, elo_a, elo_b,
+            )
+        )
         k = float(k_factors[m.match_type])
         table[m.team_a], table[m.team_b] = update_pair(
             elo_a, elo_b, m.goals_a, m.goals_b, k

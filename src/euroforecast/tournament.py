@@ -13,10 +13,10 @@ stream of ``np.random.default_rng(s)``, in the layout that
 :class:`Bracket` describes, which makes the aggregate counts
 bit-identical for any worker count and block size.  ``monte_carlo``
 compiles the bracket once and plays blocks of runs together, one row
-per run; ``n_workers`` processes, the calling one among them, each play
-one contiguous range of runs.  A block plays each wave of group matches
-(a matchday: no team twice) as one batched draw, and reaches its first
-run by ``PCG64``'s jump-ahead.
+per run; up to ``n_workers`` processes, the calling one among them, each
+play one contiguous range of at least ``MIN_RUNS_PER_PROCESS`` runs.  A
+block plays each wave of group matches (a matchday: no team twice) as
+one batched draw, and reaches its first run by ``PCG64``'s jump-ahead.
 """
 
 from __future__ import annotations
@@ -419,7 +419,14 @@ def compile_bracket(
 
 # Runs played together; bounds the engine's memory whatever n_runs is.
 BLOCK_RUNS = 1024
-MAX_WORKERS = 64  # largest accepted n_workers: the caller and up to 63 started processes
+MAX_WORKERS = 64  # largest accepted n_workers: at most the caller and 63 started processes
+# Fewest runs a process plays.  A started process pays for itself only
+# from about 1,024 runs: on a 2-CPU x86-64 machine 2 workers took
+# 1.1-2.3 times as long as 1 on 256 and 512 runs, 0.9-1.2 times on 1,024
+# and 0.7-0.8 times on 2,048 (EURO 2016 and 2020 brackets).  Acceptance
+# criterion 6 plays 2,000 runs on 3 workers, so it starts processes only
+# while this is at most 666.
+MIN_RUNS_PER_PROCESS = 512
 MAX_RUNS = 2**32  # largest accepted n_runs: the documented range of --n-runs
 
 
@@ -590,12 +597,13 @@ def monte_carlo(
 ) -> SimulationAggregate:
     """Aggregate stage counts over ``n_runs`` independent tournaments.
 
-    ``n_workers`` processes play the runs: the calling process plays the
-    first contiguous range of runs and a pool of at most ``n_workers - 1``
-    started processes plays the others, one range each; with one
-    non-empty range no pool is started.  Results are identical for any
-    ``n_workers``: each run reads its own segment of one stream
-    (:func:`_block_uniforms`), and the counts merge as integer sums.
+    At most ``n_workers`` processes play the runs, each at least
+    ``MIN_RUNS_PER_PROCESS`` of them, so a call of fewer than twice that
+    many runs starts no process.  The calling process plays the first
+    contiguous range of runs and a pool of the other processes plays the
+    others, one range each.  Results are identical for any ``n_workers``:
+    each run reads its own segment of one stream (:func:`_block_uniforms`),
+    and the counts merge as integer sums.
     """
     if n_runs <= 0:
         raise ConfigError("n_runs must be positive")
@@ -606,9 +614,10 @@ def monte_carlo(
         raise ConfigError(f"the master seed must be non-negative, got {master_seed}")
     if not 1 <= n_workers <= MAX_WORKERS:
         raise ConfigError(f"n_workers must lie in [1, {MAX_WORKERS}], got {n_workers}")
+    n_workers = min(n_workers, max(1, n_runs // MIN_RUNS_PER_PROCESS))
     bracket = compile_bracket(models, ratings, fixtures, allocation, k_factors)
     bounds = [n_runs * w // n_workers for w in range(n_workers + 1)]
-    first, *rest = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    first, *rest = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if not rest:
         counts = _run_chunk(bracket, master_seed, first, BLOCK_RUNS)
     else:

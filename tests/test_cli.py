@@ -70,7 +70,8 @@ class TestParser:
         self, euro2020_model_file, demo_history, data_dir
     ):
         # scipy and the pool's modules would add about 0.35 s to every command;
-        # only a fit loads scipy, and only a run on several workers the pool
+        # only a fit loads scipy, and only a run on several workers that gives
+        # each process MIN_RUNS_PER_PROCESS runs the pool
         src = str(Path(euroforecast.__file__).resolve().parent.parent)
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         env = dict(os.environ, PYTHONPATH=path)
@@ -78,7 +79,7 @@ class TestParser:
         code = f"""
 import datetime, sys
 import euroforecast.cli
-from euroforecast import data_io, elo
+from euroforecast import data_io, elo, tournament
 from euroforecast.forecast import score_grid
 from euroforecast.regression import FitConfig, fit_team_models
 from euroforecast.tournament import monte_carlo
@@ -102,13 +103,18 @@ assert fit_team_models(annotated, ["FRA"], cfg).models
 loaded()
 monte_carlo(models, ratings, fixtures, allocation, n_runs=20, n_workers=2)
 loaded()
+monte_carlo(
+    models, ratings, fixtures, allocation, n_runs=2 * tournament.MIN_RUNS_PER_PROCESS,
+    n_workers=2,
+)
+loaded()
 """
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
             check=True,
         ).stdout
         assert out.splitlines() == [
-            "[]", "['scipy']", "['scipy', 'concurrent.futures.process']"
+            "[]", "['scipy']", "['scipy']", "['scipy', 'concurrent.futures.process']"
         ]
 
     def test_help(self, capsys):
@@ -550,6 +556,28 @@ class TestForecast:
         assert code == EXIT_CONFIG
         assert "GER" in capsys.readouterr().err
 
+    def test_team_against_itself_is_config_error(
+        self, tmp_path, fitted_model_file, demo_history, capsys
+    ):
+        _, ratings_path = demo_history
+        out, json_out = tmp_path / "grid.csv", tmp_path / "grid.json"
+        code = main(
+            [
+                "forecast",
+                "--model", str(fitted_model_file),
+                "--team-a", "FRA",
+                "--team-b", "FRA",
+                "--ratings", str(ratings_path),
+                "--out", str(out),
+                "--json-out", str(json_out),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "a team cannot play itself: FRA" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not json_out.exists()
+
     def test_wrong_alpha_count_is_config_error(self, tmp_path, fitted_model_file, capsys):
         doc = json.loads(fitted_model_file.read_text())
         doc["teams"]["BEL"]["nested"]["alpha"].pop()
@@ -670,7 +698,10 @@ class TestSimulate:
         champion_total = sum(float(l.split(",")[1]) for l in stage_lines[1:])
         assert champion_total == pytest.approx(1.0, abs=24 * 5e-7)
 
-    def test_deterministic_across_workers(self, tmp_path, euro2020_model_file, data_dir):
+    def test_deterministic_across_workers(
+        self, tmp_path, euro2020_model_file, data_dir, monkeypatch
+    ):
+        monkeypatch.setattr(tournament, "MIN_RUNS_PER_PROCESS", 1)
         outputs = []
         for name, workers in (("one", "1"), ("three", "3")):
             out_dir = tmp_path / name
@@ -853,11 +884,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("intercept, got", [(709.5, "inf"), (-744.5, "0.0")])
     def test_stage_mean_outside_the_floats_in_the_callers_range_is_config_error(
-        self, tmp_path, euro2020_model_file, data_dir, capsys, intercept, got
+        self, tmp_path, euro2020_model_file, data_dir, capsys, monkeypatch, intercept, got
     ):
         # on 2 workers the calling process plays runs 0-4 while a started
         # process plays 5-9: the caller's error ends the command, and no child
         # outlives it
+        monkeypatch.setattr(tournament, "MIN_RUNS_PER_PROCESS", 1)
         doc = json.loads(euro2020_model_file.read_text())
         for team in doc["teams"].values():
             for kind in ("attack", "defense", "nested"):

@@ -508,7 +508,10 @@ class TestMonteCarlo:
         )
         assert again.counts == aggregate.counts
 
-    def test_worker_count_does_not_change_counts(self, euro2020, euro_models, aggregate):
+    def test_worker_count_does_not_change_counts(
+        self, euro2020, euro_models, aggregate, monkeypatch
+    ):
+        monkeypatch.setattr(tournament, "MIN_RUNS_PER_PROCESS", 1)
         ratings, fixtures, allocation = euro2020
         parallel = monte_carlo(
             euro_models, ratings, fixtures, allocation,
@@ -517,8 +520,9 @@ class TestMonteCarlo:
         assert parallel.n_runs == aggregate.n_runs
         assert parallel.counts == aggregate.counts
 
-    def test_more_workers_than_runs(self, euro2020, euro_models):
-        # 3 runs on 5 workers: two workers get an empty range of runs
+    def test_more_workers_than_runs(self, euro2020, euro_models, monkeypatch):
+        # 3 runs on 5 workers: at most one process per run is started
+        monkeypatch.setattr(tournament, "MIN_RUNS_PER_PROCESS", 1)
         ratings, fixtures, allocation = euro2020
         one, five = (
             monte_carlo(
@@ -529,20 +533,10 @@ class TestMonteCarlo:
         )
         assert np.array_equal(five.table, one.table)
 
-    @pytest.mark.parametrize(
-        "n_runs, workers, pools",
-        [
-            (24, 2, [(1, [range(12, 24)])]),
-            (3, 5, [(2, [range(1, 2), range(2, 3)])]),
-            (1, 2, []),
-        ],
-        ids=["24-runs-on-2", "3-runs-on-5", "1-run-on-2"],
-    )
-    def test_caller_plays_the_first_range(
-        self, euro2020, euro_models, monkeypatch, n_runs, workers, pools
-    ):
-        # each started pool as (max_workers, submitted ranges); the fake plays
-        # what is submitted to it in this process
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Each pool ``monte_carlo`` starts, as (max_workers, submitted ranges);
+        the stand-in plays what is submitted to it in this process."""
         started = []
 
         class RecordingPool:
@@ -563,19 +557,56 @@ class TestMonteCarlo:
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return started
+
+    @staticmethod
+    def one_and_fanned(euro2020, euro_models, n_runs, workers):
         ratings, fixtures, allocation = euro2020
-        one, fanned = (
+        return (
             monte_carlo(
                 euro_models, ratings, fixtures, allocation,
                 n_runs=n_runs, master_seed=9, n_workers=w,
             )
             for w in (1, workers)
         )
+
+    @pytest.mark.parametrize(
+        "n_runs, workers, pools",
+        [
+            (24, 2, [(1, [range(12, 24)])]),
+            (3, 5, [(2, [range(1, 2), range(2, 3)])]),
+            (1, 2, []),
+        ],
+        ids=["24-runs-on-2", "3-runs-on-5", "1-run-on-2"],
+    )
+    def test_caller_plays_the_first_range(
+        self, euro2020, euro_models, monkeypatch, started, n_runs, workers, pools
+    ):
+        monkeypatch.setattr(tournament, "MIN_RUNS_PER_PROCESS", 1)
+        one, fanned = self.one_and_fanned(euro2020, euro_models, n_runs, workers)
+        assert started == pools
+        assert np.array_equal(fanned.table, one.table)
+
+    @pytest.mark.parametrize(
+        "n_runs, workers, pools",
+        [
+            (1023, 2, []),
+            (1024, 2, [(1, [range(512, 1024)])]),
+            (1536, 5, [(2, [range(512, 1024), range(1024, 1536)])]),
+        ],
+        ids=["1023-runs-on-2", "1024-runs-on-2", "1536-runs-on-5"],
+    )
+    def test_every_process_plays_its_minimum(
+        self, euro2020, euro_models, started, n_runs, workers, pools
+    ):
+        assert tournament.MIN_RUNS_PER_PROCESS == 512
+        one, fanned = self.one_and_fanned(euro2020, euro_models, n_runs, workers)
         assert started == pools
         assert np.array_equal(fanned.table, one.table)
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_fan_out_needs_no_fork(self, euro2020, euro_models, monkeypatch, method):
+        monkeypatch.setattr(tournament, "MIN_RUNS_PER_PROCESS", 1)
         pool = functools.partial(
             concurrent.futures.ProcessPoolExecutor,
             mp_context=multiprocessing.get_context(method),
@@ -733,6 +764,7 @@ class TestBlockEngine:
     ):
         expect = reference(2020, seed)
         monkeypatch.setattr(tournament, "BLOCK_RUNS", SMALL_BLOCK)
+        monkeypatch.setattr(tournament, "MIN_RUNS_PER_PROCESS", 1)
         ratings, fixtures, allocation = euro2020
         agg = monte_carlo(
             euro_models, ratings, fixtures, allocation,
@@ -748,6 +780,7 @@ class TestBlockEngine:
     ):
         expect = reference(2016, 42)
         monkeypatch.setattr(tournament, "BLOCK_RUNS", SMALL_BLOCK)
+        monkeypatch.setattr(tournament, "MIN_RUNS_PER_PROCESS", 1)
         agg = monte_carlo(*euro2016, n_runs=UNEVEN_RUNS, master_seed=42, n_workers=workers)
         assert agg.counts == expect.counts
 
