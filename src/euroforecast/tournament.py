@@ -14,9 +14,10 @@ stream of ``np.random.default_rng(s)``, in the layout that
 bit-identical for any worker count and block size.  ``monte_carlo``
 compiles the bracket once and plays blocks of runs together, one row
 per run; up to ``n_workers`` processes, the calling one among them, each
-play one contiguous range of at least ``MIN_RUNS_PER_PROCESS`` runs.  A
-block plays each wave of group matches (a matchday: no team twice) as
-one batched draw, and reaches its first run by ``PCG64``'s jump-ahead.
+play one contiguous range of runs, of at least ``MIN_RUNS_PER_PROCESS``
+runs when there are several.  A block plays each wave of group matches
+(a matchday: no team twice) as one batched draw, and reaches its first
+run by ``PCG64``'s jump-ahead.
 """
 
 from __future__ import annotations
@@ -597,13 +598,13 @@ def monte_carlo(
 ) -> SimulationAggregate:
     """Aggregate stage counts over ``n_runs`` independent tournaments.
 
-    At most ``n_workers`` processes play the runs, each at least
-    ``MIN_RUNS_PER_PROCESS`` of them, so a call of fewer than twice that
-    many runs starts no process.  The calling process plays the first
-    contiguous range of runs and a pool of the other processes plays the
-    others, one range each.  Results are identical for any ``n_workers``:
-    each run reads its own segment of one stream (:func:`_block_uniforms`),
-    and the counts merge as integer sums.
+    At most ``n_workers`` processes play the runs, several only when each
+    plays at least ``MIN_RUNS_PER_PROCESS`` of them, so a call of fewer
+    than twice that many runs starts no process.  The calling process
+    plays the first contiguous range of runs and a pool of the other
+    processes plays the others, one range each.  Results are identical
+    for any ``n_workers``: each run reads its own segment of one stream
+    (:func:`_block_uniforms`), and the counts merge as integer sums.
     """
     if n_runs <= 0:
         raise ConfigError("n_runs must be positive")

@@ -521,7 +521,7 @@ class TestMonteCarlo:
         assert parallel.counts == aggregate.counts
 
     def test_more_workers_than_runs(self, euro2020, euro_models, monkeypatch):
-        # 3 runs on 5 workers: at most one process per run is started
+        # 3 runs on 5 workers play on 3 processes, one run each
         monkeypatch.setattr(tournament, "MIN_RUNS_PER_PROCESS", 1)
         ratings, fixtures, allocation = euro2020
         one, five = (
