@@ -261,6 +261,13 @@ def _stack(samples: Sequence[_Sample]) -> _Sample:
     )
 
 
+def _expit(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) elementwise; exactly 0, without a warning, where e^-x
+    overflows (x below -709.78)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _loglik_derivatives(theta: np.ndarray, s: _Sample):
     """Each regression's weighted ZIGP log-likelihood, gradient and Hessian.
 
@@ -274,9 +281,6 @@ def _loglik_derivatives(theta: np.ndarray, s: _Sample):
     other regressions of ``s``.  Returns (L, dL/dtheta, d2L/dtheta2),
     shaped (m,), (m, p+2) and (m, p+2, p+2).
     """
-    # scipy is imported by the fitter alone, which keeps it off every other command's start-up
-    from scipy.special import expit
-
     Xt, w, zero, k = s.Xt, s.w, s.zero, s.k
     p = len(Xt)
     beta, gamma = theta[:, p], theta[:, p + 1]
@@ -287,13 +291,13 @@ def _loglik_derivatives(theta: np.ndarray, s: _Sample):
     mu = np.exp(np.clip(eta, -_ETA_CLIP, _ETA_CLIP, out=eta))
     b = np.exp(beta)  # phi - 1 = dphi/dbeta
     phi = 1.0 + b
-    omega = expit(gamma)
+    omega = _expit(gamma)
 
     # each row's regression-level values
     b_i, phi_i, gamma_i = b[s.fit], phi[s.fit], gamma[s.fit]
     log1m_omega = -np.logaddexp(0.0, gamma)[s.fit]
     t = mu / phi_i
-    r, q = expit(gamma_i + t), expit(-gamma_i - t)
+    r, q = _expit(gamma_i + t), _expit(-gamma_i - t)
     m = mu + b_i * k
     c = k * (k - 1.0) / m**2
     positive = (
@@ -602,6 +606,31 @@ def fit_zigp(X: np.ndarray, y: np.ndarray, w: np.ndarray, seed: int = 0) -> Regr
 # ---------------------------------------------------------------------------
 
 
+def chi_square_sf(df: int, x: float) -> float:
+    """P(X > x) for X chi-square with an integer ``df`` >= 1 degrees of freedom.
+
+    With lam = x/2, an even df is the Poisson series
+    e^-lam * sum_{j < df/2} lam^j / j!, and an odd df is
+    erfc(sqrt(lam)) + e^-lam * sum_{j < (df-1)/2} lam^(j+1/2) / Gamma(j+3/2)
+    (Abramowitz & Stegun 26.4.4-5).  The terms are summed in log space,
+    so none overflows or underflows before the sum does.
+    """
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    lam = 0.5 * x
+    log_lam = math.log(lam)
+    half = 0.5 * (df % 2)
+    logs = [-lam + (j + half) * log_lam - math.lgamma(j + half + 1.0) for j in range(df // 2)]
+    if half and (tail := math.erfc(math.sqrt(lam))) > 0.0:
+        logs.append(math.log(tail))
+    if not logs:
+        return 0.0
+    top = max(logs)
+    return math.exp(top + math.log(math.fsum(math.exp(v - top) for v in logs)))
+
+
 def chi_square_gof(
     coefficients: RegressionCoefficients, X: np.ndarray, y: np.ndarray
 ) -> FitDiagnostics:
@@ -610,10 +639,11 @@ def chi_square_gof(
     The per-observation mean is the distribution mean (1-omega)*mu_i.
     Degrees of freedom: n minus the number of alpha coefficients,
     clamped to at least 1.  Means are floored at 1e-8 (with a warning)
-    to keep the statistic finite.
+    to keep the statistic finite.  The p-value is ``chi_square_sf``'s
+    closed form (A&S 26.4.4-5), tested against 50-digit mpmath and
+    scipy's ``chdtrc`` to 1e-12 relative wherever it is above 1e-300
+    (df 1-400, statistic 0 to 10*df).
     """
-    from scipy.special import chdtrc
-
     mu = np.exp(np.clip(X @ np.array(coefficients.alpha), -_ETA_CLIP, _ETA_CLIP))
     means = (1.0 - coefficients.omega) * mu
     if np.any(means < _GOF_MEAN_FLOOR):
@@ -625,7 +655,7 @@ def chi_square_gof(
         means = np.maximum(means, _GOF_MEAN_FLOOR)
     stat = float(np.sum((y - means) ** 2 / means))
     df = max(len(y) - len(coefficients.alpha), 1)
-    p_value = float(chdtrc(df, stat))
+    p_value = chi_square_sf(df, stat)
     return FitDiagnostics(statistic=stat, df=df, p_value=p_value, n_obs=len(y))
 
 

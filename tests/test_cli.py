@@ -70,8 +70,8 @@ class TestParser:
         self, euro2020_model_file, demo_history, data_dir
     ):
         # scipy and the pool's modules would add about 0.35 s to every command;
-        # only a fit loads scipy, and only a run on several workers that gives
-        # each process MIN_RUNS_PER_PROCESS runs the pool
+        # nothing loads scipy, and only a run on several workers that gives
+        # each process MIN_RUNS_PER_PROCESS runs loads the pool
         src = str(Path(euroforecast.__file__).resolve().parent.parent)
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         env = dict(os.environ, PYTHONPATH=path)
@@ -113,8 +113,55 @@ loaded()
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
             check=True,
         ).stdout
-        assert out.splitlines() == [
-            "[]", "['scipy']", "['scipy']", "['scipy', 'concurrent.futures.process']"
+        assert out.splitlines() == ["[]", "[]", "[]", "['concurrent.futures.process']"]
+
+    def test_pipeline_runs_where_scipy_cannot_be_imported(self, tmp_path, data_dir):
+        # every command, on a 2016 demo history, in an interpreter whose
+        # import system refuses scipy
+        root = Path(euroforecast.__file__).resolve().parent.parent.parent
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        code = f"""
+import runpy, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError("scipy is blocked: " + name)
+
+sys.meta_path.insert(0, NoScipy())
+from euroforecast.cli import main
+
+data, out = {str(data_dir)!r} + "/euro2016_", {str(tmp_path)!r} + "/"
+gen = runpy.run_path({str(root / "scripts" / "gen_demo_history.py")!r})["main"]
+assert gen(["--ratings", data + "ratings.csv", "--out-dir", out, "--end", "2016-06-10"]) == 0
+with open(out + "config.json", "w") as f:
+    f.write('{{"reference_date": "2016-06-10"}}')
+history = ["--matches", out + "matches.csv", "--ratings", out + "ratings.csv"]
+bracket = ["--fixtures", data + "fixtures.csv", "--allocation", data + "allocation.csv",
+           "--ratings", data + "ratings.csv", "--n-runs", "200", "--seed", "1"]
+model = ["--model", out + "models.json"]
+for argv in [
+    ["replay-elo", *history, "--out", out + "annotated.csv"],
+    ["fit", *history, "--fixtures", data + "fixtures.csv", "--config", out + "config.json",
+     "--out", out + "models.json", "--gof-out", out + "fit_gof.csv"],
+    ["gof", *model, "--out", out + "gof.csv"],
+    ["forecast", *model, "--team-a", "FRA", "--team-b", "GER", "--venue", "FRA",
+     "--ratings", data + "ratings.csv", "--out", out + "grid.csv"],
+    ["simulate", *model, *bracket, "--out-dir", out + "sim"],
+    ["validate", *model, *bracket, "--results", data + "results.csv",
+     "--out", out + "metrics.csv"],
+]:
+    print("exit", argv[0], main(argv))
+print("exit scipy loaded:", "scipy" in sys.modules)
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+            check=True,
+        ).stdout
+        assert [line for line in out.splitlines() if line.startswith("exit ")] == [
+            "exit replay-elo 0", "exit fit 0", "exit gof 0", "exit forecast 0",
+            "exit simulate 0", "exit validate 0", "exit scipy loaded: False",
         ]
 
     def test_help(self, capsys):

@@ -7,10 +7,11 @@ import datetime as dt
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import expit
+from scipy.special import chdtrc, expit
 
 from euroforecast.data_io import MatchRecord, load_config, load_matches, load_ratings
 from euroforecast.elo import replay_history
@@ -21,6 +22,7 @@ from euroforecast.regression import (
     FitConfig,
     RegressionCoefficients,
     chi_square_gof,
+    chi_square_sf,
     fit_team_models,
     fit_zigp,
     loglik_and_grad,
@@ -524,6 +526,61 @@ class TestOmega:
         )
         omegas = np.array([self.omega(float(g)) for g in gamma_log])
         assert np.array_equal(omegas, expit(gamma_log))
+
+
+class TestArrayExpit:
+    """The fitter's 1 / (1 + e^-x) on arrays against scipy's expit (the same
+    formula on libm's exp): equal where numpy's exp is libm's, and within
+    3 eps relative where numpy's AVX512 exp differs from libm's in the last
+    bit (at most 2.3 eps on these points)."""
+
+    def test_close_to_scipy(self):
+        rng = np.random.default_rng(26)
+        x = np.concatenate([np.linspace(-800.0, 800.0, 400_001), rng.uniform(-40.0, 40.0, 400_000)])
+        ref = expit(x)
+        assert_allclose(
+            regression._expit(x), ref, rtol=3 * np.finfo(float).eps,
+            atol=np.finfo(float).smallest_subnormal,
+        )
+
+    def test_exact_tails_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = regression._expit(np.array([-800.0, -745.2, -709.8, 37.0, 300.0, 800.0]))
+        assert got.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+
+
+class TestChiSquareSf:
+    """The closed-form survival function (A&S 26.4.4-5) for integer df, on
+    x from 0 to 10*df: within 1e-12 relative of the oracle wherever that is
+    above 1e-300, and below 1e-299 elsewhere."""
+
+    @staticmethod
+    def check(df, x, ref):
+        got = chi_square_sf(df, x)
+        if ref > 1e-300:
+            assert abs(got - ref) <= 1e-12 * ref, (df, x, got)
+        else:
+            assert got <= 1e-299, (df, x, got)
+
+    @pytest.mark.parametrize("df", [*range(1, 13), 29, 30, 97, 98, 150, 151, 299, 300, 399, 400])
+    def test_against_mpmath(self, df):
+        for x in np.linspace(0.0, 10.0 * df, 61).tolist():
+            with mpmath.workdps(50):
+                ref = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, regularized=True)
+            self.check(df, x, ref)
+
+    def test_against_scipy(self):
+        for df in range(1, 401):
+            xs = np.linspace(0.0, 10.0 * df, 21)
+            for x, ref in zip(xs.tolist(), chdtrc(df, xs).tolist()):
+                self.check(df, x, ref)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 51, 400])
+    def test_edges(self, df):
+        assert chi_square_sf(df, 0.0) == 1.0
+        assert chi_square_sf(df, math.inf) == 0.0
+        assert chi_square_sf(df, 1e6) == 0.0
 
 
 class TestGof:
