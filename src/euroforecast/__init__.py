@@ -22,11 +22,9 @@ from .regression import (
     TeamModel,
     chi_square_gof,
     fit_team_models,
-    fit_zigp,
 )
 from .tournament import Fixture, SimulationAggregate, monte_carlo
 from .weights import WeightConfig, match_weight
-from .zigp import ZigpParams, log_pmf, pmf
 
 __version__ = "0.1.0"
 
@@ -47,19 +45,15 @@ __all__ = [
     "SimulationAggregate",
     "TeamModel",
     "WeightConfig",
-    "ZigpParams",
     "brier",
     "chi_square_gof",
     "distributions_from_aggregate",
     "expected_score",
     "fit_team_models",
-    "fit_zigp",
     "goal_multiplier",
-    "log_pmf",
     "match_weight",
     "mld",
     "monte_carlo",
-    "pmf",
     "replay_history",
     "rps",
     "score_grid",

@@ -75,9 +75,12 @@ def _manifest(args, command: str, **extra) -> dict:
 
 def _parse_window(args) -> tuple[dt.date | None, dt.date | None]:
     try:
-        return tuple(dt.date.fromisoformat(d) if d else None for d in (args.start, args.end))
+        start, end = (dt.date.fromisoformat(d) if d else None for d in (args.start, args.end))
     except ValueError:
         raise ConfigError(f"not ISO dates: --start {args.start!r} --end {args.end!r}") from None
+    if start and end and start > end:
+        raise ConfigError(f"--start {args.start} is after --end {args.end}")
+    return start, end
 
 
 def _annotated_matches(args, cfg: data_io.AppConfig):

@@ -52,13 +52,21 @@ def _stronger_stage(
     strong: "TeamModel", weak: "TeamModel", elo_strong: float, elo_weak: float, loc: float
 ) -> tuple[float, float, float]:
     """(mu, phi, omega) of ``strong``'s goals, each the mean of its attack fit
-    (location ``loc``) and ``weak``'s defense fit (location ``-loc``)."""
+    (location ``loc``) and ``weak``'s defense fit (location ``-loc``).
+
+    The two means are :func:`_predict_mu`'s arithmetic on one row each,
+    so they equal the engine's bit for bit: each eta added left to right,
+    then one ``np.exp`` of both.  Raises ``ParameterError`` when either
+    mean, or their blend, is 0 or overflows.
+    """
     attack, defense = strong.attack, weak.defense
-    mu_att = attack.predict_mu((1.0, elo_weak, loc))
-    mu_def = defense.predict_mu((1.0, elo_strong, -loc))
+    a, d = attack.alpha, defense.alpha
+    eta = np.array([a[0] + a[1] * elo_weak + a[2] * loc, d[0] + d[1] * elo_strong + d[2] * -loc])
+    with np.errstate(over="ignore"):
+        mu_att, mu_def = np.exp(eta).tolist()
     mu = 0.5 * (mu_att + mu_def)
-    if not 0.0 < mu < math.inf:
-        raise ParameterError(f"mu must be positive and finite, got {mu}")
+    if not (mu_att > 0.0 and mu_def > 0.0 and mu < math.inf):
+        raise ParameterError(f"mu must be positive and finite, got the mean of exp({eta.tolist()})")
     return mu, 0.5 * (attack.phi + defense.phi), 0.5 * (attack.omega + defense.omega)
 
 
@@ -160,11 +168,12 @@ class ModelArrays:
 
 
 def _predict_mu(alpha: np.ndarray, *covariates: np.ndarray) -> np.ndarray:
-    """``RegressionCoefficients.predict_mu`` per row, added in its order.
+    """Each row's mean exp(eta), from its coefficients ``alpha`` and the covariates.
 
     eta is the intercept plus each coefficient times its covariate,
-    added left to right; mu is its exponential.  Raises ``ParameterError``
-    when a mean overflows or underflows to 0.
+    added left to right; :func:`_stronger_stage` adds the grid's two
+    etas in the same order.  Raises ``ParameterError`` when a mean
+    overflows or underflows to 0.
     """
     eta = alpha[:, 0].copy()
     for j, x in zip(range(1, alpha.shape[1]), covariates, strict=True):

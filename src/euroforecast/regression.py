@@ -17,14 +17,14 @@ L(theta) = sum_i w_i * log pmf(mu_i, phi, omega; x_i) by a damped
 projected Newton method with the closed-form gradient and Hessian,
 started from a log-link least-squares fit; four jittered copies of
 that start are tried only when it does not reach a stationary point.
-All regressions of a call run as one lockstep batch: each round
-evaluates every unfinished regression's candidate point in one pass
-over their concatenated rows, with per-regression segment sums, and
-takes every step from one stacked eigendecomposition, while each
-regression keeps its own step length and stopping rule.  A regression
-fitted alone (``fit_zigp``) gets bit for bit the result it gets inside
-a batch (``fit_team_models``).  Covariates are standardized internally
-for conditioning; returned coefficients are on the raw covariate scale.
+All regressions of a ``fit_team_models`` call run as one lockstep
+batch: each round evaluates every unfinished regression's candidate
+point in one pass over their concatenated rows, with per-regression
+segment sums, and takes every step from one stacked eigendecomposition,
+while each regression keeps its own step length and stopping rule, so
+a regression gets bit for bit the result it would get in a batch of
+one.  Covariates are standardized internally for conditioning;
+returned coefficients are on the raw covariate scale.
 """
 
 from __future__ import annotations
@@ -94,18 +94,6 @@ class RegressionCoefficients:
             )
         object.__setattr__(self, "phi", 1.0 + math.exp(self.beta))
         object.__setattr__(self, "omega", omega)
-
-    def predict_mu(self, covariates: Sequence[float]) -> float:
-        eta = 0.0
-        for a, x in zip(self.alpha, covariates, strict=True):
-            eta += a * x
-        try:
-            mu = math.exp(eta)
-        except OverflowError:
-            raise ParameterError(f"mu = exp({eta:.6g}) overflows") from None
-        if mu == 0.0:
-            raise ParameterError(f"mu = exp({eta:.6g}) underflows")
-        return mu
 
 
 @dataclass(frozen=True)
@@ -239,10 +227,9 @@ def _sample(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> _Sample:
     """One regression's rows (``X`` is observations by columns)."""
     Xt = np.ascontiguousarray(X.T, dtype=float)
     i, j = np.triu_indices(len(Xt))
-    counts = zigp._counts(y)  # extends zigp's log k! table to the largest count
     starts = np.zeros(1, dtype=np.intp)
     return _Sample(
-        Xt, Xt[i] * Xt[j], w, y == 0, y.astype(float), zigp._LOG_FACTORIAL[counts],
+        Xt, Xt[i] * Xt[j], w, y == 0, y.astype(float), zigp._LOG_FACTORIAL[y],
         np.zeros(len(w), dtype=np.intp), starts, np.add.reduceat(w, starts),
     )
 
@@ -345,17 +332,6 @@ def _loglik_derivatives(theta: np.ndarray, s: _Sample):
     hess[:, p, :p] = hess[:, :p, p]
     hess[:, p + 1, : p + 1] = hess[:, : p + 1, p + 1]
     return sums[0], grad, hess
-
-
-def loglik_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Weighted ZIGP log-likelihood and its analytic gradient.
-
-    ``theta`` is [alpha_0..alpha_{p-1}, beta, gamma] matching the
-    columns of ``X``.  Returns (L, dL/dtheta).
-    """
-    theta = np.asarray(theta, dtype=float)[None]
-    total, grad, _ = _loglik_derivatives(theta, _sample(X, y, w))
-    return float(total[0]), grad[0]
 
 
 def _pinned(grad, theta, lo, hi):
@@ -495,13 +471,23 @@ class _Problem(NamedTuple):
 
 
 def _prepare(X: np.ndarray, y: np.ndarray, w: np.ndarray, seed: int) -> _Problem:
-    """Check the sample size and weight, standardize and compute the least-squares start."""
+    """Check the sample size, counts and weight, standardize and compute the least-squares start.
+
+    Raises :class:`InsufficientDataError` below max(10, 2*(p+2))
+    observations or at a total weight that is 0 or overflows, and
+    :class:`ParameterError` for a count outside 0..HARD_CAP, the range of
+    zigp's log k! table.
+    """
     n, p = X.shape
     dim = p + 2
     if n < max(10, 2 * dim):
         raise InsufficientDataError(
             f"need at least {max(10, 2 * dim)} observations for {dim} parameters, got {n}"
         )
+
+    if not 0 <= y.min() <= y.max() <= zigp.HARD_CAP:
+        bad = y[(y < 0) | (y > zigp.HARD_CAP)][0]
+        raise ParameterError(f"goal counts must lie in 0..{zigp.HARD_CAP}, got {bad}")
 
     # every recency weight may underflow to 0, and large importances overflow the sum
     with np.errstate(over="ignore"):
@@ -582,25 +568,6 @@ def _fit_batch(problems: Sequence[_Problem]) -> list[RegressionCoefficients | Fi
     return results
 
 
-def fit_zigp(X: np.ndarray, y: np.ndarray, w: np.ndarray, seed: int = 0) -> RegressionCoefficients:
-    """Weighted maximum-likelihood fit of one ZIGP regression on the rows (X, y, w).
-
-    A batch of one for the lockstep fitter that ``fit_team_models`` runs
-    on all regressions at once, with the same result: damped projected
-    Newton with the analytic Hessian from a weighted least-squares warm
-    start; only when that ends short of a stationary point is it rerun
-    from four jittered copies of the start, drawn from ``seed``, and the
-    best of the five kept.  Deterministic given ``seed``.  Raises
-    :class:`InsufficientDataError` below max(10, 2*(p+2)) observations
-    or at a total weight that is 0 or overflows, and :class:`FitError`
-    (carrying the best point found) when that point is still not stationary.
-    """
-    (result,) = _fit_batch([_prepare(X, y, w, seed)])
-    if isinstance(result, FitError):
-        raise result
-    return result
-
-
 # ---------------------------------------------------------------------------
 # goodness of fit
 # ---------------------------------------------------------------------------
@@ -676,7 +643,7 @@ def fit_team_models(
     """Fit attack/defense/nested models for every team.
 
     Every team's regressions are fitted together in one batch (see
-    ``fit_zigp``), with the same results as one ``fit_zigp`` call each.
+    ``_fit_batch``), with the same results as a batch of one each.
     Per-team failures are collected, not raised, so one bad team cannot
     abort the rest; a team's failure is its first in attack, defense,
     nested order.  Nested fits fall back to the attack regression

@@ -13,19 +13,16 @@ distribution.  Closed-form moments:
     E[X]   = (1-omega) * mu
     Var[X] = (1-omega) * mu * (phi^2 + omega*mu)
 
-All likelihood-facing evaluation happens in log space, with log k!
-read from one table of ``math.lgamma(k + 1)``; the plain pmf is exp()
-of that, so large k underflows gracefully to 0 instead of overflowing.
+All evaluation happens in log space, with log k! read from one table
+of ``math.lgamma(k + 1)`` for k = 0..HARD_CAP; the pmf is exp() of
+that, so large k underflows gracefully to 0 instead of overflowing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ParameterError
 
 # Truncation of the sampler: a draw stops at the first k whose cumulative
 # mass reaches 1 - TAIL_EPS (k then takes the rest), never beyond HARD_CAP.
@@ -34,54 +31,11 @@ from .errors import ParameterError
 HARD_CAP = 200
 TAIL_EPS = 1e-9
 
-# log k! for k = 0..HARD_CAP, the only source of the factorial term; the
-# sampler's draws stop at HARD_CAP.  ``log_pmf`` extends it for larger
-# counts, up to MAX_COUNT (an 8 MB table).
-MAX_COUNT = 10**6
+# log k! for k = 0..HARD_CAP, the only source of the factorial term.  No
+# count above HARD_CAP reaches it: match goals above 200 are rejected at
+# load, the fitter rejects them in its input, and the sampler's draws and
+# the grid's cap stop at HARD_CAP.
 _LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(HARD_CAP + 1)])
-
-
-@dataclass(frozen=True)
-class ZigpParams:
-    """Parameter triple of one goal-count distribution."""
-
-    mu: float
-    phi: float
-    omega: float
-
-    def __post_init__(self):
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise ParameterError(f"mu must be positive and finite, got {self.mu}")
-        if not (self.phi >= 1 and math.isfinite(self.phi)):
-            raise ParameterError(f"phi must be >= 1 and finite, got {self.phi}")
-        if not (0 <= self.omega < 1):
-            raise ParameterError(f"omega must lie in [0, 1), got {self.omega}")
-
-    def mean(self) -> float:
-        return (1.0 - self.omega) * self.mu
-
-    def variance(self) -> float:
-        return (1.0 - self.omega) * self.mu * (self.phi**2 + self.omega * self.mu)
-
-
-def _counts(k) -> np.ndarray:
-    """``k`` as a 1-d int64 array, with log k! in the table for each count."""
-    global _LOG_FACTORIAL
-    arr = np.asarray(k)
-    if not np.issubdtype(arr.dtype, np.integer):
-        bad = arr[~(np.isfinite(arr) & (arr == np.floor(arr)))]
-        if bad.size:
-            raise ParameterError(f"k must be integer, got {bad.flat[0]}")
-    if np.any(arr < 0):
-        raise ParameterError(f"k must be non-negative, got {arr.min()}")
-    if np.any(arr > MAX_COUNT):
-        raise ParameterError(f"k must be at most {MAX_COUNT}, got {arr.max()}")
-    ks = np.atleast_1d(arr.astype(np.int64))
-    size = len(_LOG_FACTORIAL)
-    if ks.size and ks.max() >= size:
-        more = [math.lgamma(j + 1.0) for j in range(size, int(ks.max()) + 1)]
-        _LOG_FACTORIAL = np.concatenate([_LOG_FACTORIAL, more])
-    return ks
 
 
 def _log_pmf_zero(log1m_omega, mu, phi, omega):
@@ -100,30 +54,14 @@ def _log_pmf_positive(head, mu, phi, log_phi, k):
 def log_pmf_table(mu, phi, omega, k):
     """log P[X=k] for integer counts ``k``; broadcasts the parameters against ``k``.
 
-    The pmf and the score grid evaluate their terms here, from the same
-    two term helpers as the block sampler.  The k >= 1 term is picked
-    where k > 0, the zero-inflated k = 0 term where k == 0.  Counts must
-    be at most HARD_CAP, or covered by an earlier :func:`log_pmf` call.
+    The score grid evaluates its terms here, from the same two term
+    helpers as the block sampler.  The k >= 1 term is picked where k > 0,
+    the zero-inflated k = 0 term where k == 0.  Counts must lie in
+    0..HARD_CAP; they are not checked here.
     """
     log1m_omega = np.log1p(-omega)
     positive = _log_pmf_positive(log1m_omega + np.log(mu), mu, phi, np.log(phi), k)
     return np.where(k == 0, _log_pmf_zero(log1m_omega, mu, phi, omega), positive)
-
-
-def log_pmf(params: ZigpParams, k):
-    """log P[X=k] for one count, or for each count of an integer array.
-
-    Returns a float for a count and an array for an array; -inf where the
-    pmf underflows.
-    """
-    values = log_pmf_table(params.mu, params.phi, params.omega, _counts(k))
-    return values if np.ndim(k) else float(values[0])
-
-
-def pmf(params: ZigpParams, k):
-    """P[X=k]; exp of :func:`log_pmf`, a float for a count and an array for an array."""
-    values = np.exp(log_pmf(params, k))
-    return values if np.ndim(k) else float(values)
 
 
 def sample_block(

@@ -6,14 +6,16 @@ import datetime as dt
 import math
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from euroforecast import data_io
+from euroforecast import data_io, regression
+from euroforecast.errors import FitError
 from euroforecast.forecast import ModelArrays, location_indicator, sample_match_block
 from euroforecast.regression import RegressionCoefficients, TeamModel
-from euroforecast.zigp import HARD_CAP, TAIL_EPS, ZigpParams
+from euroforecast.zigp import HARD_CAP, TAIL_EPS
 
 
 @pytest.fixture(scope="session")
@@ -30,21 +32,52 @@ def euro2020(data_dir):
     return ratings, fixtures, allocation
 
 
+# Test oracles: the ZIGP law and the two stages of a match in plain floats,
+# from the closed forms.  They share no code with the package's pmf table,
+# sampler or stage builders.
+
+
+class Zigp(NamedTuple):
+    """One ZIGP parameter triple, with the closed-form moments."""
+
+    mu: float
+    phi: float
+    omega: float
+
+    def mean(self) -> float:
+        return (1.0 - self.omega) * self.mu
+
+    def variance(self) -> float:
+        return (1.0 - self.omega) * self.mu * (self.phi**2 + self.omega * self.mu)
+
+
+def _closed_form_term(mu, phi, omega, k) -> float:
+    """P[X=k] in plain floats: the zero-inflated mass at k = 0, else the GP term."""
+    if k == 0:
+        return omega + (1.0 - omega) * math.exp(-mu / phi)
+    m = mu + (phi - 1.0) * k
+    return (1.0 - omega) * math.exp(
+        math.log(mu) + (k - 1) * math.log(m) - math.lgamma(k + 1) - k * math.log(phi) - m / phi
+    )
+
+
+def closed_form_pmf(params, ks) -> np.ndarray:
+    """P[X=k] for each count of ``ks``, from the closed form in plain floats."""
+    return np.array([_closed_form_term(*params, int(k)) for k in ks])
+
+
 SLACK = 1e-12  # last-bit rounding of a cumulative mass, with room
 
 
 def closed_form_cum(mu, phi, omega):
     """Cumulative ZIGP mass at 0, 1, ... in plain floats, past the
     sampler's truncation point (mass 1 - TAIL_EPS) by SLACK, or to HARD_CAP."""
-    total = omega + (1.0 - omega) * math.exp(-mu / phi)
+    total = _closed_form_term(mu, phi, omega, 0)
     cum = [total]
     for k in range(1, HARD_CAP + 1):
         if total >= 1.0 - TAIL_EPS + SLACK:
             break
-        m = mu + (phi - 1.0) * k
-        total += (1.0 - omega) * math.exp(
-            math.log(mu) + (k - 1) * math.log(m) - math.lgamma(k + 1) - k * math.log(phi) - m / phi
-        )
+        total += _closed_form_term(mu, phi, omega, k)
         cum.append(total)
     return cum
 
@@ -70,23 +103,44 @@ def place(team, opponent, venue) -> float:
     return float(venue == team) - float(venue == opponent)
 
 
-# The two stages of a match, written out from each regression's own
-# ``predict_mu``; they share no code with the package's stage builders.
-def stronger_stage(strong, weak, elo_strong, elo_weak, venue, mu_factor=1.0) -> ZigpParams:
+def stage_mu(coefficients, covariates) -> float:
+    """exp of the linear predictor, its terms added left to right."""
+    eta = 0.0
+    for a, x in zip(coefficients.alpha, covariates, strict=True):
+        eta += a * x
+    return math.exp(eta)
+
+
+def stronger_stage(strong, weak, elo_strong, elo_weak, venue, mu_factor=1.0) -> Zigp:
     """The stronger side's goals: the mean of its attack fit and the weaker side's defense fit."""
     attack, defense = strong.attack, weak.defense
-    mu_att = attack.predict_mu((1.0, elo_weak, place(strong.team, weak.team, venue)))
-    mu_def = defense.predict_mu((1.0, elo_strong, place(weak.team, strong.team, venue)))
-    return ZigpParams(
+    mu_att = stage_mu(attack, (1.0, elo_weak, place(strong.team, weak.team, venue)))
+    mu_def = stage_mu(defense, (1.0, elo_strong, place(weak.team, strong.team, venue)))
+    return Zigp(
         (mu_att + mu_def) / 2 * mu_factor, (attack.phi + defense.phi) / 2,
         (attack.omega + defense.omega) / 2,
     )
 
 
-def weaker_stage(weak, strong, elo_strong, venue, goals_strong, mu_factor=1.0) -> ZigpParams:
+def weaker_stage(weak, strong, elo_strong, venue, goals_strong, mu_factor=1.0) -> Zigp:
     """The weaker side's goals given the stronger side's, by its nested fit."""
     x = (1.0, elo_strong, place(weak.team, strong.team, venue), float(goals_strong))
-    return ZigpParams(weak.nested.predict_mu(x) * mu_factor, weak.nested.phi, weak.nested.omega)
+    return Zigp(stage_mu(weak.nested, x) * mu_factor, weak.nested.phi, weak.nested.omega)
+
+
+def fit_alone(X, y, w, seed=0) -> RegressionCoefficients:
+    """One regression fitted as a batch of one; raises its :class:`FitError`."""
+    (result,) = regression._fit_batch([regression._prepare(X, y, w, seed)])
+    if isinstance(result, FitError):
+        raise result
+    return result
+
+
+def loglik_and_grad(theta, X, y, w):
+    """One regression's weighted log-likelihood and gradient at ``theta``."""
+    theta = np.asarray(theta, dtype=float)[None]
+    total, grad, _ = regression._loglik_derivatives(theta, regression._sample(X, y, w))
+    return float(total[0]), grad[0]
 
 
 def pair_draws(model_a, model_b, elo_a, elo_b, u, venue="NEUTRAL", mu_factor=1.0):

@@ -22,12 +22,20 @@ from euroforecast.elo import (
 )
 from euroforecast.forecast import _predict_mu, _stronger_stage, score_grid
 from euroforecast.metrics import brier, mld, rps, OutcomeDistribution
-from euroforecast.regression import RegressionCoefficients, TeamModel, fit_zigp, loglik_and_grad
+from euroforecast.regression import RegressionCoefficients, TeamModel
 from euroforecast.tournament import group_teams, monte_carlo
 from euroforecast.weights import WeightConfig, date_weight, importance_weight
-from euroforecast.zigp import ZigpParams, pmf, sample_block
+from euroforecast.zigp import log_pmf_table, sample_block
 
-from conftest import build_team_model, pair_draws, sampler_law
+from conftest import (
+    Zigp,
+    build_team_model,
+    fit_alone,
+    loglik_and_grad,
+    pair_draws,
+    sampler_law,
+    stage_mu,
+)
 
 
 # -- criterion 1: published France-Germany example ---------------------------
@@ -54,11 +62,11 @@ def test_criterion_1_worked_example_reproduced():
     ger = TeamModel(team="GER", attack=GER_DEFENSE, defense=GER_DEFENSE, nested=GER_NESTED)
     elo_fra, elo_ger = 2087.0, 1936.0  # in Germany: location +1 for GER, -1 for FRA
 
-    mu_france = FRA_ATTACK.predict_mu((1.0, elo_ger, -1.0))
+    mu_france = stage_mu(FRA_ATTACK, (1.0, elo_ger, -1.0))
     assert mu_france == pytest.approx(1.35521, abs=1e-4)
     assert FRA_ATTACK.omega == pytest.approx(0.044888, abs=1e-5)
 
-    nu_germany = GER_DEFENSE.predict_mu((1.0, elo_fra, 1.0))
+    nu_germany = stage_mu(GER_DEFENSE, (1.0, elo_fra, 1.0))
     assert nu_germany == pytest.approx(1.988806, abs=1e-4)
     assert GER_DEFENSE.omega == pytest.approx(0.003993638, abs=1e-6)
 
@@ -75,21 +83,20 @@ def test_criterion_1_worked_example_reproduced():
 
 def test_criterion_2_zigp_distribution():
     start = time.monotonic()
-    # Poisson reduction on a mean grid
+    # Poisson reduction of the package's pmf table on a mean grid
     for mu in (0.1, 0.5, 1.0, 1.35521, 2.0, 5.0, 8.0):
-        p = ZigpParams(mu=mu, phi=1.0, omega=0.0)
         for k in range(41):
-            assert abs(pmf(p, k) - stats.poisson.pmf(k, mu)) < 1e-12
+            assert abs(np.exp(log_pmf_table(mu, 1.0, 0.0, k)) - stats.poisson.pmf(k, mu)) < 1e-12
 
     # truncated grids renormalize to one
     for mu, phi, omega in ((0.5, 1.0, 0.0), (2.0, 1.5, 0.1), (4.0, 2.5, 0.3)):
-        p = ZigpParams(mu=mu, phi=phi, omega=omega)
+        p = Zigp(mu=mu, phi=phi, omega=omega)
         for cap in (5, 15, 25):
             total = float(np.sum(sampler_law(p, cap)))
             assert abs(total - 1.0) < 1e-6
 
     # closed-form moments vs Monte Carlo, 3 standard errors
-    p = ZigpParams(mu=2.2, phi=1.4, omega=0.12)
+    p = Zigp(mu=2.2, phi=1.4, omega=0.12)
     n = 1_000_000
     u = np.random.default_rng(2024).random(n)
     draws = sample_block(np.full(n, p.mu), np.full(n, p.phi), np.full(n, p.omega), u).astype(float)
@@ -119,7 +126,7 @@ def _recovery_data(seed, n=2000):
 def test_criterion_3_fitter_recovers_synthetic_truth():
     start = time.monotonic()
     for seed in range(5):
-        c = fit_zigp(*_recovery_data(seed), seed=seed)
+        c = fit_alone(*_recovery_data(seed), seed=seed)
         for got, want in zip(c.alpha, (0.9, -0.25, 0.2)):
             assert abs(got - want) <= 0.1
         assert abs(c.phi / 1.5 - 1.0) <= 0.15

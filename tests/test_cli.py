@@ -252,6 +252,24 @@ class TestReplayElo:
         err = capsys.readouterr().err
         assert "not ISO dates" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["replay-elo", "fit"])
+    def test_reversed_window_is_config_error(self, tmp_path, demo_history, capsys, command):
+        # replay-elo once wrote an empty file and exited 0; fit exited 3
+        matches_path, ratings_path = demo_history
+        out = tmp_path / "out"
+        args = [
+            command,
+            "--matches", str(matches_path),
+            "--ratings", str(ratings_path),
+            "--out", str(out),
+            "--start", "2021-01-01",
+            "--end", "2019-01-01",
+        ]
+        assert main(args + (["--teams", "FRA"] if command == "fit" else [])) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--start 2021-01-01 is after --end 2019-01-01" in err and "Traceback" not in err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("command", ["replay-elo", "fit"])
     def test_absurd_goal_count_is_config_error(self, tmp_path, demo_history, capsys, command):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from euroforecast import forecast
 from euroforecast.errors import ParameterError
 from euroforecast.forecast import (
     MatchForecast,
@@ -20,12 +21,14 @@ from euroforecast.forecast import (
     score_grid,
 )
 from euroforecast.regression import BETA_MAX
-from euroforecast.zigp import HARD_CAP, pmf
+from euroforecast.zigp import HARD_CAP
 
 from conftest import (
     build_team_model,
+    closed_form_pmf,
     invert_closed_form,
     pair_draws,
+    stage_mu,
     stronger_stage,
     weaker_stage,
 )
@@ -73,8 +76,8 @@ class TestCombinedParams:
 
     def test_arithmetic_means(self, strong, weak):
         mu, phi, omega = _stronger_stage(strong, weak, 2087.0, 1936.0, -1.0)
-        mu_att = strong.attack.predict_mu((1.0, 1936.0, -1.0))
-        mu_def = weak.defense.predict_mu((1.0, 2087.0, 1.0))
+        mu_att = stage_mu(strong.attack, (1.0, 1936.0, -1.0))
+        mu_def = stage_mu(weak.defense, (1.0, 2087.0, 1.0))
         assert mu == pytest.approx(0.5 * (mu_att + mu_def), rel=1e-12)
         assert phi == pytest.approx(0.5 * (strong.attack.phi + weak.defense.phi))
         assert omega == pytest.approx(0.5 * (strong.attack.omega + weak.defense.omega))
@@ -84,13 +87,59 @@ class TestCombinedParams:
         away = _stronger_stage(strong, weak, 2087.0, 1936.0, -1.0)
         assert home[0] > away[0]
 
+    @pytest.mark.parametrize(
+        "attack, defense", [(-800.0, None), (None, -800.0), (800.0, None), (709.5, 709.5)]
+    )
+    def test_mean_outside_the_floats_rejected(self, strong, weak, attack, defense):
+        # exp(709.5) is a float, but the sum of two is not
+        def with_intercept(model, kind, intercept):
+            if intercept is None:
+                return model
+            coefficients = dataclasses.replace(getattr(model, kind), alpha=(intercept, 0.0, 0.0))
+            return dataclasses.replace(model, **{kind: coefficients})
+
+        strong = with_intercept(strong, "attack", attack)
+        weak = with_intercept(weak, "defense", defense)
+        with pytest.raises(ParameterError, match="mu must be positive and finite"):
+            _stronger_stage(strong, weak, 2087.0, 1936.0, 0.0)
+
+    def test_means_equal_the_engines(self, euro2020, euro_models, monkeypatch):
+        """Every ordered pair of the stand-in models, at a neutral venue and
+        at each side's home: the grid's stronger (mu, phi, omega) are the
+        arrays the block sampler draws the stronger side's goals from."""
+        ratings, _, _ = euro2020
+        first_draws = []
+        sample_block = forecast.sample_block
+
+        def recording(mu, phi, omega, u):
+            if not first_draws:
+                first_draws.append((mu[0], phi[0], omega[0]))
+            return sample_block(mu, phi, omega, u)
+
+        monkeypatch.setattr(forecast, "sample_block", recording)
+        differ, cases = [], 0
+        for a, b in ((a, b) for a in sorted(euro_models) for b in sorted(euro_models) if a != b):
+            for venue in ("NEUTRAL", a, b):
+                first_draws.clear()
+                pair_draws(euro_models[a], euro_models[b], ratings[a], ratings[b],
+                           np.full((1, 2), 0.5), venue)
+                strong, weak, _ = order_by_strength(a, ratings[a], b, ratings[b])
+                grid = _stronger_stage(
+                    euro_models[strong], euro_models[weak], ratings[strong], ratings[weak],
+                    location_indicator(strong, weak, venue),
+                )
+                engine = tuple(float(v) for v in first_draws[0])
+                cases += 1
+                if [v.hex() for v in grid] != [v.hex() for v in engine]:
+                    differ.append((a, b, venue, grid, engine))
+        assert cases == 1656
+        assert differ == []
+
 
 class TestLinearPredictor:
     @pytest.mark.parametrize("n_covariates", [2, 4])
     def test_covariate_count_must_match(self, weak, n_covariates):
         covariates = (1.0, 2087.0, 1.0, 2.0, 0.5)[:n_covariates]
-        with pytest.raises(ValueError, match="zip"):
-            weak.attack.predict_mu(covariates)
         alpha = np.array([weak.attack.alpha] * 2)
         with pytest.raises(ValueError, match="zip"):
             _predict_mu(alpha, *(np.full(2, x) for x in covariates[1:]))
@@ -112,7 +161,7 @@ class TestConditionalParams:
     def test_nested_covariates(self, weak):
         table = ModelArrays.from_models([weak])
         mu = _predict_mu(table.nested_alpha, *np.array([[2087.0], [1.0], [2.0]]))
-        assert mu[0] == pytest.approx(weak.nested.predict_mu((1.0, 2087.0, 1.0, 2.0)), rel=1e-12)
+        assert mu[0] == pytest.approx(stage_mu(weak.nested, (1.0, 2087.0, 1.0, 2.0)), rel=1e-12)
         assert (table.nested_phi[0], table.nested_omega[0]) == (weak.nested.phi, weak.nested.omega)
 
     def test_more_opponent_goals_lowers_mean(self, weak):
@@ -138,10 +187,10 @@ class TestScoreGrid:
         cap = 10
         f = score_grid(strong, weak, 2087.0, 1936.0, "NEUTRAL", cap=cap)
         ks = np.arange(cap + 1)
-        p_strong = pmf(stronger_stage(strong, weak, 2087.0, 1936.0, "NEUTRAL"), ks)
+        p_strong = closed_form_pmf(stronger_stage(strong, weak, 2087.0, 1936.0, "NEUTRAL"), ks)
         raw = np.array(
             [
-                p_strong[i] * pmf(weaker_stage(weak, strong, 2087.0, "NEUTRAL", i), ks)
+                p_strong[i] * closed_form_pmf(weaker_stage(weak, strong, 2087.0, "NEUTRAL", i), ks)
                 for i in range(cap + 1)
             ]
         )

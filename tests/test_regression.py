@@ -15,7 +15,7 @@ from scipy.special import chdtrc, expit
 
 from euroforecast.data_io import MatchRecord, load_config, load_matches, load_ratings
 from euroforecast.elo import replay_history
-from euroforecast.errors import DataError, FitError, InsufficientDataError
+from euroforecast.errors import DataError, FitError, InsufficientDataError, ParameterError
 from euroforecast import regression
 from euroforecast.regression import (
     DesignMatrixWarning,
@@ -24,14 +24,14 @@ from euroforecast.regression import (
     chi_square_gof,
     chi_square_sf,
     fit_team_models,
-    fit_zigp,
-    loglik_and_grad,
     observations_by_team,
 )
 from euroforecast.forecast import location_indicator
 from euroforecast.tournament import group_teams
 from euroforecast.weights import WeightConfig, match_weight
-from euroforecast.zigp import ZigpParams, sample_block
+from euroforecast.zigp import HARD_CAP, sample_block
+
+from conftest import Zigp, closed_form_pmf, fit_alone, loglik_and_grad
 
 REF = dt.date(2021, 6, 7)
 
@@ -384,39 +384,39 @@ class TestLikelihood:
         X, y, w = synth_observations(1, n=50)
         theta = np.array([0.8, -0.2, 0.1, math.log(0.5), math.log(0.15 / 0.85)])
         value, _ = loglik_and_grad(theta, X, y, w)
-        params_at = lambda i: ZigpParams(
+        params_at = lambda i: Zigp(
             float(np.exp(X[i] @ theta[:3])), 1.5, 0.15
         )
-        from euroforecast.zigp import log_pmf
-
-        manual = sum(w[i] * log_pmf(params_at(i), int(y[i])) for i in range(50))
+        manual = sum(
+            w[i] * math.log(closed_form_pmf(params_at(i), [y[i]])[0]) for i in range(50)
+        )
         assert value == pytest.approx(manual, rel=1e-12)
 
 
 class TestFitter:
     def test_recovers_synthetic_parameters(self):
-        c = fit_zigp(*synth_observations(42, n=2000), seed=0)
+        c = fit_alone(*synth_observations(42, n=2000), seed=0)
         assert_allclose(c.alpha, (0.9, -0.25, 0.2), atol=0.1)
         assert c.phi == pytest.approx(1.5, rel=0.15)
         assert c.omega == pytest.approx(0.15, rel=0.3)
 
     def test_stationary_point_in_raw_coordinates(self):
         X, y, w = synth_observations(3, n=800)
-        c = fit_zigp(X, y, w, seed=0)
+        c = fit_alone(X, y, w, seed=0)
         theta = np.concatenate([c.alpha, [c.beta, c.gamma_log]])
         _, grad = loglik_and_grad(theta, X, y, w / np.mean(w))
         assert np.max(np.abs(grad)) < 1e-5
 
     def test_deterministic_given_seed(self):
         rows = synth_observations(4, n=400)
-        a = fit_zigp(*rows, seed=7)
-        b = fit_zigp(*rows, seed=7)
+        a = fit_alone(*rows, seed=7)
+        b = fit_alone(*rows, seed=7)
         assert a == b
 
     def test_weight_scale_invariance(self):
         X, y, w = synth_observations(5, n=400)
-        a = fit_zigp(X, y, w, seed=1)
-        b = fit_zigp(X, y, w * 37.5, seed=1)
+        a = fit_alone(X, y, w, seed=1)
+        b = fit_alone(X, y, w * 37.5, seed=1)
         assert_allclose(a.alpha, b.alpha, atol=1e-6)
         assert a.phi == pytest.approx(b.phi, abs=1e-6)
         assert a.omega == pytest.approx(b.omega, abs=1e-6)
@@ -426,14 +426,14 @@ class TestFitter:
         # start (projected gradient 2.2e-2); the fit must be stationary on
         # the raw covariate scale
         X, y, w = table_rows(AUT_DEFENSE_2016)
-        c = fit_zigp(X, y, w, seed=AUT_DEFENSE_SEED)
+        c = fit_alone(X, y, w, seed=AUT_DEFENSE_SEED)
         theta = np.concatenate([c.alpha, [c.beta, c.gamma_log]])
         _, grad = loglik_and_grad(theta, X, y, w / np.mean(w))
         assert np.max(np.abs(grad)) < 1e-5
 
     def test_interior_optimum_beats_flat_beta_boundary(self):
         X, y, w = table_rows(CZE_DEFENSE_2016)
-        c = fit_zigp(X, y, w, seed=CZE_DEFENSE_SEED)
+        c = fit_alone(X, y, w, seed=CZE_DEFENSE_SEED)
         theta = np.concatenate([c.alpha, [c.beta, c.gamma_log]])
         value, _ = loglik_and_grad(theta, X, y, w / np.mean(w))
         assert -value < 90.9182 - 1e-3
@@ -453,7 +453,7 @@ class TestFitter:
         monkeypatch.setattr(regression, "_newton_batch", recording)
         X, y, w = synth_observations(3, n=400)
         with pytest.raises(FitError) as info:
-            fit_zigp(X, y, w, seed=5)
+            fit_alone(X, y, w, seed=5)
         assert len(runs) == 5  # the warm start and four jittered copies
         best = min(runs, key=lambda run: run[1])
         assert info.value.diagnostics["neg_loglik"] == best[1]
@@ -471,26 +471,26 @@ class TestFitter:
         X = np.column_stack([np.ones(n), x1])
         mu = np.exp(0.6 + 0.3 * x1)
         y = rng.poisson(mu)
-        c = fit_zigp(X, y, np.ones(n), seed=0)
+        c = fit_alone(X, y, np.ones(n), seed=0)
         assert c.phi < 1.1
         assert c.omega < 0.05
         assert_allclose(c.alpha, (0.6, 0.3), atol=0.1)
 
     def test_all_zero_responses_terminate(self):
         X = np.column_stack([np.ones(40), np.linspace(-1, 1, 40)])
-        c = fit_zigp(X, np.zeros(40, dtype=np.int64), np.ones(40), seed=0)
+        c = fit_alone(X, np.zeros(40, dtype=np.int64), np.ones(40), seed=0)
         mean = (1 - c.omega) * math.exp(c.alpha[0])
         assert mean < 0.05
 
     def test_too_few_observations(self):
         with pytest.raises(InsufficientDataError):
-            fit_zigp(*synth_observations(9, n=9), seed=0)
+            fit_alone(*synth_observations(9, n=9), seed=0)
 
     def test_zero_total_weight(self):
         # every recency weight underflowed to 0 once made the weights NaN
         X, y, w = synth_observations(9, n=40)
         with pytest.raises(InsufficientDataError, match="40 observations have a total weight of 0"):
-            fit_zigp(X, y, np.zeros_like(w), seed=0)
+            fit_alone(X, y, np.zeros_like(w), seed=0)
 
     def test_overflowing_total_weight(self):
         # weights of 1e308 sum past the largest float; the check itself must not warn
@@ -499,13 +499,21 @@ class TestFitter:
             InsufficientDataError, match="40 observations have a total weight of inf"
         ):
             warnings.simplefilter("error")
-            fit_zigp(X, y, np.full_like(w, 1e308), seed=0)
+            fit_alone(X, y, np.full_like(w, 1e308), seed=0)
+
+    @pytest.mark.parametrize("bad", [-1, HARD_CAP + 1])
+    def test_count_outside_the_table_rejected(self, bad):
+        # log k! is tabulated for 0..HARD_CAP; -1 would read the table's last entry
+        X, y, w = synth_observations(9, n=40)
+        y[17] = bad
+        with pytest.raises(ParameterError, match=rf"0\.\.{HARD_CAP}, got {bad}$"):
+            regression._prepare(X, y, w, seed=0)
 
     def test_constant_column_warns(self):
         s = np.random.default_rng(3).choice([-1, 0, 1], 60)
         X = np.column_stack([np.ones(60), np.full(60, 5.0), s.astype(float)])
         with pytest.warns(DesignMatrixWarning):
-            fit_zigp(X, np.random.default_rng(2).poisson(1.5, 60), np.ones(60), seed=0)
+            fit_alone(X, np.random.default_rng(2).poisson(1.5, 60), np.ones(60), seed=0)
 
 
 class TestOmega:
@@ -622,7 +630,7 @@ class TestGof:
             x1 = rng.normal(0.0, 1.0, n)
             X = np.column_stack([np.ones(n), x1])
             y = rng.poisson(np.exp(0.5 + 0.3 * x1))
-            c = fit_zigp(X, y, np.ones(n), seed=0)
+            c = fit_alone(X, y, np.ones(n), seed=0)
             p_values.append(chi_square_gof(c, X, y).p_value)
         median = float(np.median(p_values))
         assert 0.3 < median < 0.7
@@ -687,7 +695,7 @@ def team_seeds(cfg, idx):
 
 
 def fit_one_by_one(matches, teams, cfg):
-    """``fit_team_models`` as one ``fit_zigp`` call per regression.
+    """``fit_team_models`` as one batch of one per regression.
 
     Returns {team: (attack, defense, nested or None)} and the failures.
     """
@@ -696,12 +704,12 @@ def fit_one_by_one(matches, teams, cfg):
         attack_rows, defense_rows, nested_rows = team_rows(team, matches, cfg.weights)
         seeds = team_seeds(cfg, idx)
         try:
-            attack = fit_zigp(*attack_rows, seed=seeds[0])
-            defense = fit_zigp(*defense_rows, seed=seeds[1])
+            attack = fit_alone(*attack_rows, seed=seeds[0])
+            defense = fit_alone(*defense_rows, seed=seeds[1])
             nested = None
             if len(nested_rows[1]) >= cfg.min_nested_obs:
                 try:
-                    nested = fit_zigp(*nested_rows, seed=seeds[2])
+                    nested = fit_alone(*nested_rows, seed=seeds[2])
                 except InsufficientDataError:
                     pass
         except FitError as exc:
@@ -803,7 +811,7 @@ class TestBatchedFits:
         by_team = observations_by_team(teams, matches, cfg.weights)
         for idx, team in enumerate(teams):
             with pytest.raises(FitError) as info:
-                fit_zigp(*by_team[team][0], seed=team_seeds(cfg, idx)[0])
+                fit_alone(*by_team[team][0], seed=team_seeds(cfg, idx)[0])
             expected[team] = str(info.value)
         assert summary.failures == expected
         assert list(summary.failures) == teams

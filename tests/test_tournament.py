@@ -33,9 +33,8 @@ from euroforecast.tournament import (
     validate_allocation,
     validate_fixtures,
 )
-from euroforecast.zigp import pmf
 
-from conftest import build_team_model, stronger_stage, weaker_stage
+from conftest import build_team_model, closed_form_pmf, stronger_stage, weaker_stage
 
 
 class TestValidateFixtures:
@@ -305,10 +304,13 @@ def exact_tie(model_a, model_b, elo_a, elo_b, venue, cap=60):
         strong, weak = (model_b, model_a) if swapped else (model_a, model_b)
         elo_strong, elo_weak = (elo_b, elo_a) if swapped else (elo_a, elo_b)
         ks = np.arange(cap + 1)
-        first = pmf(stronger_stage(strong, weak, elo_strong, elo_weak, venue, mu_factor), ks)
-        grid = np.array(
-            [pmf(weaker_stage(weak, strong, elo_strong, venue, i, mu_factor), ks) for i in ks]
-        ) * first[:, None]
+        first = closed_form_pmf(
+            stronger_stage(strong, weak, elo_strong, elo_weak, venue, mu_factor), ks
+        )
+        grid = np.array([
+            closed_form_pmf(weaker_stage(weak, strong, elo_strong, venue, i, mu_factor), ks)
+            for i in ks
+        ]) * first[:, None]
         assert 1.0 - grid.sum() < 1e-12
         return grid.T if swapped else grid
 
@@ -1053,7 +1055,7 @@ class TestEngineOracles:
 
         def uniform_for(params, k):
             """A uniform that inversion by sequential search turns into ``k``."""
-            cdf = np.cumsum(pmf(params, np.arange(k + 1)))
+            cdf = np.cumsum(closed_form_pmf(params, range(k + 1)))
             return 0.5 * (cdf[k] + (cdf[k - 1] if k else 0.0))
 
         u = np.full(bracket.width, 0.5)
