@@ -127,9 +127,7 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args)
     teams = _teams_for_fit(args)
     matches = _annotated_matches(args, cfg)
-    fit_cfg = FitConfig(
-        weights=cfg.weight_config(), seed=args.seed, min_nested_obs=cfg.min_nested_obs
-    )
+    fit_cfg = FitConfig(weights=cfg.weight_config(), min_nested_obs=cfg.min_nested_obs)
     summary = fit_team_models(matches, teams, fit_cfg)
     manifest = _manifest(args, "fit", reference_date=cfg.reference_date.isoformat())
     data_io.save_models(args.out, summary.models, manifest)
@@ -326,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixtures", help="fixture CSV; models every team in it")
     p.add_argument("--out", required=True, help="model JSON to write")
     p.add_argument("--gof-out", help="also write a chi-square diagnostics CSV")
-    p.add_argument("--seed", type=int, default=0, help="fit seed (default 0)")
     _add_window(p)
     _add_config(p)
     p.set_defaults(handler=cmd_fit)

@@ -252,8 +252,9 @@ def load_matches(
 ) -> list[MatchRecord]:
     """Historical matches, filtered to ``window`` and sorted by date.
 
-    Duplicate (date, team_a, team_b) rows are rejected.  A window that
-    excludes every row triggers a warning, not an error.
+    A team listed twice on one date is rejected, whatever its opponent
+    or side.  A window that excludes every row triggers a warning, not
+    an error.
     """
     start, end = window if window is not None else (None, None)
     spath = str(path)
@@ -263,15 +264,14 @@ def load_matches(
     for line, row in _parse_table(path, _MATCH_COLUMNS, _MATCH_OPTIONAL):
         any_rows = True
         date = _parse_date(row["date"], spath, line)
-        key = (date, row["team_a"], row["team_b"])
-        if key in seen:
-            raise DataError(
-                f"duplicate match {key[1]} vs {key[2]} on {date} "
-                f"(first seen at line {seen[key]})",
-                path=spath,
-                line=line,
-            )
-        seen[key] = line
+        for team in (row["team_a"], row["team_b"]):
+            if (date, team) in seen:
+                raise DataError(
+                    f"team {team} plays twice on {date} (first at line {seen[date, team]})",
+                    path=spath,
+                    line=line,
+                )
+        seen[date, row["team_a"]] = seen[date, row["team_b"]] = line
         if (start is not None and date < start) or (end is not None and date > end):
             continue
         elo_a = row.get("elo_a_before", "")

@@ -15,16 +15,16 @@ candidate point is a valid distribution:
 Fitting maximizes the weighted log-likelihood
 L(theta) = sum_i w_i * log pmf(mu_i, phi, omega; x_i) by a damped
 projected Newton method with the closed-form gradient and Hessian,
-started from a log-link least-squares fit; four jittered copies of
-that start are tried only when it does not reach a stationary point.
-All regressions of a ``fit_team_models`` call run as one lockstep
-batch: each round evaluates every unfinished regression's candidate
-point in one pass over their concatenated rows, with per-regression
-segment sums, and takes every step from one stacked eigendecomposition,
-while each regression keeps its own step length and stopping rule, so
-a regression gets bit for bit the result it would get in a batch of
-one.  Covariates are standardized internally for conditioning;
-returned coefficients are on the raw covariate scale.
+started from a log-link least-squares fit; nothing in a fit is random.
+The regressions of a ``fit_team_models`` call with the same number of
+fitted columns run as one lockstep batch: each round evaluates every
+unfinished regression's candidate point in one pass over their
+concatenated rows, with per-regression segment sums, and takes every
+step from one stacked eigendecomposition, while each regression keeps
+its own step length and stopping rule, so a regression gets bit for bit
+the result it would get in a batch of one.  Covariates are standardized
+internally for conditioning; returned coefficients are on the raw
+covariate scale.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from . import zigp
-from .errors import ConfigError, DataError, FitError, InsufficientDataError, ParameterError
+from .errors import DataError, FitError, InsufficientDataError, ParameterError
 from .forecast import location_indicator
 from .weights import WeightConfig, match_weight
 
@@ -117,12 +117,8 @@ class TeamModel:
 @dataclass(frozen=True)
 class FitConfig:
     weights: WeightConfig
-    seed: int = 0  # non-negative: the entropy of each team's SeedSequence
+    seed: int = 0  # read by nothing; kept while the benchmark still passes it
     min_nested_obs: int = 10
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"the fit seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -424,7 +420,7 @@ def _newton_batch(theta, samples: Sequence[_Sample], lo, hi):
 
 
 def _standardize(X):
-    """Center/scale covariate columns beyond an all-ones intercept.
+    """Center/scale the covariate columns after the intercept, column 0.
 
     Returns the transformed matrix, the centers and scales used, and a
     boolean mask of constant non-intercept columns.  Those columns are
@@ -435,8 +431,6 @@ def _standardize(X):
     center = np.zeros(p)
     scale = np.ones(p)
     constant = np.zeros(p, dtype=bool)
-    if not np.allclose(X[:, 0], 1.0):
-        return X, center, scale, constant
     for j in range(1, p):
         std = X[:, j].std()
         if std < 1e-12:
@@ -467,10 +461,9 @@ class _Problem(NamedTuple):
     keep: np.ndarray  # the fitted (non-constant) columns
     center: np.ndarray
     scale: np.ndarray
-    seed: int  # of the jittered starts
 
 
-def _prepare(X: np.ndarray, y: np.ndarray, w: np.ndarray, seed: int) -> _Problem:
+def _prepare(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> _Problem:
     """Check the sample size, counts and weight, standardize and compute the least-squares start.
 
     Raises :class:`InsufficientDataError` below max(10, 2*(p+2))
@@ -506,7 +499,7 @@ def _prepare(X: np.ndarray, y: np.ndarray, w: np.ndarray, seed: int) -> _Problem
     sw = np.sqrt(w_opt)
     alpha0, *_ = np.linalg.lstsq(Xf * sw[:, None], np.log(y + 0.5) * sw, rcond=None)
     start = np.concatenate([alpha0, [math.log(0.25), -2.94]])
-    return _Problem(_sample(Xf, y, w_opt), start, keep, center, scale, seed)
+    return _Problem(_sample(Xf, y, w_opt), start, keep, center, scale)
 
 
 def _result(problem: _Problem, theta, f, gnorm) -> RegressionCoefficients | FitError:
@@ -532,10 +525,9 @@ def _fit_batch(problems: Sequence[_Problem]) -> list[RegressionCoefficients | Fi
     """Fit every regression; a failed fit's entry is its :class:`FitError`.
 
     Regressions with the same number of fitted columns form one lockstep
-    Newton batch from their least-squares starts.  Those that end short
-    of a stationary point are rerun, as a second batch, from four
-    jittered copies of their start drawn from their seed, and the best of
-    the five is kept.  A regression's result is the same in any batch.
+    Newton batch from their least-squares starts; a fit that ends short of
+    a stationary point fails with the point it reached.  A regression's
+    result is the same in any batch.
     """
     results: list = [None] * len(problems)
     by_width: dict[int, list[int]] = {}
@@ -544,25 +536,11 @@ def _fit_batch(problems: Sequence[_Problem]) -> list[RegressionCoefficients | Fi
     for pf, members in by_width.items():
         lo = np.array([-_ALPHA_BOUND] * pf + [_BETA_BOUNDS[0], _GAMMA_BOUNDS[0]])
         hi = np.array([_ALPHA_BOUND] * pf + [_BETA_BOUNDS[1], _GAMMA_BOUNDS[1]])
-        samples = [problems[i].sample for i in members]
-        start = np.array([problems[i].start for i in members])
-        theta, f, g = _newton_batch(start, samples, lo, hi)
+        theta, f, g = _newton_batch(
+            np.array([problems[i].start for i in members]),
+            [problems[i].sample for i in members], lo, hi,
+        )
         gnorm = _projected_grad_norm(g, theta, lo, hi)
-        retry = np.flatnonzero(gnorm > _STATIONARY_GTOL)
-        if retry.size:
-            jittered = []
-            for j in retry:
-                rng = np.random.default_rng(problems[members[j]].seed)
-                for _ in range(4):
-                    alpha = rng.normal(0.0, 0.3, size=pf)
-                    jitter = [*alpha, rng.normal(0.0, 0.5), rng.normal(0.0, 1.0)]
-                    jittered.append(start[j] + jitter)
-            tries = retry.repeat(4)
-            runs = _newton_batch(np.array(jittered), [samples[j] for j in tries], lo, hi)
-            for j, theta_j, f_j, g_j in zip(tries, *runs):
-                if f_j < f[j]:
-                    theta[j], f[j], g[j] = theta_j, f_j, g_j
-            gnorm = _projected_grad_norm(g, theta, lo, hi)
         for j, i in enumerate(members):
             results[i] = _result(problems[i], theta[j], f[j], gnorm[j])
     return results
@@ -654,10 +632,7 @@ def fit_team_models(
     jobs = []  # (team, its regressions' rows, index of its first problem, problem count)
     problems: list[_Problem] = []
     by_team = observations_by_team(teams, matches, cfg.weights)
-    for idx, team in enumerate(sorted(teams)):
-        base_seed = np.random.SeedSequence(
-            entropy=cfg.seed, spawn_key=(idx,)
-        ).generate_state(3)
+    for team in sorted(teams):
         regressions = by_team[team]
         if isinstance(regressions, Exception):
             failures[team] = str(regressions)
@@ -665,14 +640,13 @@ def fit_team_models(
         attack_rows, defense_rows, nested_rows = regressions
         try:
             # attack and defense share X and w, so both have enough or neither
-            fits = [_prepare(*attack_rows, int(base_seed[0])),
-                    _prepare(*defense_rows, int(base_seed[1]))]
+            fits = [_prepare(*attack_rows), _prepare(*defense_rows)]
         except InsufficientDataError as exc:
             failures[team] = str(exc)
             continue
         if len(nested_rows[1]) >= cfg.min_nested_obs:
             try:
-                fits.append(_prepare(*nested_rows, int(base_seed[2])))
+                fits.append(_prepare(*nested_rows))
             except InsufficientDataError:
                 pass
         jobs.append((team, regressions, len(problems), len(fits)))

@@ -327,7 +327,8 @@ def compile_bracket(
     Raises the ``DataError`` of :func:`validate_fixtures` and
     :func:`validate_allocation` and of an allocation row that sends a
     third outside its candidate pool, and the ``ConfigError`` of a
-    missing model, rating or K factor.
+    missing model, rating or K factor; ``k_factors`` is the whole table,
+    as in :func:`elo.replay_history`, and only None means the defaults.
     """
     validate_fixtures(fixtures)
     validate_allocation(allocation)
@@ -342,7 +343,7 @@ def compile_bracket(
     number = {t: i for i, t in enumerate(teams)}
 
     ordered = sorted(fixtures, key=lambda f: f.match_id)
-    k_table = {**DEFAULT_K_FACTORS, **(k_factors or {})}
+    k_table = DEFAULT_K_FACTORS if k_factors is None else k_factors
     for f in ordered:
         if f.match_type not in k_table:
             raise ConfigError(f"no K factor for match type {f.match_type!r}")

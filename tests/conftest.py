@@ -128,9 +128,9 @@ def weaker_stage(weak, strong, elo_strong, venue, goals_strong, mu_factor=1.0) -
     return Zigp(stage_mu(weak.nested, x) * mu_factor, weak.nested.phi, weak.nested.omega)
 
 
-def fit_alone(X, y, w, seed=0) -> RegressionCoefficients:
+def fit_alone(X, y, w) -> RegressionCoefficients:
     """One regression fitted as a batch of one; raises its :class:`FitError`."""
-    (result,) = regression._fit_batch([regression._prepare(X, y, w, seed)])
+    (result,) = regression._fit_batch([regression._prepare(X, y, w)])
     if isinstance(result, FitError):
         raise result
     return result

@@ -126,7 +126,7 @@ def _recovery_data(seed, n=2000):
 def test_criterion_3_fitter_recovers_synthetic_truth():
     start = time.monotonic()
     for seed in range(5):
-        c = fit_alone(*_recovery_data(seed), seed=seed)
+        c = fit_alone(*_recovery_data(seed))
         for got, want in zip(c.alpha, (0.9, -0.25, 0.2)):
             assert abs(got - want) <= 0.1
         assert abs(c.phi / 1.5 - 1.0) <= 0.15

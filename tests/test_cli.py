@@ -467,25 +467,6 @@ class TestFit:
         assert "Traceback" not in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
-    def test_negative_seed_is_config_error(self, tmp_path, demo_history, capsys):
-        matches_path, ratings_path = demo_history
-        out = tmp_path / "model.json"
-        code = main(
-            [
-                "fit",
-                "--matches", str(matches_path),
-                "--ratings", str(ratings_path),
-                "--teams", "FRA,BEL",
-                "--seed", "-1",
-                "--out", str(out),
-            ]
-        )
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "fit seed must be non-negative, got -1" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
     def test_needs_team_source(self, tmp_path, demo_history, capsys):
         matches_path, ratings_path = demo_history
         code = main(
@@ -894,6 +875,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "master seed must be non-negative, got -3" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_k_factor_table_without_fixture_type_is_config_error(
+        self, tmp_path, euro2016_model_file, data_dir, capsys, command
+    ):
+        # a config's k_factors is the whole table, as in replay-elo and fit:
+        # a missing CONT is not filled in from the defaults
+        config = tmp_path / "config.json"
+        k_factors = {code: k for code, k in DEFAULT_K_FACTORS.items() if code != "CONT"}
+        config.write_text(json.dumps({"reference_date": "2016-06-10", "k_factors": k_factors}))
+        args = self.worker_args(command, "1", tmp_path, euro2016_model_file, data_dir)
+        assert main([*args, "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no K factor for match type 'CONT'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "sim").exists() and not (tmp_path / "metrics.csv").exists()
 
     @pytest.mark.parametrize("kind", ["attack", "nested"])
     def test_underflowing_mean_is_config_error(

@@ -145,6 +145,25 @@ class TestLoadMatches:
         with pytest.raises(DataError, match=r"m\.csv:3.*line 2"):
             load_matches(path)
 
+    @pytest.mark.parametrize(
+        "second, team",
+        [("UKR,FRA,1,1,QUAL,FRA", "UKR"), ("POR,FRA,0,2,FRIENDLY,NEUTRAL", "FRA")],
+        ids=["swapped-sides", "other-opponent"],
+    )
+    def test_team_twice_on_one_date_rejected(self, tmp_path, second, team):
+        # once loaded as two matches, which Elo replay and the fit both counted
+        path = write(
+            tmp_path,
+            "m.csv",
+            "date,team_a,team_b,goals_a,goals_b,match_type,venue_country\n"
+            "2021-03-24,FRA,UKR,0,1,QUAL,FRA\n"
+            "2021-03-25,FRA,UKR,1,1,QUAL,FRA\n"
+            f"2021-03-25,{second}\n",
+        )
+        expected = rf"m\.csv:4.*team {team} plays twice on 2021-03-25 \(first at line 3\)"
+        with pytest.raises(DataError, match=expected):
+            load_matches(path)
+
     def test_unknown_column_rejected(self, tmp_path):
         path = write(
             tmp_path,

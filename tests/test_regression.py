@@ -190,9 +190,7 @@ def table_rows(table):
 
 # Goals conceded by AUT in the demo history of scripts/gen_demo_history.py
 # for EURO 2016 (seed 28, ending 2016-06-10), as fitted by `fit` on the
-# EURO 2016 teams: (goals conceded, opponent Elo, location, weight), and
-# the defense regression's seed from AUT's SeedSequence.
-AUT_DEFENSE_SEED = 1136656250
+# EURO 2016 teams: (goals conceded, opponent Elo, location, weight).
 AUT_DEFENSE_2016 = [
     (2, 1720.0, -1.0, 0.5739857231276825),
     (3, 1556.9583525405105, -1.0, 0.5790950805153332),
@@ -260,12 +258,11 @@ AUT_DEFENSE_2016 = [
 ]
 
 
-# Goals conceded by CZE in the same kind of history (seed 1), and the
-# defense regression's seed.  Near beta = -30 the likelihood is flat in
+# Goals conceded by CZE in the same kind of history (seed 1).  Near
+# beta = -30 the likelihood is flat in
 # beta only because phi - 1 = e^beta vanishes; a fit parked there has a
 # negative log-likelihood (normalised weights) of 90.9182, while the
 # interior maximum has phi > 1.
-CZE_DEFENSE_SEED = 3895736788
 CZE_DEFENSE_2016 = [
     (2, 1733.0, -1.0, 0.5739857231276825),
     (0, 1645.4829595540366, 1.0, 0.5790950805153332),
@@ -395,28 +392,28 @@ class TestLikelihood:
 
 class TestFitter:
     def test_recovers_synthetic_parameters(self):
-        c = fit_alone(*synth_observations(42, n=2000), seed=0)
+        c = fit_alone(*synth_observations(42, n=2000))
         assert_allclose(c.alpha, (0.9, -0.25, 0.2), atol=0.1)
         assert c.phi == pytest.approx(1.5, rel=0.15)
         assert c.omega == pytest.approx(0.15, rel=0.3)
 
     def test_stationary_point_in_raw_coordinates(self):
         X, y, w = synth_observations(3, n=800)
-        c = fit_alone(X, y, w, seed=0)
+        c = fit_alone(X, y, w)
         theta = np.concatenate([c.alpha, [c.beta, c.gamma_log]])
         _, grad = loglik_and_grad(theta, X, y, w / np.mean(w))
         assert np.max(np.abs(grad)) < 1e-5
 
-    def test_deterministic_given_seed(self):
+    def test_same_rows_same_coefficients(self):
         rows = synth_observations(4, n=400)
-        a = fit_alone(*rows, seed=7)
-        b = fit_alone(*rows, seed=7)
+        a = fit_alone(*rows)
+        b = fit_alone(*rows)
         assert a == b
 
     def test_weight_scale_invariance(self):
         X, y, w = synth_observations(5, n=400)
-        a = fit_alone(X, y, w, seed=1)
-        b = fit_alone(X, y, w * 37.5, seed=1)
+        a = fit_alone(X, y, w)
+        b = fit_alone(X, y, w * 37.5)
         assert_allclose(a.alpha, b.alpha, atol=1e-6)
         assert a.phi == pytest.approx(b.phi, abs=1e-6)
         assert a.omega == pytest.approx(b.omega, abs=1e-6)
@@ -426,43 +423,42 @@ class TestFitter:
         # start (projected gradient 2.2e-2); the fit must be stationary on
         # the raw covariate scale
         X, y, w = table_rows(AUT_DEFENSE_2016)
-        c = fit_alone(X, y, w, seed=AUT_DEFENSE_SEED)
+        c = fit_alone(X, y, w)
         theta = np.concatenate([c.alpha, [c.beta, c.gamma_log]])
         _, grad = loglik_and_grad(theta, X, y, w / np.mean(w))
         assert np.max(np.abs(grad)) < 1e-5
 
     def test_interior_optimum_beats_flat_beta_boundary(self):
         X, y, w = table_rows(CZE_DEFENSE_2016)
-        c = fit_alone(X, y, w, seed=CZE_DEFENSE_SEED)
+        c = fit_alone(X, y, w)
         theta = np.concatenate([c.alpha, [c.beta, c.gamma_log]])
         value, _ = loglik_and_grad(theta, X, y, w / np.mean(w))
         assert -value < 90.9182 - 1e-3
         assert c.phi > 1.005
 
-    def test_fallback_keeps_best_start(self, monkeypatch):
-        # one Newton step leaves every start short of stationarity
+    def test_failed_fit_carries_its_point(self, monkeypatch):
+        # one Newton step leaves the fit short of stationarity
         monkeypatch.setattr(regression, "_NEWTON_MAX_ITER", 1)
         runs = []
         newton_batch = regression._newton_batch
 
         def recording(*args):
             result = newton_batch(*args)
-            runs.extend(zip(*result))  # one (theta, f, g) per start
+            runs.extend(zip(*result))  # one (theta, f, g) per regression
             return result
 
         monkeypatch.setattr(regression, "_newton_batch", recording)
         X, y, w = synth_observations(3, n=400)
         with pytest.raises(FitError) as info:
-            fit_alone(X, y, w, seed=5)
-        assert len(runs) == 5  # the warm start and four jittered copies
-        best = min(runs, key=lambda run: run[1])
-        assert info.value.diagnostics["neg_loglik"] == best[1]
+            fit_alone(X, y, w)
+        (run,) = runs  # one run, from the least-squares start
+        assert info.value.diagnostics["neg_loglik"] == run[1]
         coeffs = info.value.best
         assert isinstance(coeffs, RegressionCoefficients)
-        assert (coeffs.beta, coeffs.gamma_log) == (best[0][-2], best[0][-1])
+        assert (coeffs.beta, coeffs.gamma_log) == (run[0][-2], run[0][-1])
         theta = np.concatenate([coeffs.alpha, [coeffs.beta, coeffs.gamma_log]])
         value, _ = loglik_and_grad(theta, X, y, w / np.mean(w))
-        assert -value == pytest.approx(best[1], rel=1e-9)
+        assert -value == pytest.approx(run[1], rel=1e-9)
 
     def test_pure_poisson_data_pushes_to_boundary(self):
         rng = np.random.default_rng(8)
@@ -471,26 +467,26 @@ class TestFitter:
         X = np.column_stack([np.ones(n), x1])
         mu = np.exp(0.6 + 0.3 * x1)
         y = rng.poisson(mu)
-        c = fit_alone(X, y, np.ones(n), seed=0)
+        c = fit_alone(X, y, np.ones(n))
         assert c.phi < 1.1
         assert c.omega < 0.05
         assert_allclose(c.alpha, (0.6, 0.3), atol=0.1)
 
     def test_all_zero_responses_terminate(self):
         X = np.column_stack([np.ones(40), np.linspace(-1, 1, 40)])
-        c = fit_alone(X, np.zeros(40, dtype=np.int64), np.ones(40), seed=0)
+        c = fit_alone(X, np.zeros(40, dtype=np.int64), np.ones(40))
         mean = (1 - c.omega) * math.exp(c.alpha[0])
         assert mean < 0.05
 
     def test_too_few_observations(self):
         with pytest.raises(InsufficientDataError):
-            fit_alone(*synth_observations(9, n=9), seed=0)
+            fit_alone(*synth_observations(9, n=9))
 
     def test_zero_total_weight(self):
         # every recency weight underflowed to 0 once made the weights NaN
         X, y, w = synth_observations(9, n=40)
         with pytest.raises(InsufficientDataError, match="40 observations have a total weight of 0"):
-            fit_alone(X, y, np.zeros_like(w), seed=0)
+            fit_alone(X, y, np.zeros_like(w))
 
     def test_overflowing_total_weight(self):
         # weights of 1e308 sum past the largest float; the check itself must not warn
@@ -499,7 +495,7 @@ class TestFitter:
             InsufficientDataError, match="40 observations have a total weight of inf"
         ):
             warnings.simplefilter("error")
-            fit_alone(X, y, np.full_like(w, 1e308), seed=0)
+            fit_alone(X, y, np.full_like(w, 1e308))
 
     @pytest.mark.parametrize("bad", [-1, HARD_CAP + 1])
     def test_count_outside_the_table_rejected(self, bad):
@@ -507,13 +503,13 @@ class TestFitter:
         X, y, w = synth_observations(9, n=40)
         y[17] = bad
         with pytest.raises(ParameterError, match=rf"0\.\.{HARD_CAP}, got {bad}$"):
-            regression._prepare(X, y, w, seed=0)
+            regression._prepare(X, y, w)
 
     def test_constant_column_warns(self):
         s = np.random.default_rng(3).choice([-1, 0, 1], 60)
         X = np.column_stack([np.ones(60), np.full(60, 5.0), s.astype(float)])
         with pytest.warns(DesignMatrixWarning):
-            fit_alone(X, np.random.default_rng(2).poisson(1.5, 60), np.ones(60), seed=0)
+            fit_alone(X, np.random.default_rng(2).poisson(1.5, 60), np.ones(60))
 
 
 class TestOmega:
@@ -630,7 +626,7 @@ class TestGof:
             x1 = rng.normal(0.0, 1.0, n)
             X = np.column_stack([np.ones(n), x1])
             y = rng.poisson(np.exp(0.5 + 0.3 * x1))
-            c = fit_alone(X, y, np.ones(n), seed=0)
+            c = fit_alone(X, y, np.ones(n))
             p_values.append(chi_square_gof(c, X, y).p_value)
         median = float(np.median(p_values))
         assert 0.3 < median < 0.7
@@ -658,7 +654,7 @@ class TestTeamOrchestration:
         rng = np.random.default_rng(21)
         teams = ["AAA", "BBB", "CCC", "DDD"]
         matches = self._history(rng, teams)
-        summary = fit_team_models(matches, teams, FitConfig(weights=wcfg, seed=0))
+        summary = fit_team_models(matches, teams, FitConfig(weights=wcfg))
         assert sorted(summary.models) == teams
         assert summary.failures == {}
         m = summary.models["AAA"]
@@ -672,7 +668,7 @@ class TestTeamOrchestration:
         teams = ["AAA", "BBB", "CCC", "DDD"]
         matches = self._history(rng, teams)
         # DDD holds the highest rating and is never the underdog
-        summary = fit_team_models(matches, teams, FitConfig(weights=wcfg, seed=0))
+        summary = fit_team_models(matches, teams, FitConfig(weights=wcfg))
         top = summary.models["DDD"]
         assert top.nested_fallback
         assert top.nested.alpha[:3] == top.attack.alpha
@@ -683,15 +679,9 @@ class TestTeamOrchestration:
         rng = np.random.default_rng(23)
         teams = ["AAA", "BBB", "CCC", "DDD"]
         matches = self._history(rng, teams)
-        summary = fit_team_models(matches, teams + ["ZZZ"], FitConfig(weights=wcfg, seed=0))
+        summary = fit_team_models(matches, teams + ["ZZZ"], FitConfig(weights=wcfg))
         assert "ZZZ" in summary.failures
         assert sorted(summary.models) == teams
-
-
-def team_seeds(cfg, idx):
-    """The attack, defense and nested seeds ``fit_team_models`` gives team ``idx``."""
-    seeds = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(idx,)).generate_state(3)
-    return [int(s) for s in seeds]
 
 
 def fit_one_by_one(matches, teams, cfg):
@@ -700,16 +690,15 @@ def fit_one_by_one(matches, teams, cfg):
     Returns {team: (attack, defense, nested or None)} and the failures.
     """
     models, failures = {}, {}
-    for idx, team in enumerate(sorted(teams)):
+    for team in sorted(teams):
         attack_rows, defense_rows, nested_rows = team_rows(team, matches, cfg.weights)
-        seeds = team_seeds(cfg, idx)
         try:
-            attack = fit_alone(*attack_rows, seed=seeds[0])
-            defense = fit_alone(*defense_rows, seed=seeds[1])
+            attack = fit_alone(*attack_rows)
+            defense = fit_alone(*defense_rows)
             nested = None
             if len(nested_rows[1]) >= cfg.min_nested_obs:
                 try:
-                    nested = fit_alone(*nested_rows, seed=seeds[2])
+                    nested = fit_alone(*nested_rows)
                 except InsufficientDataError:
                     pass
         except FitError as exc:
@@ -729,9 +718,7 @@ class TestBatchedFits:
             load_ratings(ratings_path), load_matches(matches_path), cfg.k_factors
         )
         teams = sorted(t for ts in group_teams(euro2020[1]).values() for t in ts)
-        fit_cfg = FitConfig(
-            weights=cfg.weight_config(), seed=0, min_nested_obs=cfg.min_nested_obs
-        )
+        fit_cfg = FitConfig(weights=cfg.weight_config(), min_nested_obs=cfg.min_nested_obs)
         return annotated, teams, fit_cfg
 
     def test_one_pass_equals_a_scan_per_team(self, demo):
@@ -757,16 +744,8 @@ class TestBatchedFits:
 
     @pytest.mark.parametrize("max_iter", [regression._NEWTON_MAX_ITER, 20])
     def test_batch_equals_fits_alone(self, demo, monkeypatch, max_iter):
-        # at 20 steps some fits stop short and are rerun from jittered starts
+        # at 20 steps some fits stop short of a stationary point and fail
         monkeypatch.setattr(regression, "_NEWTON_MAX_ITER", max_iter)
-        batch_sizes = []
-        newton_batch = regression._newton_batch
-
-        def recording(theta, *args):
-            batch_sizes.append(len(theta))
-            return newton_batch(theta, *args)
-
-        monkeypatch.setattr(regression, "_newton_batch", recording)
         matches, teams, cfg = demo
         # every underdog match of the team with the most of them moved to a
         # neutral venue: its nested location column is constant, so it fits
@@ -783,7 +762,7 @@ class TestBatchedFits:
         ]
         with pytest.warns(DesignMatrixWarning, match="column 2 is constant"):
             summary = fit_team_models(neutral, teams, cfg)
-        assert (len(batch_sizes) > 2) == (max_iter == 20)  # a jittered batch ran
+        assert bool(summary.failures) == (max_iter == 20)
         pinned = summary.models[underdog]
         assert not pinned.nested_fallback
         assert pinned.nested.alpha[2] == 0.0
@@ -809,9 +788,21 @@ class TestBatchedFits:
         assert summary.models == {}
         expected = {}
         by_team = observations_by_team(teams, matches, cfg.weights)
-        for idx, team in enumerate(teams):
+        for team in teams:
             with pytest.raises(FitError) as info:
-                fit_alone(*by_team[team][0], seed=team_seeds(cfg, idx)[0])
+                fit_alone(*by_team[team][0])
             expected[team] = str(info.value)
         assert summary.failures == expected
         assert list(summary.failures) == teams
+
+    def test_fit_draws_no_random_numbers(self, demo, monkeypatch):
+        # the weighted likelihood has nothing random in it, and neither has its fit
+        def no_randomness(*args, **kwargs):
+            raise AssertionError("the fit asked for random numbers")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_randomness)
+        monkeypatch.setattr(np.random, "default_rng", no_randomness)
+        matches, teams, cfg = demo
+        summary = fit_team_models(matches, teams, cfg)
+        assert summary.failures == {}
+        assert sorted(summary.models) == teams
