@@ -20,9 +20,15 @@ medians and ``beyond_bound``: whether the change is worse by more than
 the metric's bound in ``BENCHMARK.json``; plus both commit ids, both
 sides' ``src/**/*.py`` line counts, each side's cold start (the wall
 time of a fresh interpreter running ``import euroforecast.cli``, 10
-runs per side, alternating, after one run that writes the bytecode
-caches) and the machine (CPUs, library versions, BLAS thread settings).
+runs per side, alternating, after one unrecorded run) and the machine
+(CPUs, library versions, BLAS thread settings, bytecode writing).
 One line on stderr lists the metrics beyond their bounds.
+
+The unrecorded run writes bytecode caches only where Python may write
+them.  Under ``PYTHONDONTWRITEBYTECODE`` (``sys.flags.dont_write_bytecode``,
+recorded with the machine) nothing is written: every cold import, like
+every benchmark set-up, then compiles ``src/`` from source, so a
+``setup_s`` change is to be read against the ``src_lines`` change.
 """
 
 from __future__ import annotations
@@ -125,7 +131,7 @@ def cold_imports(trees: dict[str, Path], runs: int = 10) -> dict:
             start = time.perf_counter()
             subprocess.run([sys.executable, "-c", "import euroforecast.cli"],
                            cwd=trees[side], env=env, check=True)
-            if i:  # the first run writes the bytecode caches
+            if i:  # the first run warms the file cache (and writes bytecode, where allowed)
                 times[side].append(round(time.perf_counter() - start, 4))
     return {side: {"median_s": statistics.median(t), "runs_s": t} for side, t in times.items()}
 
@@ -165,6 +171,8 @@ def machine() -> dict:
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+        "dont_write_bytecode": sys.flags.dont_write_bytecode,
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "note": "bench/run.py sets OPENBLAS_NUM_THREADS=1 for every measured process",
     }
 

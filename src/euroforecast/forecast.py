@@ -104,9 +104,11 @@ def score_grid(
     """Exact-score distribution on a (cap+1) x (cap+1) grid.
 
     Row i holds the stronger side scoring i times the weaker side's
-    conditional pmf given i; the cap+1 conditional rows are one table.
-    Probability mass above the cap is removed by renormalizing the
-    truncated grid to sum to one.  ``cap`` must lie in 1..HARD_CAP.
+    conditional pmf given i.  Both stages are one (cap+2) x (cap+1)
+    log-pmf table: row 0 the stronger side's, row 1+i the weaker side's
+    given i.  Probability mass above the cap is removed by renormalizing
+    the truncated grid to sum to one; a grid with no mass left raises
+    ``ParameterError``.  ``cap`` must lie in 1..HARD_CAP.
     """
     if not 1 <= cap <= HARD_CAP:
         raise ParameterError(f"grid cap must be in 1..{HARD_CAP}, got {cap}")
@@ -115,16 +117,21 @@ def score_grid(
     elo_strong, elo_weak = (elo_b, elo_a) if swapped else (elo_a, elo_b)
 
     loc = location_indicator(stronger, weaker, venue_country)
-    n = cap + 1
-    ks = np.arange(n)
-    strong = _stronger_stage(strong_model, weak_model, elo_strong, elo_weak, loc)
-    p_strong = np.exp(log_pmf_table(*strong, ks))
-
+    ks = np.arange(cap + 1)
     nested = weak_model.nested
-    alpha = np.broadcast_to(nested.alpha, (n, len(nested.alpha)))
-    mu = _predict_mu(alpha, np.full(n, elo_strong), np.full(n, -loc), ks)
-    grid = p_strong[:, None] * np.exp(log_pmf_table(mu[:, None], nested.phi, nested.omega, ks))
-    grid /= grid.sum()
+    a = nested.alpha  # the nested etas, summed as in _predict_mu
+    eta = ks * a[3]
+    eta += (a[0] + a[1] * elo_strong) + a[2] * -loc
+    params = np.empty((3, cap + 2))
+    params[:, 0] = _stronger_stage(strong_model, weak_model, elo_strong, elo_weak, loc)
+    params[0, 1:] = _exp_mu(eta)
+    params[1:, 1:] = [[nested.phi], [nested.omega]]
+    table = np.exp(log_pmf_table(*params[:, :, None], ks))
+    grid = table[0][:, None] * table[1:]
+    total = grid.sum()
+    if not total > 0.0:
+        raise ParameterError(f"every score up to the grid cap {cap} underflows to probability 0")
+    grid /= total
 
     if swapped:
         grid = grid.T
@@ -171,13 +178,17 @@ def _predict_mu(alpha: np.ndarray, *covariates: np.ndarray) -> np.ndarray:
     """Each row's mean exp(eta), from its coefficients ``alpha`` and the covariates.
 
     eta is the intercept plus each coefficient times its covariate,
-    added left to right; :func:`_stronger_stage` adds the grid's two
-    etas in the same order.  Raises ``ParameterError`` when a mean
-    overflows or underflows to 0.
+    added left to right, as the grid adds its etas; :func:`_exp_mu`
+    raises ``ParameterError`` when a mean overflows or underflows to 0.
     """
     eta = alpha[:, 0].copy()
     for j, x in zip(range(1, alpha.shape[1]), covariates, strict=True):
         eta += alpha[:, j] * x
+    return _exp_mu(eta)
+
+
+def _exp_mu(eta: np.ndarray) -> np.ndarray:
+    """exp(eta); raises ``ParameterError`` when a mean overflows or underflows to 0."""
     with np.errstate(over="ignore"):
         mu = np.exp(eta)
     if len(mu) and not 0.0 < mu.min() <= mu.max() < np.inf:

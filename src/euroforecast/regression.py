@@ -222,10 +222,10 @@ class _Sample(NamedTuple):
 def _sample(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> _Sample:
     """One regression's rows (``X`` is observations by columns)."""
     Xt = np.ascontiguousarray(X.T, dtype=float)
-    i, j = np.triu_indices(len(Xt))
+    XX = np.concatenate([Xt[i] * Xt[i:] for i in range(len(Xt))])
     starts = np.zeros(1, dtype=np.intp)
     return _Sample(
-        Xt, Xt[i] * Xt[j], w, y == 0, y.astype(float), zigp._LOG_FACTORIAL[y],
+        Xt, XX, w, y == 0, y.astype(float), zigp._LOG_FACTORIAL[y],
         np.zeros(len(w), dtype=np.intp), starts, np.add.reduceat(w, starts),
     )
 
@@ -251,7 +251,7 @@ def _expit(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _loglik_derivatives(theta: np.ndarray, s: _Sample):
+def _loglik_derivatives(theta: np.ndarray, s: _Sample, upper: tuple[np.ndarray, np.ndarray]):
     """Each regression's weighted ZIGP log-likelihood, gradient and Hessian.
 
     Row i of ``theta`` holds the parameters of regression i of ``s``.
@@ -261,8 +261,9 @@ def _loglik_derivatives(theta: np.ndarray, s: _Sample):
     structural one, a zero's log-pmf is log(e^gamma + e^-t) - log(1 + e^gamma).
     The per-row terms of all regressions are summed segment by segment
     (``np.add.reduceat``), so a regression's values do not depend on the
-    other regressions of ``s``.  Returns (L, dL/dtheta, d2L/dtheta2),
-    shaped (m,), (m, p+2) and (m, p+2, p+2).
+    other regressions of ``s``.  ``upper`` is ``np.triu_indices(p)``.
+    Returns (L, dL/dtheta, d2L/dtheta2), shaped (m,), (m, p+2) and
+    (m, p+2, p+2).
     """
     Xt, w, zero, k = s.Xt, s.w, s.zero, s.k
     p = len(Xt)
@@ -318,7 +319,7 @@ def _loglik_derivatives(theta: np.ndarray, s: _Sample):
     grad[:, p] = b * sums[1]
     grad[:, p + 1] = sums[2] - omega * s.w_sum
     hess = np.empty((len(theta), p + 2, p + 2))
-    i, j = np.triu_indices(p)
+    i, j = upper
     hess[:, i, j] = hess[:, j, i] = sums[6 + 3 * p :].T
     hess[:, :p, p] = (b * sums[6 + p : 6 + 2 * p]).T
     hess[:, :p, p + 1] = sums[6 + 2 * p : 6 + 3 * p].T
@@ -379,8 +380,8 @@ def _newton_batch(theta, samples: Sequence[_Sample], lo, hi):
     the final points, objectives and gradients, one row each.
     """
     theta = np.clip(theta, lo, hi)
-    batch = _stack(samples)
-    f, g, H = (-v for v in _loglik_derivatives(theta, batch))
+    batch, upper = _stack(samples), np.triu_indices(len(lo) - 2)
+    f, g, H = (-v for v in _loglik_derivatives(theta, batch, upper))
     step = np.zeros_like(theta)
     pg = np.zeros(len(theta))
     steps_taken = np.zeros(len(theta), dtype=int)
@@ -401,7 +402,7 @@ def _newton_batch(theta, samples: Sequence[_Sample], lo, hi):
         if not np.array_equal(unfinished, running):
             running, batch = unfinished, _stack([samples[i] for i in unfinished])
         cand = np.clip(theta[running] + step[running], lo, hi)
-        fc, gc, Hc = (-v for v in _loglik_derivatives(cand, batch))
+        fc, gc, Hc = (-v for v in _loglik_derivatives(cand, batch, upper))
         f0 = f[running]
         accept = (fc < f0) | (
             (fc <= f0 + 1e-12 * (1.0 + np.abs(f0)))

@@ -54,8 +54,9 @@ def _log_pmf_positive(head, mu, phi, log_phi, k):
 def log_pmf_table(mu, phi, omega, k):
     """log P[X=k] for integer counts ``k``; broadcasts the parameters against ``k``.
 
-    The score grid evaluates its terms here, from the same two term
-    helpers as the block sampler.  The k >= 1 term is picked where k > 0,
+    The score grid evaluates both of its stages here in one call, one
+    parameter row per table row, from the same two term helpers as the
+    block sampler.  The k >= 1 term is picked where k > 0,
     the zero-inflated k = 0 term where k == 0.  Counts must lie in
     0..HARD_CAP; they are not checked here.
     """

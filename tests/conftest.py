@@ -13,9 +13,16 @@ import pytest
 
 from euroforecast import data_io, regression
 from euroforecast.errors import FitError
-from euroforecast.forecast import ModelArrays, location_indicator, sample_match_block
+from euroforecast.forecast import (
+    ModelArrays,
+    _predict_mu,
+    _stronger_stage,
+    location_indicator,
+    order_by_strength,
+    sample_match_block,
+)
 from euroforecast.regression import RegressionCoefficients, TeamModel
-from euroforecast.zigp import HARD_CAP, TAIL_EPS
+from euroforecast.zigp import HARD_CAP, TAIL_EPS, log_pmf_table
 
 
 @pytest.fixture(scope="session")
@@ -139,8 +146,32 @@ def fit_alone(X, y, w) -> RegressionCoefficients:
 def loglik_and_grad(theta, X, y, w):
     """One regression's weighted log-likelihood and gradient at ``theta``."""
     theta = np.asarray(theta, dtype=float)[None]
-    total, grad, _ = regression._loglik_derivatives(theta, regression._sample(X, y, w))
+    total, grad, _ = regression._loglik_derivatives(
+        theta, regression._sample(X, y, w), np.triu_indices(X.shape[1])
+    )
     return float(total[0]), grad[0]
+
+
+def two_call_grid(model_a, model_b, elo_a, elo_b, venue_country="NEUTRAL", cap=15):
+    """The score grid as built before both stages shared one table: a
+    stronger-stage ``log_pmf_table`` call, the weaker side's rows from
+    ``_predict_mu`` on broadcast coefficients, then a second call."""
+    stronger, weaker, swapped = order_by_strength(model_a.team, elo_a, model_b.team, elo_b)
+    strong_model, weak_model = (model_b, model_a) if swapped else (model_a, model_b)
+    elo_strong, elo_weak = (elo_b, elo_a) if swapped else (elo_a, elo_b)
+
+    loc = location_indicator(stronger, weaker, venue_country)
+    n = cap + 1
+    ks = np.arange(n)
+    strong = _stronger_stage(strong_model, weak_model, elo_strong, elo_weak, loc)
+    p_strong = np.exp(log_pmf_table(*strong, ks))
+
+    nested = weak_model.nested
+    alpha = np.broadcast_to(nested.alpha, (n, len(nested.alpha)))
+    mu = _predict_mu(alpha, np.full(n, elo_strong), np.full(n, -loc), ks)
+    grid = p_strong[:, None] * np.exp(log_pmf_table(mu[:, None], nested.phi, nested.omega, ks))
+    grid /= grid.sum()
+    return grid.T if swapped else grid
 
 
 def pair_draws(model_a, model_b, elo_a, elo_b, u, venue="NEUTRAL", mu_factor=1.0):

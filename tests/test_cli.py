@@ -624,6 +624,35 @@ class TestForecast:
         assert "Traceback" not in err
         assert not out.exists() and not json_out.exists()
 
+    def test_grid_without_mass_is_config_error(self, tmp_path, euro2020_model_file, capsys):
+        # omega = 0 and a stronger mean near 6e5: every score up to the cap
+        # underflows, and such a grid was once written as NaN with exit 0
+        doc = json.loads(euro2020_model_file.read_text())
+        for team in doc["teams"].values():
+            for kind in ("attack", "defense", "nested"):
+                team[kind]["gamma_log"] = -800.0
+        doc["teams"]["FRA"]["attack"]["alpha"] = [14.0, 0.0, 0.0]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        out, json_out = tmp_path / "grid.csv", tmp_path / "grid.json"
+        code = main(
+            [
+                "forecast",
+                "--model", str(model),
+                "--team-a", "FRA",
+                "--team-b", "GER",
+                "--elo-a", "2000",
+                "--elo-b", "1900",
+                "--out", str(out),
+                "--json-out", str(json_out),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "every score up to the grid cap 15 underflows to probability 0" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not json_out.exists()
+
     def test_wrong_alpha_count_is_config_error(self, tmp_path, fitted_model_file, capsys):
         doc = json.loads(fitted_model_file.read_text())
         doc["teams"]["BEL"]["nested"]["alpha"].pop()

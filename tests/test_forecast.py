@@ -30,8 +30,15 @@ from conftest import (
     pair_draws,
     stage_mu,
     stronger_stage,
+    two_call_grid,
     weaker_stage,
 )
+
+
+def stand_in_cases(models):
+    """Every ordered pair of ``models``, at a neutral venue and at each side's home."""
+    return [(a, b, venue) for a in sorted(models) for b in sorted(models) if a != b
+            for venue in ("NEUTRAL", a, b)]
 
 
 @pytest.fixture
@@ -118,20 +125,19 @@ class TestCombinedParams:
 
         monkeypatch.setattr(forecast, "sample_block", recording)
         differ, cases = [], 0
-        for a, b in ((a, b) for a in sorted(euro_models) for b in sorted(euro_models) if a != b):
-            for venue in ("NEUTRAL", a, b):
-                first_draws.clear()
-                pair_draws(euro_models[a], euro_models[b], ratings[a], ratings[b],
-                           np.full((1, 2), 0.5), venue)
-                strong, weak, _ = order_by_strength(a, ratings[a], b, ratings[b])
-                grid = _stronger_stage(
-                    euro_models[strong], euro_models[weak], ratings[strong], ratings[weak],
-                    location_indicator(strong, weak, venue),
-                )
-                engine = tuple(float(v) for v in first_draws[0])
-                cases += 1
-                if [v.hex() for v in grid] != [v.hex() for v in engine]:
-                    differ.append((a, b, venue, grid, engine))
+        for a, b, venue in stand_in_cases(euro_models):
+            first_draws.clear()
+            pair_draws(euro_models[a], euro_models[b], ratings[a], ratings[b],
+                       np.full((1, 2), 0.5), venue)
+            strong, weak, _ = order_by_strength(a, ratings[a], b, ratings[b])
+            grid = _stronger_stage(
+                euro_models[strong], euro_models[weak], ratings[strong], ratings[weak],
+                location_indicator(strong, weak, venue),
+            )
+            engine = tuple(float(v) for v in first_draws[0])
+            cases += 1
+            if [v.hex() for v in grid] != [v.hex() for v in engine]:
+                differ.append((a, b, venue, grid, engine))
         assert cases == 1656
         assert differ == []
 
@@ -205,6 +211,59 @@ class TestScoreGrid:
         f = score_grid(strong, weak, 2087.0, 1936.0)
         win_a, _, win_b = f.outcome_probabilities()
         assert win_a > win_b
+
+    @pytest.mark.parametrize("cap", [1, 6, 15, HARD_CAP])
+    def test_bytes_equal_the_two_call_construction(self, euro2020, euro_models, cap):
+        """Every stand-in case: the one-table grid is, byte for byte, the
+        grid of two ``log_pmf_table`` calls (``two_call_grid``)."""
+        ratings, _, _ = euro2020
+        differ, cases = [], 0
+        for a, b, venue in stand_in_cases(euro_models):
+            args = (euro_models[a], euro_models[b], ratings[a], ratings[b], venue, cap)
+            cases += 1
+            if score_grid(*args).grid.tobytes() != two_call_grid(*args).tobytes():
+                differ.append((a, b, venue))
+        assert cases == 1656
+        assert differ == []
+
+    def test_nested_means_equal_predict_mu(self, euro2020, euro_models, monkeypatch):
+        """Every stand-in case: the weaker side's means in the grid's table,
+        rows 1 on, are ``_predict_mu``'s on the nested coefficients."""
+        ratings, _, _ = euro2020
+        means = []
+        log_pmf_table = forecast.log_pmf_table
+
+        def recording(mu, phi, omega, k):
+            means.append(mu[1:, 0].tolist())
+            return log_pmf_table(mu, phi, omega, k)
+
+        monkeypatch.setattr(forecast, "log_pmf_table", recording)
+        ks = np.arange(16)
+        differ = []
+        for a, b, venue in stand_in_cases(euro_models):
+            means.clear()
+            score_grid(euro_models[a], euro_models[b], ratings[a], ratings[b], venue)
+            strong, weak, _ = order_by_strength(a, ratings[a], b, ratings[b])
+            loc = location_indicator(strong, weak, venue)
+            engine = _predict_mu(np.array([euro_models[weak].nested.alpha] * 16),
+                                 np.full(16, ratings[strong]), np.full(16, -loc), ks)
+            if [v.hex() for v in means[0]] != [v.hex() for v in engine.tolist()]:
+                differ.append((a, b, venue))
+        assert len(means) == 1
+        assert differ == []
+
+    def test_grid_without_mass_rejected(self, strong, weak):
+        # omega = 0 and a stronger mean near 6e5: every score up to the cap underflows
+        def no_inflation(model, **attack):
+            return dataclasses.replace(
+                model,
+                attack=dataclasses.replace(model.attack, gamma_log=-800.0, **attack),
+                defense=dataclasses.replace(model.defense, gamma_log=-800.0),
+            )
+
+        strong = no_inflation(strong, alpha=(14.0, 0.0, 0.0))
+        with pytest.raises(ParameterError, match="grid cap 15 underflows to probability 0"):
+            score_grid(strong, no_inflation(weak), 2087.0, 1936.0)
 
     @pytest.mark.parametrize("cap", [0, -1, HARD_CAP + 1])
     def test_cap_outside_range_rejected(self, strong, weak, cap):

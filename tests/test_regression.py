@@ -364,7 +364,7 @@ class TestLikelihood:
             )
             if omega_tail:
                 theta[5] = rng.uniform(-25.0, -15.0)
-            hess = regression._loglik_derivatives(theta[None], sample)[2][0]
+            hess = regression._loglik_derivatives(theta[None], sample, np.triu_indices(4))[2][0]
             numeric = np.empty_like(hess)
             for j in range(len(theta)):
                 h = 1e-5 * (1.0 + abs(theta[j]))
